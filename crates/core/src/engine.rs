@@ -92,8 +92,12 @@
 //! degrading to admissible `[lb, ub]` intervals when
 //! [`GedEngineBuilder::verify_budget`] bites) and kept in sync with the
 //! queried store incrementally. Each store query then spends `p`
-//! query-to-pivot distance computations to get per-candidate metric
-//! bounds for free, wired in as:
+//! query-to-pivot distance computations per pivot block it reaches to
+//! get per-candidate metric bounds for free. Arming is lazy: a shard is
+//! armed only after the signature shard tier failed to skip it, and a
+//! query equal to a stored graph copies that graph's table row instead
+//! (zero computations; [`SearchStats::pivot_distances`] counts the rest).
+//! The bounds are wired in as:
 //!
 //! * **`TopK` / `Range`** — the pivot lower bound joins the filter phase
 //!   (prune when `lb > ` k-th best / τ; [`SearchStats::pruned_pivot`]),
@@ -167,7 +171,7 @@ use crate::solver::{
     BatchRunner, GedEstimate, GedSolver, PathEstimate, SolverRegistry, SolverScratch,
 };
 use crate::workspace::GedWorkspace;
-use ged_graph::{Graph, GraphId, GraphStore, PivotIndex, ShardedStore};
+use ged_graph::{Graph, GraphId, GraphSignature, GraphStore, PivotIndex, ShardedStore};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -214,6 +218,12 @@ pub struct SearchStats {
     /// `TopK` (no fixed threshold to certify against) and without a pivot
     /// index.
     pub accepted_pivot: usize,
+    /// Query-to-pivot distances the oracle computed to arm the pivot
+    /// tier: a block's pivot count per armed unit, 0 for a unit whose
+    /// table row a stored query reused, and 0 for units the shard tier
+    /// skipped before arming them. An overlay count of work, **not** an
+    /// accounting tier (outside [`SearchStats::pruned`]).
+    pub pivot_distances: usize,
 }
 
 impl SearchStats {
@@ -227,18 +237,20 @@ impl SearchStats {
 impl fmt::Display for SearchStats {
     /// One-line tier breakdown, filter order left to right:
     /// `candidates=.. shard=.. label=.. degree=.. pivot=.. verified=..
-    /// accept_pivot=..`.
+    /// accept_pivot=.. pivot_distances=..`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "candidates={} shard={} label={} degree={} pivot={} verified={} accept_pivot={}",
+            "candidates={} shard={} label={} degree={} pivot={} verified={} accept_pivot={} \
+             pivot_distances={}",
             self.candidates,
             self.pruned_shard,
             self.pruned_label,
             self.pruned_degree,
             self.pruned_pivot,
             self.verified,
-            self.accepted_pivot
+            self.accepted_pivot,
+            self.pivot_distances
         )
     }
 }
@@ -1047,7 +1059,8 @@ impl GedEngine {
     /// `query` and every graph of `store`, derived from the engine's
     /// pivot table (synced to the store first, built on first use; the
     /// `p` query-to-pivot distances are computed once per call, outside
-    /// the index lock). `None` when the pivot tier is disabled or the
+    /// the index lock — none when `query` equals a stored graph, whose
+    /// table row is reused). `None` when the pivot tier is disabled or the
     /// store is empty.
     ///
     /// This is the tier the store-level plans consume; it is public so
@@ -1060,10 +1073,9 @@ impl GedEngine {
         store: &GraphStore,
     ) -> Option<BTreeMap<GraphId, (usize, usize)>> {
         let index = self.synced_pivot_index(store)?;
-        let mut ws = GedWorkspace::new();
-        let mut oracle =
-            |a: &Graph, b: &Graph| pivot_distance_in(a, b, self.verify_budget, &mut ws);
-        let qdists = index.query_distances(store, query, &mut oracle);
+        let qsig = GraphSignature::of(query);
+        let (qdists, _) =
+            self.arm_pivot_block(&index, store, query, &qsig, &mut GedWorkspace::new());
         Some(
             store
                 .ids()
@@ -1563,11 +1575,13 @@ impl GedEngine {
     // -- sharded-store plans ----------------------------------------------
     //
     // The same filter–verify plans, one tier taller: a per-shard
-    // aggregate lower bound ([`Shard::signature_lower_bound`] +
-    // [`Shard::pivot_lower_bound`]) discards whole shards before any
-    // per-graph metadata is read, surviving shards are visited in
-    // ascending-bound order, and per-shard results merge through a
-    // result set bounded at `k` (top-k) or filtered at τ (range).
+    // aggregate lower bound discards whole shards before any per-graph
+    // metadata is read. Shards are visited in ascending
+    // [`Shard::signature_lower_bound`] order; a shard that bound does
+    // not skip is armed (its query-to-pivot distances computed) and
+    // tried again with [`Shard::pivot_lower_bound`] folded in. Per-shard
+    // results merge through a result set bounded at `k` (top-k) or
+    // filtered at τ (range).
     // Every aggregate bound under-approximates the corresponding
     // per-graph bound, so the answers are bit-identical to the flat
     // plans over the same graphs (ged-testkit property-tests this).
@@ -1576,7 +1590,7 @@ impl GedEngine {
     // (the engine cannot lazily sync a `&ShardedStore`), so plans use
     // pivots only when [`ShardedStore::pivots_ready`] holds for the
     // engine's target — call [`GedEngine::sync_sharded_pivots`] after
-    // mutations to keep the tier armed. Stale or absent blocks degrade
+    // mutations to keep the blocks in sync. Stale or absent blocks degrade
     // to the (still exact) pivot-free plan, never to a wrong answer.
 
     /// Builds or incrementally syncs every shard's pivot block to this
@@ -1606,13 +1620,12 @@ impl GedEngine {
         if !store.pivots_ready(self.pivot_target) {
             return None;
         }
+        let qsig = GraphSignature::of(query);
         let mut ws = GedWorkspace::new();
-        let mut oracle =
-            |a: &Graph, b: &Graph| pivot_distance_in(a, b, self.verify_budget, &mut ws);
         let mut out = BTreeMap::new();
         for shard in store.shards() {
             let index = shard.pivot_index().expect("pivots_ready");
-            let qdists = index.query_distances(shard.store(), query, &mut oracle);
+            let (qdists, _) = self.arm_pivot_block(index, shard.store(), query, &qsig, &mut ws);
             for id in shard.store().ids() {
                 out.insert(id, index.bounds(&qdists, id).expect("index is synced"));
             }

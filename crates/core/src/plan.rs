@@ -86,7 +86,7 @@ use ged_graph::{
     range_distance, Graph, GraphId, GraphSignature, GraphStore, PivotDistance, PivotIndex, Shard,
     ShardedStore,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The stages of the unified filter–verify pipeline, in static plan
@@ -511,35 +511,44 @@ struct JoinUnit<'s> {
     store: &'s GraphStore,
     nodes: (usize, usize),
     edges: (usize, usize),
-    pivot: JoinPivot<'s>,
+    pivot: PivotBlock<'s>,
     /// `(id, graph, signature)` ascending by node count (id tie-break) —
     /// [`GraphStore::entries_by_size`]'s band order.
     entries: Vec<(GraphId, &'s Graph, &'s GraphSignature)>,
 }
 
-/// Where a join unit's pivot tier reads from (`None` = tier vacuous).
-enum JoinPivot<'s> {
+/// Where a plan unit's pivot tier reads from (`None` = tier vacuous).
+enum PivotBlock<'s> {
     None,
     /// The engine's flat-store index, already synced — its
-    /// [`PivotIndex::member_bounds`] rows serve every same-unit pair
+    /// [`PivotIndex::member_bounds`] rows serve every same-unit join pair
     /// with zero per-row arming (the build *is* the arming).
     Flat(Arc<PivotIndex>),
-    /// A shard's own pivot block (sharded self-join diagonal, or the
-    /// right side of a cross-store join).
-    Shard(&'s PivotIndex),
+    /// A shard's own pivot block (its [`Shard::pivot_index`] is built).
+    Shard(&'s Shard),
+}
+
+impl<'s> PivotBlock<'s> {
+    /// A shard's block when the tier is on for this plan, else `None`.
+    fn of_shard(shard: &'s Shard, pivots_on: bool) -> Self {
+        match shard.pivot_index() {
+            Some(_) if pivots_on => PivotBlock::Shard(shard),
+            _ => PivotBlock::None,
+        }
+    }
+
+    fn index(&self) -> Option<&PivotIndex> {
+        match self {
+            PivotBlock::None => None,
+            PivotBlock::Flat(ix) => Some(ix),
+            PivotBlock::Shard(shard) => shard.pivot_index(),
+        }
+    }
 }
 
 impl JoinUnit<'_> {
     fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    fn index(&self) -> Option<&PivotIndex> {
-        match &self.pivot {
-            JoinPivot::None => None,
-            JoinPivot::Flat(ix) => Some(ix),
-            JoinPivot::Shard(ix) => Some(ix),
-        }
     }
 
     /// The block-tier lower bound between this unit and `other`: the
@@ -697,7 +706,8 @@ fn filter_self_block<'s>(
                 break;
             }
             let mut pivot = || {
-                unit.index()
+                unit.pivot
+                    .index()
                     .and_then(|ix| ix.member_bounds(ia, ib))
                     .unwrap_or((0, usize::MAX))
             };
@@ -767,26 +777,20 @@ impl<'a> PlanStore<'a> {
     }
 }
 
-/// The per-unit pivot state: a flat store's engine-cached bounds map, or
-/// a shard's own pivot block plus this query's distances to it. `None`
-/// payloads mean the tier is disabled/un-armed and bounds are vacuous.
-enum UnitPivot<'s> {
-    Flat(Option<BTreeMap<GraphId, (usize, usize)>>),
-    Shard {
-        shard: &'s Shard,
-        qdists: Option<Vec<PivotDistance>>,
-    },
-}
-
 /// One shard of the unified plan: the backing [`GraphStore`], the
 /// aggregate lower bound the shard tier compares against the threshold
 /// (0 for the flat one-shard case, so it can never fire there), and the
-/// pivot state per-candidate bounds are read from.
+/// pivot block per-candidate bounds are read from, armed lazily by
+/// [`GedEngine::shard_tier_prunes`].
 pub(crate) struct ShardUnit<'s> {
     store: &'s GraphStore,
+    /// The signature aggregate bound, raised by the shard's pivot
+    /// aggregate once the unit is armed.
     lb: usize,
     bucket: usize,
-    pivot: UnitPivot<'s>,
+    pivot: PivotBlock<'s>,
+    /// This query's distances to the block's pivots; `None` until armed.
+    qdists: Option<Vec<PivotDistance>>,
 }
 
 impl<'s> ShardUnit<'s> {
@@ -797,21 +801,13 @@ impl<'s> ShardUnit<'s> {
     /// The pivot `[lb, ub]` bounds of `id`, or the vacuous
     /// `(0, usize::MAX)` when the tier is off — uniform across both
     /// store kinds so every plan treats bounds as unconditionally
-    /// present.
+    /// present. Read only from armed units.
     fn pivot_bounds_for(&self, id: GraphId) -> (usize, usize) {
-        match &self.pivot {
-            UnitPivot::Flat(bounds) => bounds
-                .as_ref()
-                .and_then(|m| m.get(&id).copied())
-                .unwrap_or((0, usize::MAX)),
-            UnitPivot::Shard { shard, qdists } => match qdists {
-                Some(qdists) => shard
-                    .pivot_index()
-                    .expect("qdists imply a synced index")
-                    .bounds(qdists, id)
-                    .expect("index is synced with the shard store"),
-                None => (0, usize::MAX),
-            },
+        match (self.pivot.index(), &self.qdists) {
+            (Some(index), Some(qdists)) => index
+                .bounds(qdists, id)
+                .expect("index is synced with the unit store"),
+            _ => (0, usize::MAX),
         }
     }
 }
@@ -987,60 +983,41 @@ impl GedEngine {
     }
 
     /// Decomposes either store kind into the unified plan's
-    /// [`ShardUnit`]s, armed or not, sorted ascending by aggregate bound
-    /// (bucket as the deterministic tie-break) so the most promising
-    /// units are visited first. A flat store is one unit with bound 0 —
-    /// its shard tier can never fire and `pruned_shard` stays 0, exactly
-    /// the legacy flat plans.
+    /// [`ShardUnit`]s, un-armed, sorted ascending by signature aggregate
+    /// bound (bucket as the deterministic tie-break) so the most
+    /// promising units are visited first. A flat store is one unit with
+    /// bound 0 — its shard tier can never fire and `pruned_shard` stays
+    /// 0, exactly the legacy flat plans.
     ///
-    /// `arm_pivots: false` (planner, `RangeExact` only) skips the
-    /// per-query pivot arming entirely: no query-to-pivot distances are
-    /// computed, per-candidate bounds are vacuous, and sharded aggregate
-    /// bounds fall back to signatures alone.
+    /// `arm_pivots: false` (planner, `RangeExact` only) turns the pivot
+    /// tier off entirely: no unit is ever armed, per-candidate bounds are
+    /// vacuous, and sharded aggregate bounds stay signatures alone.
     fn shard_units<'s>(
         &self,
-        query: &Graph,
         qsig: &GraphSignature,
         store: PlanStore<'s>,
         arm_pivots: bool,
     ) -> Vec<ShardUnit<'s>> {
         match store {
             PlanStore::Flat(flat) => {
-                let pivot = if arm_pivots {
-                    self.pivot_bounds(query, flat)
-                } else {
-                    None
-                };
                 vec![ShardUnit {
                     store: flat,
                     lb: 0,
                     bucket: 0,
-                    pivot: UnitPivot::Flat(pivot),
+                    pivot: self.flat_pivot_block(flat, arm_pivots),
+                    qdists: None,
                 }]
             }
             PlanStore::Sharded(sharded) => {
                 let pivots_on = arm_pivots && sharded.pivots_ready(self.pivot_target);
-                let mut ws = GedWorkspace::new();
-                let mut oracle =
-                    |a: &Graph, b: &Graph| pivot_distance_in(a, b, self.verify_budget, &mut ws);
                 let mut units: Vec<ShardUnit<'s>> = sharded
                     .shards()
-                    .map(|shard| {
-                        let mut lb = shard.signature_lower_bound(qsig);
-                        let qdists = if pivots_on {
-                            let index = shard.pivot_index().expect("pivots_ready");
-                            let qd = index.query_distances(shard.store(), query, &mut oracle);
-                            lb = lb.max(shard.pivot_lower_bound(&qd));
-                            Some(qd)
-                        } else {
-                            None
-                        };
-                        ShardUnit {
-                            store: shard.store(),
-                            lb,
-                            bucket: shard.bucket(),
-                            pivot: UnitPivot::Shard { shard, qdists },
-                        }
+                    .map(|shard| ShardUnit {
+                        store: shard.store(),
+                        lb: shard.signature_lower_bound(qsig),
+                        bucket: shard.bucket(),
+                        pivot: PivotBlock::of_shard(shard, pivots_on),
+                        qdists: None,
                     })
                     .collect();
                 units.sort_by_key(|u| (u.lb, u.bucket));
@@ -1049,11 +1026,93 @@ impl GedEngine {
         }
     }
 
+    /// A flat store's pivot block: the engine's index, synced to `flat`
+    /// (built on first use), when the tier is on for this plan.
+    /// With the tier off nothing is synced: syncing is part of the cost
+    /// an un-armed plan skips.
+    fn flat_pivot_block(&self, flat: &GraphStore, arm_pivots: bool) -> PivotBlock<'static> {
+        let index = if arm_pivots {
+            self.synced_pivot_index(flat)
+        } else {
+            None
+        };
+        index.map_or(PivotBlock::None, PivotBlock::Flat)
+    }
+
+    /// The shard tier with lazy pivot arming: whether `over` holds for
+    /// the unit's aggregate bound, so the whole unit can be skipped. The
+    /// signature bound is tried first; only a unit it leaves standing is
+    /// armed — its query-to-pivot distances computed (adding the count
+    /// to `pivot_distances`) and its bound raised by the shard's pivot
+    /// aggregate — and tried again. A pruned unit is never armed, and a
+    /// kept unit is always armed (when its tier is on), so per-candidate
+    /// pivot bounds are exactly those of eager arming.
+    fn shard_tier_prunes(
+        &self,
+        unit: &mut ShardUnit<'_>,
+        query: &Graph,
+        qsig: &GraphSignature,
+        over: impl Fn(usize) -> bool,
+        pivot_distances: &mut usize,
+        ws: &mut GedWorkspace,
+    ) -> bool {
+        if over(unit.lb) {
+            return true;
+        }
+        if let Some(index) = unit.pivot.index() {
+            let (qdists, computed) = self.arm_pivot_block(index, unit.store, query, qsig, ws);
+            *pivot_distances += computed;
+            if let PivotBlock::Shard(shard) = unit.pivot {
+                unit.lb = unit.lb.max(shard.pivot_lower_bound(&qdists));
+            }
+            unit.qdists = Some(qdists);
+        }
+        over(unit.lb)
+    }
+
+    /// Arms one pivot block for `query`: its distances to every pivot of
+    /// `index` (synced with `store`), in column order, plus how many the
+    /// oracle had to compute. A member equal to the query — equal
+    /// signature, then `Graph ==` — already holds them as its table row,
+    /// so a stored query (inline or `*_by_id`) copies that row with zero
+    /// oracle calls. The row was filled by the same oracle on the same
+    /// graph pair, so it is bit-for-bit what the oracle would return
+    /// whenever the block was synced under this engine's verify budget
+    /// (and an admissible interval of the same distance otherwise).
+    ///
+    /// Every pivot-tier consumer arms through here — the plans, the
+    /// cross-join probes, [`GedEngine::pivot_bounds`] and
+    /// [`GedEngine::sharded_pivot_bounds`] — so the testkit oracles see
+    /// exactly the bounds a plan used.
+    pub(crate) fn arm_pivot_block(
+        &self,
+        index: &PivotIndex,
+        store: &GraphStore,
+        query: &Graph,
+        qsig: &GraphSignature,
+        ws: &mut GedWorkspace,
+    ) -> (Vec<PivotDistance>, usize) {
+        let row = store
+            .entries()
+            .find(|&(_, g, sig)| sig == qsig && g == query)
+            .and_then(|(id, _, _)| index.distances(id));
+        if let Some(row) = row {
+            return (row.to_vec(), 0);
+        }
+        let mut oracle = |a: &Graph, b: &Graph| pivot_distance_in(a, b, self.verify_budget, ws);
+        (
+            index.query_distances(store, query, &mut oracle),
+            index.query_cost(),
+        )
+    }
+
     /// How many query-to-pivot distance computations an un-armed query
     /// skipped — [`PivotIndex::query_cost`](ged_graph::PivotIndex::query_cost)
     /// summed over the store's pivot blocks (the flat store's engine-side
     /// index is deliberately not synced here — syncing is the cost being
-    /// skipped — so its target stands in for its size).
+    /// skipped — so its target stands in for its size). This is the cost
+    /// of arming every block; lazy arming would have spent at most this
+    /// (nothing on a reused row or a shard the signature tier skips).
     fn pivot_arm_cost(&self, store: PlanStore<'_>) -> u64 {
         match store {
             PlanStore::Flat(flat) => self.pivot_target.min(flat.len()) as u64,
@@ -1084,7 +1143,7 @@ impl GedEngine {
 
         let decision = self.plan_decision(QueryShape::TopK);
         let qsig = GraphSignature::of(query);
-        let units = self.shard_units(query, &qsig, store, true);
+        let mut units = self.shard_units(&qsig, store, true);
         let k = k.min(store.len());
         let mut stats = SearchStats {
             candidates: store.len(),
@@ -1093,13 +1152,23 @@ impl GedEngine {
         let mut best: Vec<Neighbor> = Vec::new();
         let block = k.max(VERIFY_BLOCK);
         let mut solver_calls_saved = 0u64;
-        for unit in &units {
+        let mut ws = GedWorkspace::new();
+        for unit in &mut units {
             // Shard tier: an aggregate bound over the k-th best proves
             // every member ranks after the current top k.
-            if best.len() >= k && (unit.lb as f64) > best[k - 1].ged {
+            let kth = (best.len() >= k).then(|| best[k - 1].ged);
+            if self.shard_tier_prunes(
+                unit,
+                query,
+                &qsig,
+                |lb| kth.is_some_and(|kth| (lb as f64) > kth),
+                &mut stats.pivot_distances,
+                &mut ws,
+            ) {
                 stats.pruned_shard += unit.len();
                 continue;
             }
+            let unit = &*unit;
             let mut candidates: Vec<Candidate> = unit
                 .store
                 .entries()
@@ -1197,7 +1266,7 @@ impl GedEngine {
 
         let decision = self.plan_decision(QueryShape::Range);
         let qsig = GraphSignature::of(query);
-        let units = self.shard_units(query, &qsig, store, true);
+        let mut units = self.shard_units(&qsig, store, true);
         let mut stats = SearchStats {
             candidates: store.len(),
             ..SearchStats::default()
@@ -1205,11 +1274,20 @@ impl GedEngine {
         let mut discards = DiscardCounts::default();
         let mut solver_calls_saved = 0u64;
         let mut neighbors: Vec<Neighbor> = Vec::new();
-        for unit in &units {
-            if (unit.lb as f64) > tau {
+        let mut ws = GedWorkspace::new();
+        for unit in &mut units {
+            if self.shard_tier_prunes(
+                unit,
+                query,
+                &qsig,
+                |lb| (lb as f64) > tau,
+                &mut stats.pivot_distances,
+                &mut ws,
+            ) {
                 stats.pruned_shard += unit.len();
                 continue;
             }
+            let unit = &*unit;
             let mut survivors: Vec<Candidate> = Vec::new();
             'candidates: for (id, _, sig) in unit.store.entries() {
                 let mut tiers = LazyTiers::new(unit, &qsig, id, sig);
@@ -1333,7 +1411,7 @@ impl GedEngine {
         let decision = self.plan_decision(QueryShape::RangeExact);
         let collapse = decision.collapse_verify && budget_unlimited;
         let qsig = GraphSignature::of(query);
-        let units = self.shard_units(query, &qsig, store, decision.arm_pivots);
+        let mut units = self.shard_units(&qsig, store, decision.arm_pivots);
         let pivot_arms_saved = if decision.arm_pivots {
             0
         } else {
@@ -1343,11 +1421,20 @@ impl GedEngine {
         let mut discards = DiscardCounts::default();
         let mut searches_saved = 0u64;
         let mut survivors: Vec<ExactSurvivor> = Vec::new();
-        for unit in &units {
-            if unit.lb > tau {
+        let mut ws = GedWorkspace::new();
+        for unit in &mut units {
+            if self.shard_tier_prunes(
+                unit,
+                query,
+                &qsig,
+                |lb| lb > tau,
+                &mut stats.pivot_distances,
+                &mut ws,
+            ) {
                 stats.pruned_shard += unit.len();
                 continue;
             }
+            let unit = &*unit;
             'candidates: for (id, _, sig) in unit.store.entries() {
                 let mut tiers = LazyTiers::new(unit, &qsig, id, sig);
                 for tier in decision.order {
@@ -1491,17 +1578,11 @@ impl GedEngine {
                     nodes = (nodes.0.min(sig.num_nodes()), nodes.1.max(sig.num_nodes()));
                     edges = (edges.0.min(sig.num_edges()), edges.1.max(sig.num_edges()));
                 }
-                let pivot = if arm_pivots {
-                    self.synced_pivot_index(flat)
-                        .map_or(JoinPivot::None, JoinPivot::Flat)
-                } else {
-                    JoinPivot::None
-                };
                 vec![JoinUnit {
                     store: flat,
                     nodes,
                     edges,
-                    pivot,
+                    pivot: self.flat_pivot_block(flat, arm_pivots),
                     entries,
                 }]
             }
@@ -1513,10 +1594,7 @@ impl GedEngine {
                         store: shard.store(),
                         nodes: (shard.min_nodes(), shard.max_nodes()),
                         edges: (shard.min_edges(), shard.max_edges()),
-                        pivot: match shard.pivot_index() {
-                            Some(ix) if pivots_on => JoinPivot::Shard(ix),
-                            _ => JoinPivot::None,
-                        },
+                        pivot: PivotBlock::of_shard(shard, pivots_on),
                         entries: shard.store().entries_by_size(),
                     })
                     .collect()
@@ -1558,13 +1636,10 @@ impl GedEngine {
             let mut qdists: Option<Vec<PivotDistance>> = None;
             for &(ib, gb, sb) in &right.entries[lo..hi] {
                 let mut pivot = || -> (usize, usize) {
-                    match (kind, right.index()) {
+                    match (kind, right.pivot.index()) {
                         (CrossKind::TwoStores, Some(ix)) => {
-                            let budget = self.verify_budget;
                             let qd = qdists.get_or_insert_with(|| {
-                                let mut oracle =
-                                    |x: &Graph, y: &Graph| pivot_distance_in(x, y, budget, &mut ws);
-                                ix.query_distances(right.store, ga, &mut oracle)
+                                self.arm_pivot_block(ix, right.store, ga, sa, &mut ws).0
                             });
                             ix.bounds(qd, ib)
                                 .expect("index is synced with its unit store")

@@ -103,6 +103,12 @@ pub struct ExactSearchStats {
     /// [`crate::engine::GedEngineBuilder::verify_budget`]). Always zero
     /// when the budget is unlimited.
     pub budget_exceeded: usize,
+    /// Query-to-pivot distances the oracle computed to arm the pivot
+    /// tier: a block's pivot count per armed unit, 0 for a unit whose
+    /// table row a stored query reused, and 0 for units the shard tier
+    /// skipped before arming them. An overlay count of work, **not** an
+    /// accounting tier (outside [`ExactSearchStats::total`]).
+    pub pivot_distances: usize,
 }
 
 impl ExactSearchStats {
@@ -137,11 +143,12 @@ impl ExactSearchStats {
 impl fmt::Display for ExactSearchStats {
     /// One-line tier breakdown, filter order left to right:
     /// `shard=.. pivot=.. filtered=.. accept_pivot=.. accept_ub=..
-    /// verified=.. budget=.. total=..`.
+    /// verified=.. budget=.. total=.. pivot_distances=..`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "shard={} pivot={} filtered={} accept_pivot={} accept_ub={} verified={} budget={} total={}",
+            "shard={} pivot={} filtered={} accept_pivot={} accept_ub={} verified={} budget={} \
+             total={} pivot_distances={}",
             self.pruned_shard,
             self.pruned_pivot,
             self.filtered,
@@ -149,7 +156,8 @@ impl fmt::Display for ExactSearchStats {
             self.accepted_early,
             self.verified,
             self.budget_exceeded,
-            self.total()
+            self.total(),
+            self.pivot_distances
         )
     }
 }
@@ -901,8 +909,13 @@ mod tests {
             accepted_early: 2,
             verified: 4,
             budget_exceeded: 1,
+            pivot_distances: 9,
         };
-        assert_eq!(stats.total(), 28, "every tier participates in total()");
+        assert_eq!(
+            stats.total(),
+            28,
+            "every tier participates in total(), the overlay does not"
+        );
         let line = stats.to_string();
         assert!(!line.contains('\n'), "one-line breakdown");
         for field in [
@@ -914,6 +927,7 @@ mod tests {
             "verified=4",
             "budget=1",
             "total=28",
+            "pivot_distances=9",
         ] {
             assert!(line.contains(field), "{line} is missing {field}");
         }

@@ -17,7 +17,10 @@
 //!   stores;
 //! * regression: `ExactSearchStats::total()` closes to the store size
 //!   for every query, whichever tiers fire (including under a strangled
-//!   verify budget).
+//!   verify budget);
+//! * a stored query — inline or by id — arms by reusing its own table
+//!   row (`pivot_distances == 0`), while an isomorphic but node-permuted
+//!   copy falls back to the oracle and still answers identically.
 
 use ged_testkit::{
     aids_store, assert_same_neighbors as assert_same, brute_force_refined, brute_range,
@@ -345,4 +348,82 @@ fn exact_accounting_closes_for_every_query_and_budget() {
             }
         }
     }
+}
+
+/// `g` with its node order reversed: an isomorphic copy that is not `==`
+/// to `g` unless the reversal happens to be an automorphism.
+fn reversed(g: &Graph) -> Graph {
+    let last = g.num_nodes() as u32 - 1;
+    let labels = g.labels().iter().rev().copied().collect();
+    let edges: Vec<(u32, u32)> = g.edges().map(|(u, v)| (last - u, last - v)).collect();
+    Graph::from_edges(labels, &edges)
+}
+
+#[test]
+fn stored_queries_arm_from_their_own_table_row() {
+    let store = aids_store(24, 971);
+    let engine = pivoted_engine(3);
+    for (id, query) in store.iter().step_by(5) {
+        let ctx = format!("stored {id}");
+        let inline = engine.range_exact(query, &store, 2.0).unwrap();
+        assert_eq!(inline.stats.pivot_distances, 0, "{ctx}: row reused");
+        let by_id = engine.range_exact_by_id(&store, id, 2.0).unwrap();
+        assert_eq!(by_id, inline, "{ctx}: by-id is the same plan");
+        let top = engine.top_k(query, &store, 4).unwrap();
+        assert_eq!(top.stats.pivot_distances, 0, "{ctx}: top-k");
+        let range = engine.range(query, &store, 2.0).unwrap();
+        assert_eq!(range.stats.pivot_distances, 0, "{ctx}: range");
+    }
+
+    let foreign = external_query(972);
+    assert!(
+        store.graphs().all(|g| *g != foreign),
+        "the query is foreign"
+    );
+    let armed = engine.range_exact(&foreign, &store, 2.0).unwrap();
+    assert_eq!(
+        armed.stats.pivot_distances, 3,
+        "a foreign query computes one distance per pivot"
+    );
+    assert_eq!(armed.stats.total(), store.len(), "the overlay stays out");
+}
+
+#[test]
+fn a_permuted_copy_falls_back_to_the_oracle_with_identical_answers() {
+    let store = aids_store(24, 981);
+    let engine = pivoted_engine(3);
+    let (id, stored, copy) = store
+        .iter()
+        .find_map(|(id, g)| {
+            let copy = reversed(g);
+            (copy != *g).then_some((id, g, copy))
+        })
+        .expect("some graph is not reversal-symmetric");
+    assert!(
+        store.graphs().all(|g| *g != copy),
+        "no member equals the copy"
+    );
+
+    // Under the default unlimited budget every pivot distance is exact,
+    // and exact GED is invariant under node permutation: the computed
+    // row equals the reused one.
+    assert_eq!(
+        engine.pivot_bounds(&copy, &store),
+        engine.pivot_bounds(stored, &store),
+        "same pivot bounds"
+    );
+    let want = engine.range_exact_by_id(&store, id, 2.0).unwrap();
+    let got = engine.range_exact(&copy, &store, 2.0).unwrap();
+    assert_eq!(want.stats.pivot_distances, 0, "the stored query reuses");
+    assert_eq!(got.stats.pivot_distances, 3, "the copy computes");
+    assert_eq!(got.matches, want.matches, "same exact answers");
+    assert_eq!(got.budget_exhausted, want.budget_exhausted);
+    assert_eq!(
+        ExactSearchStats {
+            pivot_distances: 0,
+            ..got.stats
+        },
+        want.stats,
+        "same pre-existing stats fields"
+    );
 }

@@ -13,7 +13,10 @@
 //! * interleaved insert / remove keeps sharded answers equal to a flat
 //!   mirror maintained alongside;
 //! * a snapshot save → load round-trip preserves ids, revisions (the
-//!   follow-up pivot sync is a no-op), and every answer bit.
+//!   follow-up pivot sync is a no-op), and every answer bit;
+//! * pivot arming is lazy and per shard: only shards the signature
+//!   shard tier leaves standing compute query-to-pivot distances, and a
+//!   stored query's own shard reuses its table row for free.
 
 use ged_testkit::{
     aids_store, assert_same_neighbors as assert_same, brute_range_exact_sharded,
@@ -322,4 +325,91 @@ fn snapshot_roundtrip_preserves_answers_and_pivot_sync() {
         !sharded.ids().contains(&new_id),
         "restored seqs are reserved: {new_id:?}"
     );
+}
+
+/// The query-to-pivot distances a sharded plan at threshold `tau` must
+/// compute: a shard costs its pivot count when its signature bound
+/// leaves it standing, nothing when that bound alone prunes it or when
+/// `own` (the shard holding a graph equal to the query) reuses its row.
+fn expected_pivot_distances(
+    sharded: &ShardedStore,
+    query: &Graph,
+    tau: usize,
+    own: Option<usize>,
+) -> usize {
+    let qsig = GraphSignature::of(query);
+    sharded
+        .shards()
+        .filter(|s| Some(s.bucket()) != own && s.signature_lower_bound(&qsig) <= tau)
+        .map(Shard::pivot_query_cost)
+        .sum()
+}
+
+#[test]
+fn stored_queries_arm_their_own_shard_for_free() {
+    let store = aids_store(40, 7701);
+    let (mut sharded, map) = sharded_copy(&store, 4);
+    assert_eq!(sharded.shard_count(), 2, "4–7 and 8–10 nodes");
+    let e = engine(1, 3);
+    e.sync_sharded_pivots(&mut sharded);
+    let mut far_pruned = 0;
+    for (flat_id, query) in store.iter().step_by(3) {
+        let id = map[&flat_id];
+        let own = sharded
+            .shards()
+            .find(|s| s.store().contains(id))
+            .map(Shard::bucket);
+        let want = expected_pivot_distances(&sharded, query, 2, own);
+        far_pruned += usize::from(want == 0);
+        let ctx = format!("stored {id}");
+
+        let inline = e.range_exact_sharded(query, &sharded, 2.0).unwrap();
+        assert_eq!(inline.stats.pivot_distances, want, "{ctx}: exact");
+        let brute = brute_range_exact_sharded(&sharded, query, 2);
+        assert_same_exact(&inline.matches, &brute, &ctx);
+
+        let by_id = e.range_sharded_by_id(&sharded, id, 2.0).unwrap();
+        let range = e.range_sharded(query, &sharded, 2.0).unwrap();
+        assert_eq!(by_id, range, "{ctx}: by-id is the same plan");
+        assert_eq!(range.stats.pivot_distances, want, "{ctx}: range");
+    }
+    assert!(far_pruned > 0, "some stored query never arms the far shard");
+}
+
+#[test]
+fn range_exact_below_the_far_shard_bound_arms_only_the_near_shard() {
+    let store = aids_store(40, 7801);
+    let (mut sharded, _) = sharded_copy(&store, 4);
+    assert_eq!(sharded.shard_count(), 2, "4–7 and 8–10 nodes");
+    let e = engine(1, 3);
+    e.sync_sharded_pivots(&mut sharded);
+    let (query, near, tau) = (7802..7900)
+        .find_map(|seed| {
+            let query = external_query(seed);
+            let qsig = GraphSignature::of(&query);
+            let mut lbs: Vec<(usize, &Shard)> = sharded
+                .shards()
+                .map(|s| (s.signature_lower_bound(&qsig), s))
+                .collect();
+            lbs.sort_by_key(|&(lb, s)| (lb, s.bucket()));
+            let ((near_lb, near), (far_lb, _)) = (lbs[0], lbs[1]);
+            (near_lb < far_lb).then_some((query, near, near_lb))
+        })
+        .expect("some foreign query is nearer to one shard");
+    assert!(
+        sharded.graphs().all(|g| *g != query),
+        "the query is foreign"
+    );
+
+    let got = e.range_exact_sharded(&query, &sharded, tau as f64).unwrap();
+    assert_eq!(
+        got.stats.pivot_distances,
+        near.pivot_query_cost(),
+        "only the near shard is armed: {}",
+        got.stats
+    );
+    assert!(got.stats.pruned_shard > 0, "the far shard is skipped");
+    assert_eq!(got.stats.total(), sharded.len(), "accounting closes");
+    let brute = brute_range_exact_sharded(&sharded, &query, tau);
+    assert_same_exact(&got.matches, &brute, "vs sharded oracle");
 }
