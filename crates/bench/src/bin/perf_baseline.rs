@@ -322,55 +322,6 @@ fn search_suite(smoke: bool) -> Vec<Measurement> {
         ));
     }
 
-    // fig_planner: the adaptive planner on tight pivot intervals — the
-    // query is a pivot-set member, so collapsed verification answers
-    // without solver calls (warmed outside the timed region).
-    {
-        let pivots = if smoke { 2 } else { 4 };
-        let mut rng = SmallRng::seed_from_u64(12_000 + size as u64);
-        let store = GraphDataset::aids_like(size, &mut rng).into_store();
-        let mut registry = SolverRegistry::new();
-        registry.register(MethodKind::Gedgw, Box::new(GedgwSolver));
-        let engine = GedEngine::builder(registry)
-            .threads(1)
-            .pivots(pivots)
-            .adaptive_planner(true)
-            .build()
-            .expect("GEDGW is registered");
-        let query = store
-            .get(engine.pivot_ids(&store)[0])
-            .expect("pivot is stored")
-            .clone();
-        for _ in 0..4 {
-            let warm = engine.top_k(&query, &store, 5).expect("valid query");
-            assert_eq!(warm.stats.candidates, store.len());
-            let warm = engine
-                .range_exact(&query, &store, tau as f64)
-                .expect("valid query");
-            assert_eq!(warm.stats.total(), store.len());
-        }
-        out.push(measure(
-            "planner_topk",
-            format!("store={size},k=5,pivots={pivots},adaptive=true,threads=1"),
-            1,
-            || {
-                black_box(engine.top_k(&query, &store, 5).expect("valid query"));
-            },
-        ));
-        out.push(measure(
-            "planner_range_exact",
-            format!("store={size},tau={tau},pivots={pivots},adaptive=true,threads=1"),
-            1,
-            || {
-                black_box(
-                    engine
-                        .range_exact(&query, &store, tau as f64)
-                        .expect("valid query"),
-                );
-            },
-        ));
-    }
-
     // fig_join: the shared-work join plans — one pivot arming and one
     // signature sort amortized over the whole candidate matrix, instead
     // of n·(n−1)/2 (resp. n·m) independent bounded searches.

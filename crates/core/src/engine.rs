@@ -165,7 +165,7 @@
 use crate::error::GedError;
 use crate::method::MethodKind;
 use crate::pairs::GedPair;
-use crate::plan::{PlanStore, QueryPlanner};
+use crate::plan::PlanStore;
 use crate::search::{pivot_distance_in, ExactSearchStats, JoinStats};
 use crate::solver::{
     BatchRunner, GedEstimate, GedSolver, PathEstimate, SolverRegistry, SolverScratch,
@@ -723,7 +723,6 @@ pub struct GedEngineBuilder {
     cache_capacity: usize,
     verify_budget: usize,
     pivots: usize,
-    adaptive: bool,
     default_tau: Option<f64>,
 }
 
@@ -740,7 +739,6 @@ impl GedEngineBuilder {
             cache_capacity: 0,
             verify_budget: usize::MAX,
             pivots: 0,
-            adaptive: false,
             default_tau: None,
         }
     }
@@ -814,20 +812,6 @@ impl GedEngineBuilder {
         self
     }
 
-    /// Enables the adaptive [`QueryPlanner`]
-    /// (off by default): the engine records per-tier hit rates per query
-    /// shape and per query reorders commutative discard tiers, skips
-    /// ~0-yield tiers, and collapses already-decided verifications. Every
-    /// planner decision is result-invariant — answers stay bit-identical
-    /// to the static plan; only the work spent producing them changes.
-    /// See [`crate::plan`] for the full contract and
-    /// [`GedEngine::explain`] for introspection.
-    #[must_use]
-    pub fn adaptive_planner(mut self, on: bool) -> Self {
-        self.adaptive = on;
-        self
-    }
-
     /// Sets the engine's default range threshold τ, consumed by
     /// [`GedEngine::range_default`] and [`GedEngine::range_exact_default`]
     /// (unset by default). Must not be NaN at [`Self::build`] time; the
@@ -887,7 +871,6 @@ impl GedEngineBuilder {
             pivot_target: self.pivots,
             pivot_cache: Mutex::new(None),
             cache,
-            planner: self.adaptive.then(|| Mutex::new(QueryPlanner::new())),
             default_tau: self.default_tau,
         })
     }
@@ -910,11 +893,6 @@ pub struct GedEngine {
     /// unchanged store hands queries an `O(1)` snapshot.
     pivot_cache: Mutex<Option<Arc<PivotIndex>>>,
     cache: Option<Mutex<PredictionCache>>,
-    /// The adaptive query planner ([`GedEngineBuilder::adaptive_planner`];
-    /// `None` = static plans). Mutex-guarded observation state; every
-    /// decision derived from it is result-invariant, so concurrent
-    /// queries may interleave observations freely (see [`crate::plan`]).
-    pub(crate) planner: Option<Mutex<QueryPlanner>>,
     /// The default range threshold of [`Self::range_default`] /
     /// [`Self::range_exact_default`] (validated non-NaN at build time).
     default_tau: Option<f64>,
@@ -930,7 +908,6 @@ impl std::fmt::Debug for GedEngine {
             .field("pivots", &self.pivot_target)
             .field("threads", &self.runner.threads())
             .field("cache", &self.cache.is_some())
-            .field("adaptive", &self.planner.is_some())
             .finish()
     }
 }

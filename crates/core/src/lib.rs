@@ -29,9 +29,7 @@
 //!   GED joins (self-join and cross-store join), and cooperative
 //!   query deadlines ([`engine::Deadline`]).
 //! * [`plan`] — the unified tiered query pipeline every store-level plan
-//!   (flat and sharded) runs through, plus the adaptive, stats-driven
-//!   [`plan::QueryPlanner`] whose decisions are provably
-//!   result-invariant.
+//!   (flat and sharded) runs through.
 //! * [`error`] — [`error::GedError`], the unified error type of the
 //!   query API.
 
@@ -69,7 +67,6 @@ pub use lower_bound::{
 };
 pub use method::MethodKind;
 pub use pairs::{ordered, GedPair};
-pub use plan::{FilterTier, PlanExplanation, PlannerCounters, QueryPlanner, QueryShape};
 pub use search::{
     bounded_exact_ged, bounded_exact_ged_with_budget, bounded_exact_ged_with_budget_in,
     fast_upper_bound, fast_upper_bound_in, pivot_distance, pivot_distance_in, prune_or_verify,

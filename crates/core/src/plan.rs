@@ -1,4 +1,4 @@
-//! The unified tiered query pipeline and the adaptive query planner.
+//! The unified tiered query pipeline.
 //!
 //! Every store-level plan of [`GedEngine`] — top-k, range, exact range,
 //! and matrix, over flat [`GraphStore`]s and [`ShardedStore`]s alike —
@@ -12,8 +12,8 @@
 //!
 //! # Filter tiers
 //!
-//! [`FilterTier`] names every stage a candidate can be decided by, in the
-//! order the static plans apply them:
+//! Every stage a candidate can be decided by, in the order the plans
+//! apply them:
 //!
 //! ```text
 //!            ┌──────────┐   ┌────────────────────────────┐   ┌──────────────────┐   ┌────────┐
@@ -26,47 +26,24 @@
 //! admissible lower bound against the threshold, so a candidate survives
 //! if and only if **all** of them pass — the evaluation order changes
 //! which tier gets the credit (and how much bound computation runs), but
-//! never the survivor set. That commutativity is what the planner
-//! exploits.
+//! never the survivor set. Each plan fixes one order: approximate search
+//! (top-k, range) checks the cheap signature bounds first
+//! (`label → degree → pivot_lb`); exact range and joins lead with the
+//! pivot bound (`pivot_lb → label → degree`), one table-row scan that,
+//! with good pivots, is the strictest of the three.
 //!
-//! # The adaptive planner
+//! # Collapsed verification
 //!
-//! [`QueryPlanner`] (enabled via [`GedEngineBuilder::adaptive_planner`])
-//! records per-tier hit rates per query shape as deterministic EWMAs —
-//! counts only, never wall-clock, so recorded state is reproducible —
-//! and derives three per-query decisions, every one of which is
-//! **result-invariant**:
+//! A survivor whose admissible interval is already tight (`lb == ub`)
+//! is answered from the bound. For top-k and range the clamp
+//! `max(prediction, lb).min(ub)` equals `lb` for *any* prediction (NaN
+//! included), so the solver call is skipped with a bit-identical result.
+//! For exact range and joins the ub-bounded certificate-recovery search
+//! can only conclude `Within(ub)`, so it is skipped too — but only under
+//! an unlimited [`GedEngineBuilder::verify_budget`], where that
+//! conclusion is guaranteed.
 //!
-//! * **Reorder** the commutative discard tiers by observed efficiency
-//!   (EWMA yield over static unit cost). Only attribution and bound
-//!   evaluations change; the survivor set is identical.
-//! * **Skip pivot arming** for `RangeExact` once the pivot tier's
-//!   observed yield is ~0 — saving the per-query query-to-pivot distance
-//!   computations ([`PivotIndex::query_cost`]). Only taken under an
-//!   unlimited [`GedEngineBuilder::verify_budget`], where the engine
-//!   docs prove the armed and unarmed exact plans answer identically; a
-//!   finite budget could shift candidates between `matches` and
-//!   `budget_exhausted`, so the planner never skips there.
-//! * **Collapse verification** when a candidate's admissible interval is
-//!   already tight (`lb == ub`): the clamp `max(prediction, lb).min(ub)`
-//!   equals `lb` for *any* prediction, so the solver call (top-k/range)
-//!   or the certificate-recovery search (exact range, unlimited budget
-//!   only) is skipped and the bound is emitted directly.
-//!
-//! Because every decision is result-invariant, answers are bit-identical
-//! to the static plan for *any* planner state — the EWMAs may evolve
-//! nondeterministically under concurrent queries, yet no interleaving
-//! can change an answer, only the work spent producing it
-//! (property-tested in `tests/planner.rs`). [`SearchStats`] /
-//! [`ExactSearchStats`] totals still close; per-tier *attribution* may
-//! shift with the reordered tiers.
-//!
-//! [`GedEngine::explain`] reports the decision the planner would take
-//! for a shape right now, plus its cumulative savings counters.
-//!
-//! [`GedEngineBuilder::adaptive_planner`]: crate::engine::GedEngineBuilder::adaptive_planner
 //! [`GedEngineBuilder::verify_budget`]: crate::engine::GedEngineBuilder::verify_budget
-//! [`PivotIndex::query_cost`]: ged_graph::PivotIndex::query_cost
 
 use crate::engine::{
     ensure_nonempty, ensure_sharded_store_valid, ensure_store_valid, Deadline, DistanceMatrix,
@@ -89,394 +66,6 @@ use ged_graph::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The stages of the unified filter–verify pipeline, in static plan
-/// order. See the [module docs](self) for which stages apply to which
-/// query shape.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FilterTier {
-    /// The shard-aggregate lower bound: discards a whole [`Shard`] before
-    /// any per-graph metadata is read. Vacuous (bound 0) for flat stores.
-    /// Joins extend it to unit×unit *blocks*
-    /// ([`Shard::block_lower_bound`]): one range-gap comparison discards
-    /// every pair of a block at once.
-    Shard,
-    /// The size-difference band bound of the join plans: candidates
-    /// stream in signature-sort (node-count) order, so `|n_a − n_b| > τ`
-    /// discards a whole contiguous band of partners by arithmetic —
-    /// structural and always on, never part of the commutative reorder
-    /// set (it is what *generates* the per-pair candidate stream).
-    Band,
-    /// The label-set lower bound (signature-fed, commutative discard).
-    Label,
-    /// The degree-sequence lower bound (signature-fed, commutative
-    /// discard).
-    Degree,
-    /// The pivot-table triangle-inequality lower bound (commutative
-    /// discard; vacuous without an armed pivot index).
-    PivotLb,
-    /// The pivot-table upper bound *accept*: `ub ≤ τ` certifies
-    /// membership before any solver or search runs.
-    PivotUbAccept,
-    /// The feasible GEDGW upper bound *accept* of the exact pipeline.
-    GedgwUbAccept,
-    /// The verify stage: solver estimation (top-k/range) or τ-bounded
-    /// exact search (exact range).
-    Verify,
-}
-
-impl FilterTier {
-    /// The tier's stable wire/display name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            FilterTier::Shard => "shard",
-            FilterTier::Band => "band",
-            FilterTier::Label => "label",
-            FilterTier::Degree => "degree",
-            FilterTier::PivotLb => "pivot_lb",
-            FilterTier::PivotUbAccept => "pivot_ub_accept",
-            FilterTier::GedgwUbAccept => "gedgw_ub_accept",
-            FilterTier::Verify => "verify",
-        }
-    }
-
-    /// Deterministic structural cost weight of evaluating this tier for
-    /// one candidate, in arbitrary units (a machine-independent stand-in
-    /// for latency, so planner decisions are reproducible): the label
-    /// bound is one sorted-multiset sweep, the degree bound sweeps both
-    /// degree sequences, and the pivot bound scans a `p`-entry table row.
-    #[must_use]
-    pub fn unit_cost(self) -> f64 {
-        match self {
-            FilterTier::Shard => 0.0,
-            // One integer comparison amortized over a whole pruned band.
-            FilterTier::Band => 0.1,
-            FilterTier::Label => 1.0,
-            FilterTier::Degree => 1.5,
-            FilterTier::PivotLb => 2.0,
-            FilterTier::PivotUbAccept | FilterTier::GedgwUbAccept => 4.0,
-            FilterTier::Verify => 100.0,
-        }
-    }
-}
-
-/// The store-level query shapes the planner tracks independently.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueryShape {
-    /// `top_k` / `top_k_sharded`.
-    TopK,
-    /// `range` / `range_sharded`.
-    Range,
-    /// `range_exact` / `range_exact_sharded`.
-    RangeExact,
-    /// `distance_matrix` / `distance_matrix_sharded` (verify-only: every
-    /// pair must be computed, so there is nothing to plan).
-    Matrix,
-    /// `self_join` / `join` (flat or sharded): dataset-scale all-pairs
-    /// similarity joins through the block/band/per-pair tier stack.
-    Join,
-}
-
-impl QueryShape {
-    /// The shape's stable wire/display name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            QueryShape::TopK => "top_k",
-            QueryShape::Range => "range",
-            QueryShape::RangeExact => "range_exact",
-            QueryShape::Matrix => "matrix",
-            QueryShape::Join => "join",
-        }
-    }
-
-    /// Parses a wire/display name back into a shape.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "top_k" => Some(QueryShape::TopK),
-            "range" => Some(QueryShape::Range),
-            "range_exact" => Some(QueryShape::RangeExact),
-            "matrix" => Some(QueryShape::Matrix),
-            "join" => Some(QueryShape::Join),
-            _ => None,
-        }
-    }
-
-    /// Index into the planner's per-shape slots (`Matrix` is unplanned).
-    fn slot(self) -> Option<usize> {
-        match self {
-            QueryShape::TopK => Some(0),
-            QueryShape::Range => Some(1),
-            QueryShape::RangeExact => Some(2),
-            QueryShape::Matrix => None,
-            QueryShape::Join => Some(3),
-        }
-    }
-
-    /// The static order of the commutative discard tiers for this shape —
-    /// exactly the order the pre-planner plans hard-coded: approximate
-    /// search checks the cheap signature bounds before the pivot table;
-    /// exact search leads with the pivot bound (one table-row scan and,
-    /// with good pivots, the strictest of the three).
-    fn static_order(self) -> [FilterTier; 3] {
-        match self {
-            QueryShape::RangeExact | QueryShape::Join => {
-                [FilterTier::PivotLb, FilterTier::Label, FilterTier::Degree]
-            }
-            _ => [FilterTier::Label, FilterTier::Degree, FilterTier::PivotLb],
-        }
-    }
-}
-
-/// Queries before the planner trusts its EWMAs enough to deviate from
-/// the static order.
-const MIN_OBSERVATIONS: u64 = 3;
-
-/// EWMA smoothing factor for per-tier yield shares.
-const EWMA_ALPHA: f64 = 0.25;
-
-/// A pivot-tier yield share below this is "never fires" for the
-/// arming-skip decision.
-const SKIP_EPSILON: f64 = 1e-3;
-
-/// Per-shape planner state: how often each discard tier fired, as EWMA
-/// shares of the candidate population.
-#[derive(Clone, Copy, Debug, Default)]
-struct ShapeStats {
-    observations: u64,
-    /// EWMA share of candidates discarded per commutative tier, indexed
-    /// `[label, degree, pivot_lb]`.
-    discard_share: [f64; 3],
-    /// EWMA share of candidates the pivot tier decided either way
-    /// (discarded by its lower bound *or* accepted by its upper bound) —
-    /// the arming-skip signal: if this is ~0 the per-query arming cost
-    /// buys nothing.
-    pivot_share: f64,
-}
-
-/// What one executed query reports back to the planner.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct TierObservation {
-    pub candidates: usize,
-    pub label: usize,
-    pub degree: usize,
-    pub pivot_pruned: usize,
-    pub pivot_accepted: usize,
-    pub solver_calls_saved: u64,
-    pub searches_saved: u64,
-    pub pivot_arms_saved: u64,
-}
-
-/// The per-query plan the (static or adaptive) planner settled on.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PlanDecision {
-    /// Evaluation order of the commutative discard tiers.
-    pub order: [FilterTier; 3],
-    /// Whether to arm the pivot tier (compute per-query query-to-pivot
-    /// distances). Only ever `false` for `RangeExact` under an unlimited
-    /// verify budget.
-    pub arm_pivots: bool,
-    /// Whether to collapse verification when `lb == ub` (see the
-    /// [module docs](self)); `false` exactly reproduces the static
-    /// plans' work profile.
-    pub collapse_verify: bool,
-}
-
-impl PlanDecision {
-    /// The decision the pre-planner engine always took.
-    fn static_for(shape: QueryShape) -> Self {
-        PlanDecision {
-            order: shape.static_order(),
-            arm_pivots: true,
-            collapse_verify: false,
-        }
-    }
-
-    /// The full tier order this decision runs `shape` through, for
-    /// [`PlanExplanation`].
-    fn tier_names(&self, shape: QueryShape) -> Vec<&'static str> {
-        let mut tiers = vec![FilterTier::Shard.name()];
-        match shape {
-            QueryShape::Matrix => return vec![FilterTier::Verify.name()],
-            QueryShape::TopK => {
-                tiers.extend(self.order.iter().map(|t| t.name()));
-            }
-            QueryShape::Range => {
-                tiers.extend(self.order.iter().map(|t| t.name()));
-                tiers.push(FilterTier::PivotUbAccept.name());
-            }
-            QueryShape::RangeExact | QueryShape::Join => {
-                if shape == QueryShape::Join {
-                    tiers.push(FilterTier::Band.name());
-                }
-                for tier in &self.order {
-                    if self.arm_pivots || *tier != FilterTier::PivotLb {
-                        tiers.push(tier.name());
-                    }
-                }
-                if self.arm_pivots {
-                    tiers.push(FilterTier::PivotUbAccept.name());
-                }
-                tiers.push(FilterTier::GedgwUbAccept.name());
-            }
-        }
-        tiers.push(FilterTier::Verify.name());
-        tiers
-    }
-
-    /// The tiers this decision skips entirely, for [`PlanExplanation`].
-    fn skipped_names(&self, shape: QueryShape) -> Vec<&'static str> {
-        let exact = matches!(shape, QueryShape::RangeExact | QueryShape::Join);
-        if exact && !self.arm_pivots {
-            vec![FilterTier::PivotLb.name(), FilterTier::PivotUbAccept.name()]
-        } else {
-            Vec::new()
-        }
-    }
-}
-
-/// The adaptive planner a [`GedEngine`] owns when
-/// [`GedEngineBuilder::adaptive_planner`](crate::engine::GedEngineBuilder::adaptive_planner)
-/// is on: per-shape, per-tier EWMA hit rates plus cumulative savings
-/// counters. All state is derived from deterministic per-query counts —
-/// never wall-clock — and every decision it makes is result-invariant
-/// (see the [module docs](self)).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct QueryPlanner {
-    /// `[TopK, Range, RangeExact, Join]` slots.
-    shapes: [ShapeStats; 4],
-    solver_calls_saved: u64,
-    searches_saved: u64,
-    pivot_arms_saved: u64,
-}
-
-impl QueryPlanner {
-    pub(crate) fn new() -> Self {
-        QueryPlanner::default()
-    }
-
-    /// How many queries of `shape` have been observed.
-    #[must_use]
-    pub fn observations(&self, shape: QueryShape) -> u64 {
-        shape
-            .slot()
-            .map_or(0, |slot| self.shapes[slot].observations)
-    }
-
-    /// Solver invocations skipped by collapsed (`lb == ub`) verification.
-    #[must_use]
-    pub fn solver_calls_saved(&self) -> u64 {
-        self.solver_calls_saved
-    }
-
-    /// Bounded exact searches skipped by collapsed certificate recovery.
-    #[must_use]
-    pub fn searches_saved(&self) -> u64 {
-        self.searches_saved
-    }
-
-    /// Query-to-pivot distance computations skipped by un-armed pivot
-    /// tiers.
-    #[must_use]
-    pub fn pivot_arms_saved(&self) -> u64 {
-        self.pivot_arms_saved
-    }
-
-    pub(crate) fn observe(&mut self, shape: QueryShape, obs: TierObservation) {
-        self.solver_calls_saved += obs.solver_calls_saved;
-        self.searches_saved += obs.searches_saved;
-        self.pivot_arms_saved += obs.pivot_arms_saved;
-        let Some(slot) = shape.slot() else { return };
-        let stats = &mut self.shapes[slot];
-        stats.observations += 1;
-        if obs.candidates == 0 {
-            return;
-        }
-        let n = obs.candidates as f64;
-        let fired = [obs.label, obs.degree, obs.pivot_pruned];
-        for (share, count) in stats.discard_share.iter_mut().zip(fired) {
-            *share += EWMA_ALPHA * (count as f64 / n - *share);
-        }
-        let pivot_total = (obs.pivot_pruned + obs.pivot_accepted) as f64 / n;
-        stats.pivot_share += EWMA_ALPHA * (pivot_total - stats.pivot_share);
-    }
-
-    pub(crate) fn decision(&self, shape: QueryShape, budget_unlimited: bool) -> PlanDecision {
-        let mut decision = PlanDecision::static_for(shape);
-        // Collapsing lb == ub verification is result-invariant for every
-        // prediction (the clamp pins the output), so it needs no warmup.
-        decision.collapse_verify = true;
-        let Some(slot) = shape.slot() else {
-            return decision;
-        };
-        let stats = &self.shapes[slot];
-        if stats.observations < MIN_OBSERVATIONS {
-            return decision;
-        }
-        // Reorder the commutative discards by observed efficiency (EWMA
-        // yield per unit cost), descending. The sort is stable, so equal
-        // efficiencies keep the static order.
-        let share_of = |tier: FilterTier| match tier {
-            FilterTier::Label => stats.discard_share[0],
-            FilterTier::Degree => stats.discard_share[1],
-            _ => stats.discard_share[2],
-        };
-        decision.order.sort_by(|&a, &b| {
-            let ea = share_of(a) / a.unit_cost();
-            let eb = share_of(b) / b.unit_cost();
-            eb.partial_cmp(&ea).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let exact_shape = matches!(shape, QueryShape::RangeExact | QueryShape::Join);
-        if exact_shape && budget_unlimited && stats.pivot_share < SKIP_EPSILON {
-            // The pivot tier has not been earning its per-query arming
-            // cost. Under an unlimited budget the armed and unarmed
-            // exact plans are provably bit-identical (engine docs), so
-            // skipping is safe; under a finite budget it is not taken.
-            decision.arm_pivots = false;
-        }
-        decision
-    }
-}
-
-/// The decision [`GedEngine::explain`] reports: the tier order the
-/// (static or adaptive) planner would run a query shape through right
-/// now, plus the planner's cumulative savings.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PlanExplanation {
-    /// The query shape explained.
-    pub shape: QueryShape,
-    /// Whether the adaptive planner is enabled on this engine.
-    pub adaptive: bool,
-    /// The tier order a query of this shape would run through, first to
-    /// last ([`FilterTier::name`] values).
-    pub tiers: Vec<&'static str>,
-    /// Tiers the current decision skips entirely (empty for the static
-    /// planner).
-    pub skipped: Vec<&'static str>,
-    /// Queries of this shape observed so far (0 without the planner).
-    pub observations: u64,
-    /// Solver invocations skipped so far, across all shapes.
-    pub solver_calls_saved: u64,
-    /// Bounded exact searches skipped so far, across all shapes.
-    pub searches_saved: u64,
-    /// Query-to-pivot distance computations skipped so far.
-    pub pivot_arms_saved: u64,
-}
-
-/// Cumulative savings of an engine's adaptive planner (see
-/// [`GedEngine::planner_counters`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlannerCounters {
-    /// Solver invocations skipped by collapsed verification.
-    pub solver_calls_saved: u64,
-    /// Bounded exact searches skipped by collapsed certificate recovery.
-    pub searches_saved: u64,
-    /// Query-to-pivot distance computations skipped by un-armed pivot
-    /// tiers.
-    pub pivot_arms_saved: u64,
-}
-
 /// One filter-phase survivor: a candidate id plus its per-tier lower
 /// bounds (label-set, combined signature, combined-with-pivot) and the
 /// pivot-table upper bound (`usize::MAX` when no pivot index is active).
@@ -489,14 +78,28 @@ pub(crate) struct Candidate {
     ub: usize,
 }
 
+impl Candidate {
+    /// Assembles a candidate from its label, degree and pivot bounds.
+    fn new(id: GraphId, lb_label: usize, lb_degree: usize, (lb_pivot, ub): (usize, usize)) -> Self {
+        let lb_sig = lb_label.max(lb_degree);
+        Candidate {
+            id,
+            lb_label,
+            lb_sig,
+            lb: lb_sig.max(lb_pivot),
+            ub,
+        }
+    }
+}
+
 /// How many candidates each verification round hands to the parallel
 /// runner between top-k threshold re-checks. Machine-independent so
 /// [`SearchStats`] are reproducible everywhere.
 pub(crate) const VERIFY_BLOCK: usize = 16;
 
 /// An exact-range filter survivor: the id, the pivot-ub membership
-/// certificate (if any), and — adaptive planner only — the collapsed
-/// exact distance when the pivot interval was already tight.
+/// certificate (if any), and the collapsed exact distance when the pivot
+/// interval was already tight (see [`certify`]).
 struct ExactSurvivor {
     id: GraphId,
     certificate: Option<usize>,
@@ -565,8 +168,8 @@ impl JoinUnit<'_> {
 /// A join-filter survivor: the reported id pair (`a < b` for a
 /// self-join; left/right for a cross-store join), the canonical
 /// verification orientation as graph refs, the pivot-ub membership
-/// certificate, and — adaptive planner only — the collapsed exact
-/// distance when the pivot interval was already tight.
+/// certificate, and the collapsed exact distance when the pivot interval
+/// was already tight (see [`certify`]).
 struct JoinSurvivor<'s> {
     a: GraphId,
     b: GraphId,
@@ -590,61 +193,19 @@ enum CrossKind {
     TwoStores,
 }
 
-/// How one pair fared against the commutative discard tiers.
-enum PairVerdict {
-    Discarded,
-    Survived {
-        certificate: Option<usize>,
-        collapsed_ged: Option<usize>,
-    },
-}
-
-/// Runs one candidate pair through the commutative discard tiers in
-/// `decision.order`, lazily — each bound is computed at most once, and
-/// only when the order reaches its tier — then forces the pivot bounds
-/// for the survivor's certificate (`ub ≤ τ`, real bounds only) and, with
-/// `collapse`, the pinned distance of a tight `lb == ub` interval.
-fn filter_join_pair(
-    decision: &PlanDecision,
-    collapse: bool,
-    sa: &GraphSignature,
-    sb: &GraphSignature,
-    pivot: &mut dyn FnMut() -> (usize, usize),
-    tau: usize,
-    discards: &mut DiscardCounts,
-) -> PairVerdict {
-    let mut label = None;
-    let mut degree = None;
-    let mut pv: Option<(usize, usize)> = None;
-    for tier in decision.order {
-        let lb = match tier {
-            FilterTier::Label => *label.get_or_insert_with(|| label_set_lower_bound_sig(sa, sb)),
-            FilterTier::Degree => {
-                *degree.get_or_insert_with(|| degree_sequence_lower_bound_sig(sa, sb))
-            }
-            _ => pv.get_or_insert_with(&mut *pivot).0,
-        };
-        if lb > tau {
-            discards.record(tier);
-            return PairVerdict::Discarded;
-        }
-    }
-    // Forcing the pivot bounds here mirrors the exact-range plan: a
-    // surviving pair always knows its `[lb, ub]` interval, which is what
-    // the certificate and the collapse read. The `usize::MAX` guard keeps
-    // a vacuous no-pivot bound from counting as a certificate when τ
-    // itself saturates (see `plan_range_exact`).
-    let (lb_pivot, ub_pivot) = *pv.get_or_insert_with(&mut *pivot);
-    let certificate = (ub_pivot != usize::MAX && ub_pivot <= tau).then_some(ub_pivot);
-    let collapsed_ged = if collapse {
-        certificate.filter(|&ub| ub == lb_pivot)
-    } else {
-        None
-    };
-    PairVerdict::Survived {
-        certificate,
-        collapsed_ged,
-    }
+/// The membership certificate and collapsed distance of an exact-plan
+/// survivor with pivot interval `[lb, ub]`. The certificate is `ub` when
+/// `ub ≤ τ`; it must be a *real* pivot bound, since the vacuous
+/// `usize::MAX` of a disabled pivot tier would otherwise "certify"
+/// everything whenever τ saturates to `usize::MAX`, replacing the tight
+/// GEDGW-ub recovery search with an effectively unbounded one. With
+/// `collapse` (an unlimited verify budget), a certified tight interval
+/// (`lb == ub`) also pins the exact distance: the ub-bounded recovery
+/// search could only conclude `Within(ub)`, so it is skipped.
+fn certify((lb, ub): (usize, usize), tau: usize, collapse: bool) -> (Option<usize>, Option<usize>) {
+    let certificate = (ub != usize::MAX && ub <= tau).then_some(ub);
+    let collapsed_ged = certificate.filter(|&ub| collapse && ub == lb);
+    (certificate, collapsed_ged)
 }
 
 /// The canonical verification orientation of a join pair — exactly
@@ -683,15 +244,12 @@ fn join_pair_fingerprint(qa: &Graph, qb: &Graph) -> u64 {
 /// same-unit pairs, streamed in band order. The pivot tier reads the
 /// unit's own index rows via [`PivotIndex::member_bounds`] — no per-row
 /// distance computations at all.
-#[allow(clippy::too_many_arguments)]
 fn filter_self_block<'s>(
     unit: &JoinUnit<'s>,
     tau: usize,
-    decision: &PlanDecision,
     collapse: bool,
     discards: &mut DiscardCounts,
     stats: &mut JoinStats,
-    searches_saved: &mut u64,
     survivors: &mut Vec<JoinSurvivor<'s>>,
 ) {
     let entries = &unit.entries;
@@ -705,34 +263,26 @@ fn filter_self_block<'s>(
                 stats.pruned_band += entries.len() - j;
                 break;
             }
-            let mut pivot = || {
-                unit.pivot
-                    .index()
-                    .and_then(|ix| ix.member_bounds(ia, ib))
-                    .unwrap_or((0, usize::MAX))
-            };
-            match filter_join_pair(decision, collapse, sa, sb, &mut pivot, tau, discards) {
-                PairVerdict::Discarded => {}
-                PairVerdict::Survived {
-                    certificate,
-                    collapsed_ged,
-                } => {
-                    if collapsed_ged.is_some() {
-                        *searches_saved += 1;
-                    }
-                    // One store: ascending-id orientation is canonical.
-                    let (a, b) = if ia <= ib { (ia, ib) } else { (ib, ia) };
-                    let (qa, qb) = canonical_refs(ga, gb);
-                    survivors.push(JoinSurvivor {
-                        a,
-                        b,
-                        qa,
-                        qb,
-                        certificate,
-                        collapsed_ged,
-                    });
-                }
+            let pivot = unit
+                .pivot
+                .index()
+                .and_then(|ix| ix.member_bounds(ia, ib))
+                .unwrap_or((0, usize::MAX));
+            if discards.exact_discards(pivot.0, sa, sb, tau) {
+                continue;
             }
+            let (certificate, collapsed_ged) = certify(pivot, tau, collapse);
+            // One store: ascending-id orientation is canonical.
+            let (a, b) = if ia <= ib { (ia, ib) } else { (ib, ia) };
+            let (qa, qb) = canonical_refs(ga, gb);
+            survivors.push(JoinSurvivor {
+                a,
+                b,
+                qa,
+                qb,
+                certificate,
+                collapsed_ged,
+            });
         }
     }
 }
@@ -812,85 +362,8 @@ impl<'s> ShardUnit<'s> {
     }
 }
 
-/// Lazily evaluated per-candidate tier bounds: each bound is computed at
-/// most once, and only when the evaluation order actually reaches its
-/// tier — so a reordered plan spends exactly the bound computations its
-/// order implies, and the static order reproduces the legacy plans'
-/// short-circuit work profile.
-struct LazyTiers<'a, 's> {
-    unit: &'a ShardUnit<'s>,
-    qsig: &'a GraphSignature,
-    sig: &'a GraphSignature,
-    id: GraphId,
-    label: Option<usize>,
-    degree: Option<usize>,
-    pivot: Option<(usize, usize)>,
-}
-
-impl<'a, 's> LazyTiers<'a, 's> {
-    fn new(
-        unit: &'a ShardUnit<'s>,
-        qsig: &'a GraphSignature,
-        id: GraphId,
-        sig: &'a GraphSignature,
-    ) -> Self {
-        LazyTiers {
-            unit,
-            qsig,
-            sig,
-            id,
-            label: None,
-            degree: None,
-            pivot: None,
-        }
-    }
-
-    fn label(&mut self) -> usize {
-        *self
-            .label
-            .get_or_insert_with(|| label_set_lower_bound_sig(self.qsig, self.sig))
-    }
-
-    fn degree(&mut self) -> usize {
-        *self
-            .degree
-            .get_or_insert_with(|| degree_sequence_lower_bound_sig(self.qsig, self.sig))
-    }
-
-    fn pivot(&mut self) -> (usize, usize) {
-        let unit = self.unit;
-        let id = self.id;
-        *self.pivot.get_or_insert_with(|| unit.pivot_bounds_for(id))
-    }
-
-    /// This candidate's lower bound at one commutative discard tier.
-    fn lower_bound(&mut self, tier: FilterTier) -> usize {
-        match tier {
-            FilterTier::Label => self.label(),
-            FilterTier::Degree => self.degree(),
-            _ => self.pivot().0,
-        }
-    }
-
-    /// Forces every bound and assembles the full [`Candidate`] record
-    /// (what the verify phase's clamp and the top-k sort need).
-    fn candidate(&mut self) -> Candidate {
-        let lb_label = self.label();
-        let lb_sig = lb_label.max(self.degree());
-        let (lb_pivot, ub) = self.pivot();
-        Candidate {
-            id: self.id,
-            lb_label,
-            lb_sig,
-            lb: lb_sig.max(lb_pivot),
-            ub,
-        }
-    }
-}
-
-/// Per-discard-tier fire counts of one query, accumulated into both the
-/// [`SearchStats`]/[`ExactSearchStats`] attribution and the planner's
-/// observation.
+/// Per-discard-tier fire counts of one query: the
+/// [`ExactSearchStats`] / [`JoinStats`] attribution.
 #[derive(Default, Clone, Copy)]
 struct DiscardCounts {
     label: usize,
@@ -899,117 +372,50 @@ struct DiscardCounts {
 }
 
 impl DiscardCounts {
-    fn record(&mut self, tier: FilterTier) {
-        match tier {
-            FilterTier::Label => self.label += 1,
-            FilterTier::Degree => self.degree += 1,
-            _ => self.pivot += 1,
+    /// The exact plans' commutative discard tiers in their fixed order —
+    /// pivot bound, label bound, degree bound — each computed only when
+    /// reached. Records the tier that discards the pair, if any, and
+    /// returns whether one did.
+    fn exact_discards(
+        &mut self,
+        lb_pivot: usize,
+        sa: &GraphSignature,
+        sb: &GraphSignature,
+        tau: usize,
+    ) -> bool {
+        if lb_pivot > tau {
+            self.pivot += 1;
+        } else if label_set_lower_bound_sig(sa, sb) > tau {
+            self.label += 1;
+        } else if degree_sequence_lower_bound_sig(sa, sb) > tau {
+            self.degree += 1;
+        } else {
+            return false;
         }
+        true
     }
 }
 
 impl GedEngine {
-    /// The per-query decision: static when the planner is off, adaptive
-    /// otherwise.
-    fn plan_decision(&self, shape: QueryShape) -> PlanDecision {
-        match &self.planner {
-            None => PlanDecision::static_for(shape),
-            Some(p) => p
-                .lock()
-                .expect("planner lock")
-                .decision(shape, self.verify_budget == usize::MAX),
-        }
-    }
-
-    /// Feeds one executed query's tier counts back into the planner (a
-    /// no-op when the planner is off).
-    fn plan_observe(&self, shape: QueryShape, obs: TierObservation) {
-        if let Some(p) = &self.planner {
-            p.lock().expect("planner lock").observe(shape, obs);
-        }
-    }
-
-    /// Whether the adaptive planner is enabled.
-    #[must_use]
-    pub fn planner_enabled(&self) -> bool {
-        self.planner.is_some()
-    }
-
-    /// The planner's cumulative savings counters, or `None` when the
-    /// adaptive planner is off.
-    #[must_use]
-    pub fn planner_counters(&self) -> Option<PlannerCounters> {
-        self.planner.as_ref().map(|p| {
-            let p = p.lock().expect("planner lock");
-            PlannerCounters {
-                solver_calls_saved: p.solver_calls_saved(),
-                searches_saved: p.searches_saved(),
-                pivot_arms_saved: p.pivot_arms_saved(),
-            }
-        })
-    }
-
-    /// Explains the plan a query of `shape` would run right now: the
-    /// tier order, any skipped tiers, and the planner's observation and
-    /// savings counters. With the planner off this is the static plan
-    /// (and the counters are zero).
-    #[must_use]
-    pub fn explain(&self, shape: QueryShape) -> PlanExplanation {
-        let decision = self.plan_decision(shape);
-        let (observations, counters) = match &self.planner {
-            Some(p) => {
-                let p = p.lock().expect("planner lock");
-                (
-                    p.observations(shape),
-                    PlannerCounters {
-                        solver_calls_saved: p.solver_calls_saved(),
-                        searches_saved: p.searches_saved(),
-                        pivot_arms_saved: p.pivot_arms_saved(),
-                    },
-                )
-            }
-            None => (0, PlannerCounters::default()),
-        };
-        PlanExplanation {
-            shape,
-            adaptive: self.planner.is_some(),
-            tiers: decision.tier_names(shape),
-            skipped: decision.skipped_names(shape),
-            observations,
-            solver_calls_saved: counters.solver_calls_saved,
-            searches_saved: counters.searches_saved,
-            pivot_arms_saved: counters.pivot_arms_saved,
-        }
-    }
-
     /// Decomposes either store kind into the unified plan's
     /// [`ShardUnit`]s, un-armed, sorted ascending by signature aggregate
     /// bound (bucket as the deterministic tie-break) so the most
     /// promising units are visited first. A flat store is one unit with
     /// bound 0 — its shard tier can never fire and `pruned_shard` stays
     /// 0, exactly the legacy flat plans.
-    ///
-    /// `arm_pivots: false` (planner, `RangeExact` only) turns the pivot
-    /// tier off entirely: no unit is ever armed, per-candidate bounds are
-    /// vacuous, and sharded aggregate bounds stay signatures alone.
-    fn shard_units<'s>(
-        &self,
-        qsig: &GraphSignature,
-        store: PlanStore<'s>,
-        arm_pivots: bool,
-    ) -> Vec<ShardUnit<'s>> {
+    fn shard_units<'s>(&self, qsig: &GraphSignature, store: PlanStore<'s>) -> Vec<ShardUnit<'s>> {
         match store {
             PlanStore::Flat(flat) => {
                 vec![ShardUnit {
                     store: flat,
                     lb: 0,
                     bucket: 0,
-                    pivot: self.flat_pivot_block(flat, arm_pivots),
+                    pivot: self.flat_pivot_block(flat, true),
                     qdists: None,
                 }]
             }
             PlanStore::Sharded(sharded) => {
-                let pivots_on = arm_pivots && sharded.pivots_ready(self.pivot_target);
+                let pivots_on = sharded.pivots_ready(self.pivot_target);
                 let mut units: Vec<ShardUnit<'s>> = sharded
                     .shards()
                     .map(|shard| ShardUnit {
@@ -1028,8 +434,7 @@ impl GedEngine {
 
     /// A flat store's pivot block: the engine's index, synced to `flat`
     /// (built on first use), when the tier is on for this plan.
-    /// With the tier off nothing is synced: syncing is part of the cost
-    /// an un-armed plan skips.
+    /// With the tier off nothing is synced.
     fn flat_pivot_block(&self, flat: &GraphStore, arm_pivots: bool) -> PivotBlock<'static> {
         let index = if arm_pivots {
             self.synced_pivot_index(flat)
@@ -1106,26 +511,9 @@ impl GedEngine {
         )
     }
 
-    /// How many query-to-pivot distance computations an un-armed query
-    /// skipped — [`PivotIndex::query_cost`](ged_graph::PivotIndex::query_cost)
-    /// summed over the store's pivot blocks (the flat store's engine-side
-    /// index is deliberately not synced here — syncing is the cost being
-    /// skipped — so its target stands in for its size). This is the cost
-    /// of arming every block; lazy arming would have spent at most this
-    /// (nothing on a reused row or a shard the signature tier skips).
-    fn pivot_arm_cost(&self, store: PlanStore<'_>) -> u64 {
-        match store {
-            PlanStore::Flat(flat) => self.pivot_target.min(flat.len()) as u64,
-            PlanStore::Sharded(sharded) => {
-                sharded.shards().map(|s| s.pivot_query_cost() as u64).sum()
-            }
-        }
-    }
-
-    /// The unified top-k plan (flat = one-shard case). The planner's only
-    /// lever here is collapsed verification: the lb-ascending processing
-    /// order already forces every bound, so tier reordering buys nothing,
-    /// and skipping pivot arming would change the clamped estimates.
+    /// The unified top-k plan (flat = one-shard case). Every candidate of
+    /// an unpruned unit gets all its bounds: the lb-ascending processing
+    /// order needs them, and the pruning attribution reads them.
     pub(crate) fn plan_top_k(
         &self,
         method: MethodKind,
@@ -1141,9 +529,8 @@ impl GedEngine {
         let solver = self.solver(method)?;
         store.validate()?;
 
-        let decision = self.plan_decision(QueryShape::TopK);
         let qsig = GraphSignature::of(query);
-        let mut units = self.shard_units(&qsig, store, true);
+        let mut units = self.shard_units(&qsig, store);
         let k = k.min(store.len());
         let mut stats = SearchStats {
             candidates: store.len(),
@@ -1151,7 +538,6 @@ impl GedEngine {
         };
         let mut best: Vec<Neighbor> = Vec::new();
         let block = k.max(VERIFY_BLOCK);
-        let mut solver_calls_saved = 0u64;
         let mut ws = GedWorkspace::new();
         for unit in &mut units {
             // Shard tier: an aggregate bound over the k-th best proves
@@ -1172,7 +558,14 @@ impl GedEngine {
             let mut candidates: Vec<Candidate> = unit
                 .store
                 .entries()
-                .map(|(id, _, sig)| LazyTiers::new(unit, &qsig, id, sig).candidate())
+                .map(|(id, _, sig)| {
+                    Candidate::new(
+                        id,
+                        label_set_lower_bound_sig(&qsig, sig),
+                        degree_sequence_lower_bound_sig(&qsig, sig),
+                        unit.pivot_bounds_for(id),
+                    )
+                })
                 .collect();
             // Ascending lower bounds: the most promising candidates are
             // verified first, which tightens the k-th-best threshold as
@@ -1204,18 +597,7 @@ impl GedEngine {
                 // top-k round is already a bounded block of solver calls.
                 deadline.check()?;
                 let hi = (i + block).min(candidates.len());
-                let round = &candidates[i..hi];
-                if decision.collapse_verify {
-                    solver_calls_saved += collapsible(round);
-                }
-                let verified = self.verify(
-                    method,
-                    solver,
-                    query,
-                    unit.store,
-                    round,
-                    decision.collapse_verify,
-                );
+                let verified = self.verify(method, solver, query, unit.store, &candidates[i..hi]);
                 stats.verified += verified.len();
                 best.extend(verified);
                 best.sort_by(|a, b| a.ged.total_cmp(&b.ged).then(a.id.cmp(&b.id)));
@@ -1225,28 +607,15 @@ impl GedEngine {
             // boundary — anything beyond rank k can never re-enter.
             best.truncate(k);
         }
-        self.plan_observe(
-            QueryShape::TopK,
-            TierObservation {
-                candidates: stats.candidates,
-                label: stats.pruned_label,
-                degree: stats.pruned_degree,
-                pivot_pruned: stats.pruned_pivot,
-                solver_calls_saved,
-                ..TierObservation::default()
-            },
-        );
         Ok(SearchResult {
             neighbors: best,
             stats,
         })
     }
 
-    /// The unified range plan (flat = one-shard case). The planner may
-    /// reorder the commutative discard tiers and collapse `lb == ub`
-    /// verification; the pivot tier stays armed because verified
-    /// estimates clamp into its `[lb, ub]` interval (un-arming would
-    /// change reported values, not just work).
+    /// The unified range plan (flat = one-shard case). The commutative
+    /// discards run label → degree → pivot, each bound computed only when
+    /// reached.
     pub(crate) fn plan_range(
         &self,
         method: MethodKind,
@@ -1264,15 +633,12 @@ impl GedEngine {
         let solver = self.solver(method)?;
         store.validate()?;
 
-        let decision = self.plan_decision(QueryShape::Range);
         let qsig = GraphSignature::of(query);
-        let mut units = self.shard_units(&qsig, store, true);
+        let mut units = self.shard_units(&qsig, store);
         let mut stats = SearchStats {
             candidates: store.len(),
             ..SearchStats::default()
         };
-        let mut discards = DiscardCounts::default();
-        let mut solver_calls_saved = 0u64;
         let mut neighbors: Vec<Neighbor> = Vec::new();
         let mut ws = GedWorkspace::new();
         for unit in &mut units {
@@ -1289,15 +655,23 @@ impl GedEngine {
             }
             let unit = &*unit;
             let mut survivors: Vec<Candidate> = Vec::new();
-            'candidates: for (id, _, sig) in unit.store.entries() {
-                let mut tiers = LazyTiers::new(unit, &qsig, id, sig);
-                for tier in decision.order {
-                    if (tiers.lower_bound(tier) as f64) > tau {
-                        discards.record(tier);
-                        continue 'candidates;
-                    }
+            for (id, _, sig) in unit.store.entries() {
+                let lb_label = label_set_lower_bound_sig(&qsig, sig);
+                if (lb_label as f64) > tau {
+                    stats.pruned_label += 1;
+                    continue;
                 }
-                let c = tiers.candidate();
+                let lb_degree = degree_sequence_lower_bound_sig(&qsig, sig);
+                if (lb_degree as f64) > tau {
+                    stats.pruned_degree += 1;
+                    continue;
+                }
+                let pivot = unit.pivot_bounds_for(id);
+                if (pivot.0 as f64) > tau {
+                    stats.pruned_pivot += 1;
+                    continue;
+                }
+                let c = Candidate::new(id, lb_label, lb_degree, pivot);
                 if c.ub != usize::MAX && (c.ub as f64) <= tau {
                     // The pivot table proves this candidate's exact GED
                     // is within τ: membership is decided before the
@@ -1310,9 +684,6 @@ impl GedEngine {
                 }
                 survivors.push(c);
             }
-            if decision.collapse_verify {
-                solver_calls_saved += collapsible(&survivors);
-            }
             // With a deadline set, the per-unit verify batch is chunked
             // with a cooperative checkpoint between blocks (per-candidate
             // verification is independent, so chunking cannot change a
@@ -1321,53 +692,23 @@ impl GedEngine {
                 let mut out = Vec::with_capacity(survivors.len());
                 for chunk in survivors.chunks(self.verify_block_len()) {
                     deadline.check()?;
-                    out.extend(self.verify(
-                        method,
-                        solver,
-                        query,
-                        unit.store,
-                        chunk,
-                        decision.collapse_verify,
-                    ));
+                    out.extend(self.verify(method, solver, query, unit.store, chunk));
                 }
                 out
             } else {
-                self.verify(
-                    method,
-                    solver,
-                    query,
-                    unit.store,
-                    &survivors,
-                    decision.collapse_verify,
-                )
+                self.verify(method, solver, query, unit.store, &survivors)
             };
             stats.verified += verified.len();
             neighbors.extend(verified.into_iter().filter(|n| n.ged <= tau));
         }
-        stats.pruned_label = discards.label;
-        stats.pruned_degree = discards.degree;
-        stats.pruned_pivot = discards.pivot;
         neighbors.sort_by(|a, b| a.ged.total_cmp(&b.ged).then(a.id.cmp(&b.id)));
-        self.plan_observe(
-            QueryShape::Range,
-            TierObservation {
-                candidates: stats.candidates,
-                label: discards.label,
-                degree: discards.degree,
-                pivot_pruned: discards.pivot,
-                pivot_accepted: stats.accepted_pivot,
-                solver_calls_saved,
-                ..TierObservation::default()
-            },
-        );
         Ok(SearchResult { neighbors, stats })
     }
 
-    /// The unified exact range plan (flat = one-shard case). The planner
-    /// may reorder the commutative discards, skip pivot arming once the
-    /// tier's yield is ~0, and collapse certificate recovery when the
-    /// pivot interval is already tight — the latter two only under an
-    /// unlimited verify budget, where they are provably bit-identical.
+    /// The unified exact range plan (flat = one-shard case). The
+    /// commutative discards run pivot → label → degree; certificate
+    /// recovery collapses on a tight pivot interval under an unlimited
+    /// verify budget (see [`certify`]).
     pub(crate) fn plan_range_exact(
         &self,
         method: MethodKind,
@@ -1407,19 +748,11 @@ impl GedEngine {
             tau.floor() as usize
         };
 
-        let budget_unlimited = self.verify_budget == usize::MAX;
-        let decision = self.plan_decision(QueryShape::RangeExact);
-        let collapse = decision.collapse_verify && budget_unlimited;
+        let collapse = self.verify_budget == usize::MAX;
         let qsig = GraphSignature::of(query);
-        let mut units = self.shard_units(&qsig, store, decision.arm_pivots);
-        let pivot_arms_saved = if decision.arm_pivots {
-            0
-        } else {
-            self.pivot_arm_cost(store)
-        };
+        let mut units = self.shard_units(&qsig, store);
 
         let mut discards = DiscardCounts::default();
-        let mut searches_saved = 0u64;
         let mut survivors: Vec<ExactSurvivor> = Vec::new();
         let mut ws = GedWorkspace::new();
         for unit in &mut units {
@@ -1435,33 +768,12 @@ impl GedEngine {
                 continue;
             }
             let unit = &*unit;
-            'candidates: for (id, _, sig) in unit.store.entries() {
-                let mut tiers = LazyTiers::new(unit, &qsig, id, sig);
-                for tier in decision.order {
-                    if tiers.lower_bound(tier) > tau {
-                        discards.record(tier);
-                        continue 'candidates;
-                    }
+            for (id, _, sig) in unit.store.entries() {
+                let pivot = unit.pivot_bounds_for(id);
+                if discards.exact_discards(pivot.0, &qsig, sig, tau) {
+                    continue;
                 }
-                let (lb_pivot, ub_pivot) = tiers.pivot();
-                // A certificate must be a *real* pivot bound: the vacuous
-                // `usize::MAX` of a disabled pivot tier would otherwise
-                // "certify" everything whenever τ saturates to
-                // `usize::MAX`, replacing the tight GEDGW-ub recovery
-                // search with an effectively unbounded one.
-                let certificate = (ub_pivot != usize::MAX && ub_pivot <= tau).then_some(ub_pivot);
-                // Collapsed recovery: when the pivot interval is tight
-                // (lb == ub ≤ τ) and the budget is unlimited, the
-                // ub-bounded recovery search can only conclude
-                // `Within(ub)` — its result is pinned, so skip it.
-                let collapsed_ged = if collapse {
-                    certificate.filter(|&ub| ub == lb_pivot)
-                } else {
-                    None
-                };
-                if collapsed_ged.is_some() {
-                    searches_saved += 1;
-                }
+                let (certificate, collapsed_ged) = certify(pivot, tau, collapse);
                 survivors.push(ExactSurvivor {
                     id,
                     certificate,
@@ -1526,19 +838,6 @@ impl GedEngine {
             store.len(),
             "every candidate lands in one tier"
         );
-        self.plan_observe(
-            QueryShape::RangeExact,
-            TierObservation {
-                candidates: store.len(),
-                label: discards.label,
-                degree: discards.degree,
-                pivot_pruned: discards.pivot,
-                pivot_accepted: stats.accepted_pivot,
-                searches_saved,
-                pivot_arms_saved,
-                ..TierObservation::default()
-            },
-        );
         Ok(RangeExactResult {
             matches,
             budget_exhausted,
@@ -1565,9 +864,9 @@ impl GedEngine {
     /// [`JoinUnit`]s. A flat store is one unit whose aggregate ranges
     /// come from an O(n) signature sweep (its block tier can only fire
     /// against *other* units); a sharded store yields one unit per shard
-    /// with the shard's maintained aggregates. `arm_pivots: false`
-    /// (planner, or the left side of a cross-store join) disables the
-    /// pivot tier entirely: no index syncing, no member/query bounds.
+    /// with the shard's maintained aggregates. `arm_pivots: false` (the
+    /// left side of a cross-store join) disables the pivot tier entirely:
+    /// no index syncing, no member/query bounds.
     fn join_units<'s>(&self, store: PlanStore<'s>, arm_pivots: bool) -> Vec<JoinUnit<'s>> {
         match store {
             PlanStore::Flat(flat) => {
@@ -1606,9 +905,9 @@ impl GedEngine {
     /// left row, the band tier narrows the right entries to the one
     /// contiguous window within the size-difference bound
     /// (`partition_point` on the band order), then the window runs the
-    /// commutative per-pair tiers. `TwoStores` blocks arm the right
-    /// unit's pivot block lazily — once per left row, and only if some
-    /// pair of that row actually reaches the pivot tier.
+    /// exact discard tiers. `TwoStores` blocks arm the right unit's pivot
+    /// block lazily — once per left row, and only if the row's window is
+    /// not empty.
     #[allow(clippy::too_many_arguments)]
     fn filter_cross_block<'s>(
         &self,
@@ -1616,11 +915,9 @@ impl GedEngine {
         right: &JoinUnit<'s>,
         kind: CrossKind,
         tau: usize,
-        decision: &PlanDecision,
         collapse: bool,
         discards: &mut DiscardCounts,
         stats: &mut JoinStats,
-        searches_saved: &mut u64,
         survivors: &mut Vec<JoinSurvivor<'s>>,
     ) {
         let mut ws = GedWorkspace::new();
@@ -1635,44 +932,35 @@ impl GedEngine {
             stats.pruned_band += right.entries.len() - (hi - lo);
             let mut qdists: Option<Vec<PivotDistance>> = None;
             for &(ib, gb, sb) in &right.entries[lo..hi] {
-                let mut pivot = || -> (usize, usize) {
-                    match (kind, right.pivot.index()) {
-                        (CrossKind::TwoStores, Some(ix)) => {
-                            let qd = qdists.get_or_insert_with(|| {
-                                self.arm_pivot_block(ix, right.store, ga, sa, &mut ws).0
-                            });
-                            ix.bounds(qd, ib)
-                                .expect("index is synced with its unit store")
-                        }
-                        // Same-store off-diagonal blocks keep the tier
-                        // vacuous (see [`CrossKind::SameStore`]).
-                        _ => (0, usize::MAX),
-                    }
-                };
-                match filter_join_pair(decision, collapse, sa, sb, &mut pivot, tau, discards) {
-                    PairVerdict::Discarded => {}
-                    PairVerdict::Survived {
-                        certificate,
-                        collapsed_ged,
-                    } => {
-                        if collapsed_ged.is_some() {
-                            *searches_saved += 1;
-                        }
-                        let (a, b) = match kind {
-                            CrossKind::SameStore if ib < ia => (ib, ia),
-                            _ => (ia, ib),
-                        };
-                        let (qa, qb) = canonical_refs(ga, gb);
-                        survivors.push(JoinSurvivor {
-                            a,
-                            b,
-                            qa,
-                            qb,
-                            certificate,
-                            collapsed_ged,
+                let pivot = match (kind, right.pivot.index()) {
+                    (CrossKind::TwoStores, Some(ix)) => {
+                        let qd = qdists.get_or_insert_with(|| {
+                            self.arm_pivot_block(ix, right.store, ga, sa, &mut ws).0
                         });
+                        ix.bounds(qd, ib)
+                            .expect("index is synced with its unit store")
                     }
+                    // Same-store off-diagonal blocks keep the tier
+                    // vacuous (see [`CrossKind::SameStore`]).
+                    _ => (0, usize::MAX),
+                };
+                if discards.exact_discards(pivot.0, sa, sb, tau) {
+                    continue;
                 }
+                let (certificate, collapsed_ged) = certify(pivot, tau, collapse);
+                let (a, b) = match kind {
+                    CrossKind::SameStore if ib < ia => (ib, ia),
+                    _ => (ia, ib),
+                };
+                let (qa, qb) = canonical_refs(ga, gb);
+                survivors.push(JoinSurvivor {
+                    a,
+                    b,
+                    qa,
+                    qb,
+                    certificate,
+                    collapsed_ged,
+                });
             }
         }
     }
@@ -1704,19 +992,11 @@ impl GedEngine {
             return Ok(negative_tau_join(total_pairs));
         }
         let tau = saturate_tau(tau);
-        let budget_unlimited = self.verify_budget == usize::MAX;
-        let decision = self.plan_decision(QueryShape::Join);
-        let collapse = decision.collapse_verify && budget_unlimited;
-        let units = self.join_units(store, decision.arm_pivots);
-        let pivot_arms_saved = if decision.arm_pivots {
-            0
-        } else {
-            self.pivot_arm_cost(store)
-        };
+        let collapse = self.verify_budget == usize::MAX;
+        let units = self.join_units(store, true);
 
         let mut stats = JoinStats::default();
         let mut discards = DiscardCounts::default();
-        let mut searches_saved = 0u64;
         let mut survivors: Vec<JoinSurvivor<'_>> = Vec::new();
         for (i, unit) in units.iter().enumerate() {
             deadline.check()?;
@@ -1726,11 +1006,9 @@ impl GedEngine {
             filter_self_block(
                 unit,
                 tau,
-                &decision,
                 collapse,
                 &mut discards,
                 &mut stats,
-                &mut searches_saved,
                 &mut survivors,
             );
             for other in &units[i + 1..] {
@@ -1746,30 +1024,14 @@ impl GedEngine {
                     other,
                     CrossKind::SameStore,
                     tau,
-                    &decision,
                     collapse,
                     &mut discards,
                     &mut stats,
-                    &mut searches_saved,
                     &mut survivors,
                 );
             }
         }
-        let result = self.verify_join(tau, deadline, survivors, stats, discards, total_pairs)?;
-        self.plan_observe(
-            QueryShape::Join,
-            TierObservation {
-                candidates: total_pairs,
-                label: discards.label,
-                degree: discards.degree,
-                pivot_pruned: discards.pivot,
-                pivot_accepted: result.stats.accepted_pivot,
-                searches_saved,
-                pivot_arms_saved,
-                ..TierObservation::default()
-            },
-        );
-        Ok(result)
+        self.verify_join(tau, deadline, survivors, stats, discards, total_pairs)
     }
 
     /// The unified cross-store join plan: every `(a, b)` pair with `a`
@@ -1801,22 +1063,14 @@ impl GedEngine {
             return Ok(negative_tau_join(total_pairs));
         }
         let tau = saturate_tau(tau);
-        let budget_unlimited = self.verify_budget == usize::MAX;
-        let decision = self.plan_decision(QueryShape::Join);
-        let collapse = decision.collapse_verify && budget_unlimited;
+        let collapse = self.verify_budget == usize::MAX;
         // Only the right side serves the pivot tier (armed per left
         // row), so left units are always built bare.
         let left_units = self.join_units(left, false);
-        let right_units = self.join_units(right, decision.arm_pivots);
-        let pivot_arms_saved = if decision.arm_pivots {
-            0
-        } else {
-            self.pivot_arm_cost(right)
-        };
+        let right_units = self.join_units(right, true);
 
         let mut stats = JoinStats::default();
         let mut discards = DiscardCounts::default();
-        let mut searches_saved = 0u64;
         let mut survivors: Vec<JoinSurvivor<'s>> = Vec::new();
         for lu in &left_units {
             deadline.check()?;
@@ -1830,30 +1084,14 @@ impl GedEngine {
                     ru,
                     CrossKind::TwoStores,
                     tau,
-                    &decision,
                     collapse,
                     &mut discards,
                     &mut stats,
-                    &mut searches_saved,
                     &mut survivors,
                 );
             }
         }
-        let result = self.verify_join(tau, deadline, survivors, stats, discards, total_pairs)?;
-        self.plan_observe(
-            QueryShape::Join,
-            TierObservation {
-                candidates: total_pairs,
-                label: discards.label,
-                degree: discards.degree,
-                pivot_pruned: discards.pivot,
-                pivot_accepted: result.stats.accepted_pivot,
-                searches_saved,
-                pivot_arms_saved,
-                ..TierObservation::default()
-            },
-        );
-        Ok(result)
+        self.verify_join(tau, deadline, survivors, stats, discards, total_pairs)
     }
 
     /// The shared verify tail of both join plans: survivors are put in
@@ -1985,10 +1223,10 @@ impl GedEngine {
     /// the classic one-sided `max(prediction, lb)` of the signature
     /// tiers.
     ///
-    /// With `collapse` on (adaptive planner), a candidate whose interval
-    /// is already tight (`lb == ub`) skips the solver: the clamp pins the
-    /// output to `lb` for any prediction (`f64::max` ignores NaN), so the
-    /// emitted neighbor is bit-identical either way.
+    /// A candidate whose interval is already tight (`lb == ub`) skips the
+    /// solver: the clamp pins the output to `lb` for any prediction
+    /// (`f64::max` ignores NaN), so the emitted neighbor is bit-identical
+    /// either way.
     fn verify(
         &self,
         method: MethodKind,
@@ -1996,11 +1234,10 @@ impl GedEngine {
         query: &Graph,
         store: &GraphStore,
         candidates: &[Candidate],
-        collapse: bool,
     ) -> Vec<Neighbor> {
         self.runner
             .map_init(candidates, SolverScratch::new, |scratch, c| {
-                if collapse && c.ub != usize::MAX && c.lb == c.ub {
+                if c.ub != usize::MAX && c.lb == c.ub {
                     return Neighbor {
                         id: c.id,
                         ged: c.lb as f64,
@@ -2041,136 +1278,5 @@ fn negative_tau_join(total_pairs: usize) -> JoinResult {
             filtered: total_pairs,
             ..JoinStats::default()
         },
-    }
-}
-
-/// How many of `candidates` collapsed verification will answer from
-/// their tight `lb == ub` interval without a solver call.
-fn collapsible(candidates: &[Candidate]) -> u64 {
-    candidates
-        .iter()
-        .filter(|c| c.ub != usize::MAX && c.lb == c.ub)
-        .count() as u64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shape_names_round_trip() {
-        for shape in [
-            QueryShape::TopK,
-            QueryShape::Range,
-            QueryShape::RangeExact,
-            QueryShape::Matrix,
-            QueryShape::Join,
-        ] {
-            assert_eq!(QueryShape::from_name(shape.name()), Some(shape));
-        }
-        assert_eq!(QueryShape::from_name("nope"), None);
-    }
-
-    #[test]
-    fn static_decision_matches_legacy_orders() {
-        let d = PlanDecision::static_for(QueryShape::Range);
-        assert_eq!(
-            d.order,
-            [FilterTier::Label, FilterTier::Degree, FilterTier::PivotLb]
-        );
-        assert!(d.arm_pivots);
-        assert!(!d.collapse_verify);
-        let d = PlanDecision::static_for(QueryShape::RangeExact);
-        assert_eq!(
-            d.order,
-            [FilterTier::PivotLb, FilterTier::Label, FilterTier::Degree]
-        );
-    }
-
-    #[test]
-    fn planner_reorders_only_after_warmup_and_by_efficiency() {
-        let mut planner = QueryPlanner::new();
-        // Degree does all the work; label and pivot never fire.
-        let obs = TierObservation {
-            candidates: 100,
-            degree: 90,
-            ..TierObservation::default()
-        };
-        for fired in 0..MIN_OBSERVATIONS {
-            let d = planner.decision(QueryShape::Range, true);
-            assert_eq!(
-                d.order,
-                QueryShape::Range.static_order(),
-                "static until warmed ({fired} observations)"
-            );
-            planner.observe(QueryShape::Range, obs);
-        }
-        let d = planner.decision(QueryShape::Range, true);
-        assert_eq!(d.order[0], FilterTier::Degree, "highest yield first");
-        assert!(d.arm_pivots, "range never skips arming");
-        assert!(d.collapse_verify);
-    }
-
-    #[test]
-    fn pivot_arming_skip_requires_unlimited_budget_and_zero_yield() {
-        let mut planner = QueryPlanner::new();
-        let dead_pivot = TierObservation {
-            candidates: 50,
-            label: 40,
-            ..TierObservation::default()
-        };
-        for _ in 0..MIN_OBSERVATIONS + 1 {
-            planner.observe(QueryShape::RangeExact, dead_pivot);
-        }
-        assert!(!planner.decision(QueryShape::RangeExact, true).arm_pivots);
-        assert!(
-            planner.decision(QueryShape::RangeExact, false).arm_pivots,
-            "a finite budget must keep the tier armed"
-        );
-        // Once the pivot tier shows yield, the skip is withdrawn.
-        let firing = TierObservation {
-            candidates: 50,
-            pivot_pruned: 25,
-            ..TierObservation::default()
-        };
-        for _ in 0..MIN_OBSERVATIONS {
-            planner.observe(QueryShape::RangeExact, firing);
-        }
-        assert!(planner.decision(QueryShape::RangeExact, true).arm_pivots);
-    }
-
-    #[test]
-    fn explanation_tier_lists_cover_all_shapes() {
-        let d = PlanDecision::static_for(QueryShape::RangeExact);
-        assert_eq!(
-            d.tier_names(QueryShape::RangeExact),
-            vec![
-                "shard",
-                "pivot_lb",
-                "label",
-                "degree",
-                "pivot_ub_accept",
-                "gedgw_ub_accept",
-                "verify"
-            ]
-        );
-        assert!(d.skipped_names(QueryShape::RangeExact).is_empty());
-
-        let skipping = PlanDecision {
-            arm_pivots: false,
-            ..d
-        };
-        assert_eq!(
-            skipping.tier_names(QueryShape::RangeExact),
-            vec!["shard", "label", "degree", "gedgw_ub_accept", "verify"]
-        );
-        assert_eq!(
-            skipping.skipped_names(QueryShape::RangeExact),
-            vec!["pivot_lb", "pivot_ub_accept"]
-        );
-        assert_eq!(
-            PlanDecision::static_for(QueryShape::Matrix).tier_names(QueryShape::Matrix),
-            vec!["verify"]
-        );
     }
 }

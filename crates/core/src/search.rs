@@ -167,7 +167,7 @@ impl fmt::Display for ExactSearchStats {
 /// pair. Every pair of the join's candidate matrix lands in exactly one
 /// tier, so [`JoinStats::total`] always equals the exact pair count —
 /// `n·(n−1)/2` for a self-join over `n` graphs, `n·m` for a cross-store
-/// join — whatever the planner decided.
+/// join — whatever the tiers decided.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JoinStats {
     /// Pairs discarded wholesale at the block tier: the aggregate bound

@@ -307,8 +307,7 @@ impl PivotIndex {
     /// The per-query arming cost of this index, in query-to-pivot
     /// distance computations: what one call to
     /// [`PivotIndex::query_distances`] spends before any per-candidate
-    /// bound can be read. The tier-cost hook query planners weigh the
-    /// pivot tier's observed yield against.
+    /// bound can be read.
     #[must_use]
     pub fn query_cost(&self) -> usize {
         self.pivots.len()

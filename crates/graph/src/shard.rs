@@ -164,8 +164,7 @@ impl Shard {
 
     /// The per-query arming cost of this shard's pivot tier, in
     /// query-to-pivot distance computations ([`PivotIndex::query_cost`];
-    /// 0 when no pivot block is built) — the shard-level tier-cost hook
-    /// query planners weigh the tier's observed yield against.
+    /// 0 when no pivot block is built).
     #[must_use]
     pub fn pivot_query_cost(&self) -> usize {
         self.pivots.as_ref().map_or(0, PivotIndex::query_cost)

@@ -9,7 +9,7 @@
 //! ```text
 //! ged-served [--socket PATH] [--method NAME] [--threads N]
 //!            [--beam-width N] [--pivots N] [--cache N]
-//!            [--verify-budget N] [--max-inflight N] [--adaptive]
+//!            [--verify-budget N] [--max-inflight N]
 //!            [--seed KIND:N] [--store PATH]
 //! ```
 //!
@@ -20,10 +20,6 @@
 //! `--store PATH` names the default snapshot file for the `snapshot` and
 //! `load` ops; when the file already exists the store is restored from
 //! it before serving (and `--seed` graphs are inserted on top).
-//!
-//! `--adaptive` turns on the engine's stats-driven query planner
-//! (bit-identical results, adaptive tier ordering; inspect it with the
-//! `explain` op).
 
 use ged_core::method::MethodKind;
 use ged_server::{Server, ServerConfig};
@@ -36,7 +32,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: ged-served [--socket PATH] [--method NAME] [--threads N] \
 [--beam-width N] [--pivots N] [--cache N] [--verify-budget N] [--max-inflight N] \
-[--adaptive] [--seed KIND:N] [--store PATH]";
+[--seed KIND:N] [--store PATH]";
 
 struct Args {
     socket: Option<PathBuf>,
@@ -71,7 +67,6 @@ fn parse_args() -> Result<Args, String> {
                 args.config.verify_budget = Some(usize_value(&value("--verify-budget")?)?);
             }
             "--max-inflight" => args.config.max_inflight = usize_value(&value("--max-inflight")?)?,
-            "--adaptive" => args.config.adaptive = true,
             "--store" => args.config.store_path = Some(PathBuf::from(value("--store")?)),
             "--seed" => {
                 let spec = value("--seed")?;

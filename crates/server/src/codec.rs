@@ -70,10 +70,6 @@ pub fn encode_request(req: &Request) -> String {
     match req {
         Request::Ping { .. } => s.push_str("\"ping\""),
         Request::Stats { .. } => s.push_str("\"stats\""),
-        Request::Explain { shape, .. } => {
-            s.push_str("\"explain\",\"shape\":");
-            push_json_string(&mut s, shape);
-        }
         Request::Shutdown { .. } => s.push_str("\"shutdown\""),
         Request::InsertGraph { graph, .. } => {
             s.push_str("\"insert_graph\",\"graph\":");
@@ -279,40 +275,8 @@ pub fn encode_response(resp: &Response) -> String {
             }
             let _ = write!(
                 s,
-                ",\"inflight\":{},\"max_inflight\":{},\"adaptive\":{},\"planner_saved\":{}",
-                b.inflight, b.max_inflight, b.adaptive, b.planner_saved
-            );
-        }
-        ResponseBody::Plan {
-            shape,
-            adaptive,
-            tiers,
-            skipped,
-            observations,
-            solver_calls_saved,
-            searches_saved,
-            pivot_arms_saved,
-        } => {
-            s.push_str("\"plan\",\"shape\":");
-            push_json_string(&mut s, shape);
-            let _ = write!(s, ",\"adaptive\":{adaptive},\"tiers\":[");
-            for (i, t) in tiers.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                push_json_string(&mut s, t);
-            }
-            s.push_str("],\"skipped\":[");
-            for (i, t) in skipped.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                push_json_string(&mut s, t);
-            }
-            let _ = write!(
-                s,
-                "],\"observations\":{observations},\"solver_calls_saved\":{solver_calls_saved},\
-                 \"searches_saved\":{searches_saved},\"pivot_arms_saved\":{pivot_arms_saved}"
+                ",\"inflight\":{},\"max_inflight\":{}",
+                b.inflight, b.max_inflight
             );
         }
         ResponseBody::Inserted { name } => {
@@ -632,16 +596,6 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn bool(&mut self) -> Result<bool, ParseError> {
-        if self.try_token("true") {
-            Ok(true)
-        } else if self.try_token("false") {
-            Ok(false)
-        } else {
-            Err(self.err(self.pos, ParseErrorKind::Invalid("boolean")))
-        }
-    }
-
     fn end(&mut self) -> Result<(), ParseError> {
         self.skip_ws();
         if self.pos == self.bytes.len() {
@@ -682,13 +636,6 @@ impl<'a> Parser<'a> {
         let req = match op.as_str() {
             "ping" => Request::Ping { id },
             "stats" => Request::Stats { id },
-            "explain" => {
-                self.expect(",")?;
-                self.expect("\"shape\"")?;
-                self.expect(":")?;
-                let shape = self.string()?;
-                Request::Explain { id, shape }
-            }
             "shutdown" => Request::Shutdown { id },
             "insert_graph" => {
                 self.expect(",")?;
@@ -944,14 +891,6 @@ impl<'a> Parser<'a> {
                 self.expect("\"max_inflight\"")?;
                 self.expect(":")?;
                 let max_inflight = self.u64()?;
-                self.expect(",")?;
-                self.expect("\"adaptive\"")?;
-                self.expect(":")?;
-                let adaptive = self.bool()?;
-                self.expect(",")?;
-                self.expect("\"planner_saved\"")?;
-                self.expect(":")?;
-                let planner_saved = self.u64()?;
                 ResponseBody::Stats(StatsBody {
                     graphs,
                     method,
@@ -959,53 +898,7 @@ impl<'a> Parser<'a> {
                     cached_predictions,
                     inflight,
                     max_inflight,
-                    adaptive,
-                    planner_saved,
                 })
-            }
-            "plan" => {
-                self.expect(",")?;
-                self.expect("\"shape\"")?;
-                self.expect(":")?;
-                let shape = self.string()?;
-                self.expect(",")?;
-                self.expect("\"adaptive\"")?;
-                self.expect(":")?;
-                let adaptive = self.bool()?;
-                self.expect(",")?;
-                self.expect("\"tiers\"")?;
-                self.expect(":")?;
-                let tiers = self.list(Self::string)?;
-                self.expect(",")?;
-                self.expect("\"skipped\"")?;
-                self.expect(":")?;
-                let skipped = self.list(Self::string)?;
-                self.expect(",")?;
-                self.expect("\"observations\"")?;
-                self.expect(":")?;
-                let observations = self.u64()?;
-                self.expect(",")?;
-                self.expect("\"solver_calls_saved\"")?;
-                self.expect(":")?;
-                let solver_calls_saved = self.u64()?;
-                self.expect(",")?;
-                self.expect("\"searches_saved\"")?;
-                self.expect(":")?;
-                let searches_saved = self.u64()?;
-                self.expect(",")?;
-                self.expect("\"pivot_arms_saved\"")?;
-                self.expect(":")?;
-                let pivot_arms_saved = self.u64()?;
-                ResponseBody::Plan {
-                    shape,
-                    adaptive,
-                    tiers,
-                    skipped,
-                    observations,
-                    solver_calls_saved,
-                    searches_saved,
-                    pivot_arms_saved,
-                }
             }
             "inserted" | "removed" => {
                 self.expect(",")?;

@@ -26,7 +26,6 @@
 //! ```text
 //! {"v":1,"id":I,"op":"ping"}
 //! {"v":1,"id":I,"op":"stats"}
-//! {"v":1,"id":I,"op":"explain","shape":STR}
 //! {"v":1,"id":I,"op":"shutdown"}
 //! {"v":1,"id":I,"op":"insert_graph","graph":GRAPH}
 //! {"v":1,"id":I,"op":"remove_graph","name":STR}
@@ -95,15 +94,6 @@ pub enum Request {
     Stats {
         /// Client-chosen id, echoed in the response.
         id: String,
-    },
-    /// Explain the tier plan a query shape would run right now (see
-    /// [`ged_core::plan::PlanExplanation`]).
-    Explain {
-        /// Client-chosen id, echoed in the response.
-        id: String,
-        /// The query shape to explain: `"top_k"`, `"range"`,
-        /// `"range_exact"`, or `"matrix"`.
-        shape: String,
     },
     /// Drain in-flight requests, answer, and stop serving.
     Shutdown {
@@ -235,7 +225,6 @@ impl Request {
         match self {
             Request::Ping { id }
             | Request::Stats { id }
-            | Request::Explain { id, .. }
             | Request::Shutdown { id }
             | Request::InsertGraph { id, .. }
             | Request::RemoveGraph { id, .. }
@@ -414,11 +403,6 @@ pub struct StatsBody {
     pub inflight: u64,
     /// The admission-control cap ([`crate::ServerConfig::max_inflight`]).
     pub max_inflight: u64,
-    /// Whether the engine's adaptive query planner is on.
-    pub adaptive: bool,
-    /// Total operations the planner has skipped so far (solver calls +
-    /// bounded searches + pivot arms); `0` when the planner is off.
-    pub planner_saved: u64,
 }
 
 /// The payload of a response, tagged by the wire `"type"` field.
@@ -428,26 +412,6 @@ pub enum ResponseBody {
     Pong,
     /// `stats` answer.
     Stats(StatsBody),
-    /// `explain` answer: the tier plan a query shape would run right
-    /// now (mirrors [`ged_core::plan::PlanExplanation`]).
-    Plan {
-        /// The explained query shape's wire name.
-        shape: String,
-        /// Whether the adaptive planner produced this plan.
-        adaptive: bool,
-        /// Tier names in execution order, first to last.
-        tiers: Vec<String>,
-        /// Tiers the current decision skips entirely.
-        skipped: Vec<String>,
-        /// Queries of this shape observed so far.
-        observations: u64,
-        /// Solver invocations skipped so far, across all shapes.
-        solver_calls_saved: u64,
-        /// Bounded exact searches skipped so far, across all shapes.
-        searches_saved: u64,
-        /// Query-to-pivot distance computations skipped so far.
-        pivot_arms_saved: u64,
-    },
     /// `shutdown` answer: the server has drained and is exiting.
     ShutdownComplete,
     /// `insert_graph` answer: the assigned name.

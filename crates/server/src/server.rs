@@ -21,8 +21,8 @@
 //! * **Admission control** — at most [`ServerConfig::max_inflight`]
 //!   store/engine requests execute at once; excess requests are rejected
 //!   immediately with a typed `overloaded` error (never queued blind,
-//!   never dropped). Introspection (`ping` / `stats` / `explain`) is
-//!   always admitted.
+//!   never dropped). Introspection (`ping` / `stats`) is always
+//!   admitted.
 //! * **Deadlines** — a request carrying `deadline_ms` is answered with
 //!   `deadline_exceeded` if the deadline elapses before its result is
 //!   ready. Store-level queries (`top_k` / `range` / `range_exact` /
@@ -48,12 +48,11 @@ use ged_baselines::solvers::ClassicSolver;
 use ged_core::engine::{Deadline, GedEngine};
 use ged_core::method::MethodKind;
 use ged_core::pairs::GedPair;
-use ged_core::plan::QueryShape;
 use ged_core::solver::{GedgwSolver, SolverRegistry};
 use ged_core::GedError;
 use ged_graph::{Graph, GraphId, GraphStore, ShardedStore};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,11 +83,6 @@ pub struct ServerConfig {
     pub prediction_cache: Option<usize>,
     /// `range_exact` verification budget (`None` = unlimited).
     pub verify_budget: Option<usize>,
-    /// Enables the engine's adaptive query planner
-    /// ([`ged_core::engine::GedEngineBuilder::adaptive_planner`]).
-    /// Results are bit-identical either way; only the work profile and
-    /// the `explain` / `stats` planner counters change.
-    pub adaptive: bool,
     /// Admission-control cap: maximum store/engine requests in flight.
     pub max_inflight: usize,
     /// Default snapshot path for the `snapshot` / `load` ops (the
@@ -105,7 +99,6 @@ impl Default for ServerConfig {
             pivots: None,
             prediction_cache: None,
             verify_budget: None,
-            adaptive: false,
             max_inflight: 64,
             store_path: None,
         }
@@ -206,7 +199,6 @@ impl Server {
         if let Some(v) = config.verify_budget {
             builder = builder.verify_budget(v);
         }
-        builder = builder.adaptive_planner(config.adaptive);
         let engine = builder.build()?;
         Ok(Server {
             shared: Arc::new(Shared {
@@ -288,16 +280,16 @@ impl Server {
         (encode_response(&resp), close)
     }
 
+    /// The `oversized` rejection of a request line (`what` describes it).
+    fn oversized(&self, what: &str) -> Response {
+        let msg = format!("{what} exceeds the {MAX_LINE_BYTES}-byte cap");
+        Response::error("", self.current_rev(), ErrorCode::Oversized, msg)
+    }
+
     fn respond(&self, line: &str) -> (Response, bool) {
         if line.len() > MAX_LINE_BYTES {
-            let msg = format!(
-                "request line of {} bytes exceeds the {MAX_LINE_BYTES}-byte cap",
-                line.len()
-            );
-            return (
-                Response::error("", self.current_rev(), ErrorCode::Oversized, msg),
-                false,
-            );
+            let what = format!("request line of {} bytes", line.len());
+            return (self.oversized(&what), false);
         }
         let req = match parse_request(line) {
             Ok(req) => req,
@@ -324,7 +316,6 @@ impl Server {
         let result = match &req {
             Request::Ping { .. } => Ok((self.current_rev(), ResponseBody::Pong)),
             Request::Stats { .. } => Ok(self.stats()),
-            Request::Explain { shape, .. } => self.explain(shape),
             _ => self.admitted(&req),
         };
         let resp = match result {
@@ -366,10 +357,6 @@ impl Server {
     fn stats(&self) -> (u64, ResponseBody) {
         let state = self.shared.state.read().unwrap();
         let engine = &self.shared.engine;
-        let planner_saved = engine
-            .planner_counters()
-            .map(|c| c.solver_calls_saved + c.searches_saved + c.pivot_arms_saved)
-            .unwrap_or(0);
         let body = ResponseBody::Stats(StatsBody {
             graphs: state.store.len() as u64,
             method: engine.method().to_string(),
@@ -377,37 +364,8 @@ impl Server {
             cached_predictions: engine.cached_predictions().map(|n| n as u64),
             inflight: *self.shared.inflight.lock().unwrap() as u64,
             max_inflight: self.shared.max_inflight as u64,
-            adaptive: engine.planner_enabled(),
-            planner_saved,
         });
         (state.rev, body)
-    }
-
-    /// The `explain` introspection op: the tier plan `shape` would run
-    /// right now, never admission-controlled (like `ping` / `stats`).
-    fn explain(&self, shape: &str) -> OpResult {
-        let rev = self.current_rev();
-        let Some(shape) = QueryShape::from_name(shape) else {
-            return Err((
-                rev,
-                ErrorCode::Config,
-                format!("unknown query shape {shape:?} (top_k|range|range_exact|matrix)"),
-            ));
-        };
-        let e = self.shared.engine.explain(shape);
-        Ok((
-            rev,
-            ResponseBody::Plan {
-                shape: e.shape.name().to_string(),
-                adaptive: e.adaptive,
-                tiers: e.tiers.iter().map(|t| (*t).to_string()).collect(),
-                skipped: e.skipped.iter().map(|t| (*t).to_string()).collect(),
-                observations: e.observations,
-                solver_calls_saved: e.solver_calls_saved,
-                searches_saved: e.searches_saved,
-                pivot_arms_saved: e.pivot_arms_saved,
-            },
-        ))
     }
 
     /// Admission-controlled store/engine ops.
@@ -780,19 +738,35 @@ impl Server {
     /// stdin/stdout transport; also what socket connections delegate
     /// to). Returns on EOF, on an unwritable response, or after
     /// answering a `shutdown`.
+    ///
+    /// At most [`MAX_LINE_BYTES`] plus a `\r\n` ending is buffered per
+    /// line: a longer line is answered `oversized` as soon as the cap is
+    /// crossed, and its remainder is discarded through the next `\n`
+    /// without being stored.
     pub fn serve_connection<R: BufRead, W: Write>(&self, mut reader: R, mut writer: W) {
-        let mut line = String::new();
+        let limit = MAX_LINE_BYTES as u64 + 2;
+        let mut buf = Vec::new();
         loop {
-            line.clear();
-            match reader.read_line(&mut line) {
+            buf.clear();
+            match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
                 Ok(0) | Err(_) => return,
                 Ok(_) => {}
             }
-            let trimmed = line.trim_end_matches(['\n', '\r']);
-            if trimmed.is_empty() {
-                continue;
-            }
-            let (resp, close) = self.handle_line(trimmed);
+            // Bytes, not a `String`: a cap that splits a UTF-8 character
+            // is still an oversized line, not a decoding failure.
+            let truncated = buf.len() as u64 == limit && !buf.ends_with(b"\n");
+            let (resp, close) = if truncated {
+                (encode_response(&self.oversized("request line")), false)
+            } else {
+                let Ok(line) = std::str::from_utf8(&buf) else {
+                    return;
+                };
+                let trimmed = line.trim_end_matches(['\n', '\r']);
+                if trimmed.is_empty() {
+                    continue;
+                }
+                self.handle_line(trimmed)
+            };
             if writer
                 .write_all(resp.as_bytes())
                 .and_then(|()| writer.write_all(b"\n"))
@@ -801,7 +775,7 @@ impl Server {
             {
                 return;
             }
-            if close {
+            if close || (truncated && reader.skip_until(b'\n').is_err()) {
                 return;
             }
         }

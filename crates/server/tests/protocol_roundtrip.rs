@@ -13,6 +13,9 @@ use ged_server::protocol::{
 use ged_server::{Server, ServerConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
+use std::io::{self, BufReader, Cursor, Read, Write};
+use std::rc::Rc;
 
 const SEED: u64 = 0x5E4; // server-suite seed stream
 
@@ -75,14 +78,10 @@ fn random_deadline(rng: &mut SmallRng) -> Option<u64> {
 /// One random request per call, cycling through every variant.
 fn random_request(variant: usize, rng: &mut SmallRng) -> Request {
     let id = random_string(rng);
-    match variant % 14 {
+    match variant % 13 {
         0 => Request::Ping { id },
         1 => Request::Stats { id },
         2 => Request::Shutdown { id },
-        13 => Request::Explain {
-            id,
-            shape: random_string(rng),
-        },
         3 => Request::InsertGraph {
             id,
             graph: random_graph(rng),
@@ -179,7 +178,7 @@ const ALL_CODES: &[ErrorCode] = &[
 /// One random response per call, cycling through every body variant
 /// (the error arm itself cycles through every code).
 fn random_response(variant: usize, rng: &mut SmallRng) -> Response {
-    let body = match variant % 15 {
+    let body = match variant % 14 {
         0 => ResponseBody::Pong,
         1 => ResponseBody::ShutdownComplete,
         2 => ResponseBody::Stats(StatsBody {
@@ -193,8 +192,6 @@ fn random_response(variant: usize, rng: &mut SmallRng) -> Response {
             },
             inflight: rng.gen_range(0..64),
             max_inflight: rng.gen_range(0..1000),
-            adaptive: rng.gen_bool(0.5),
-            planner_saved: rng.gen_range(0..u64::MAX),
         }),
         3 => ResponseBody::Inserted {
             name: random_string(rng),
@@ -250,7 +247,7 @@ fn random_response(variant: usize, rng: &mut SmallRng) -> Response {
             }
         }
         10 => ResponseBody::Error {
-            code: ALL_CODES[variant / 15 % ALL_CODES.len()],
+            code: ALL_CODES[variant / 14 % ALL_CODES.len()],
             message: random_string(rng),
         },
         11 => ResponseBody::Snapshotted {
@@ -260,20 +257,6 @@ fn random_response(variant: usize, rng: &mut SmallRng) -> Response {
         12 => ResponseBody::Loaded {
             path: random_string(rng),
             graphs: rng.gen_range(0..u64::MAX),
-        },
-        13 => ResponseBody::Plan {
-            shape: random_string(rng),
-            adaptive: rng.gen_bool(0.5),
-            tiers: (0..rng.gen_range(0..6))
-                .map(|_| random_string(rng))
-                .collect(),
-            skipped: (0..rng.gen_range(0..3))
-                .map(|_| random_string(rng))
-                .collect(),
-            observations: rng.gen_range(0..u64::MAX),
-            solver_calls_saved: rng.gen_range(0..u64::MAX),
-            searches_saved: rng.gen_range(0..u64::MAX),
-            pivot_arms_saved: rng.gen_range(0..u64::MAX),
         },
         _ => ResponseBody::Neighbors {
             neighbors: Vec::new(),
@@ -422,6 +405,123 @@ fn oversized_lines_get_a_typed_rejection_without_parsing() {
     assert_eq!(ok_line.len(), MAX_LINE_BYTES);
     let (resp_line, _) = server.handle_line(&ok_line);
     assert!(parse_response(&resp_line).unwrap().is_ok());
+}
+
+/// A reader that counts the bytes it hands out, in a counter shared with
+/// [`RecordingWriter`].
+struct CountingReader {
+    data: Cursor<Vec<u8>>,
+    consumed: Rc<Cell<usize>>,
+}
+
+impl Read for CountingReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.data.read(buf)?;
+        self.consumed.set(self.consumed.get() + n);
+        Ok(n)
+    }
+}
+
+/// Collects response lines, each with the input bytes consumed by the
+/// time it was flushed.
+struct RecordingWriter {
+    pending: Vec<u8>,
+    lines: Vec<(String, usize)>,
+    consumed: Rc<Cell<usize>>,
+}
+
+impl Write for RecordingWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.pending.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let text = String::from_utf8(std::mem::take(&mut self.pending)).expect("UTF-8 responses");
+        for line in text.lines() {
+            self.lines.push((line.to_string(), self.consumed.get()));
+        }
+        Ok(())
+    }
+}
+
+/// Serves `input` as one connection; returns each response with the
+/// input consumed when it was flushed.
+fn serve_bytes(input: Vec<u8>) -> Vec<(Response, usize)> {
+    let server = Server::new(&ServerConfig::default()).unwrap();
+    let consumed = Rc::new(Cell::new(0));
+    let reader = BufReader::new(CountingReader {
+        data: Cursor::new(input),
+        consumed: Rc::clone(&consumed),
+    });
+    let mut writer = RecordingWriter {
+        pending: Vec::new(),
+        lines: Vec::new(),
+        consumed,
+    };
+    server.serve_connection(reader, &mut writer);
+    writer
+        .lines
+        .into_iter()
+        .map(|(line, at)| (parse_response(&line).unwrap(), at))
+        .collect()
+}
+
+fn assert_oversized(resp: &Response, ctx: &str) {
+    match resp.body {
+        ResponseBody::Error { code, .. } => assert_eq!(code, ErrorCode::Oversized, "{ctx}"),
+        ref other => panic!("{ctx}: expected oversized error, got {other:?}"),
+    }
+}
+
+const PING: &str = "{\"v\":1,\"id\":\"p\",\"op\":\"ping\"}";
+
+#[test]
+fn oversized_lines_are_answered_before_the_rest_is_read() {
+    // 8 MiB without a line ending: the rejection must not wait for (or
+    // buffer) the whole line. The multi-byte filler puts the cap inside
+    // a UTF-8 character, which must still read as oversized.
+    let ascii = vec![b'x'; 8 << 20];
+    let mut split = b"x".to_vec();
+    split.extend("é".repeat(4 << 20).into_bytes());
+    for (filler, ctx) in [(ascii, "ascii"), (split, "split utf-8")] {
+        let mut input = filler;
+        input.push(b'\n');
+        input.extend_from_slice(PING.as_bytes());
+        input.push(b'\n');
+        let responses = serve_bytes(input);
+        assert_eq!(responses.len(), 2, "{ctx}: one response per line");
+        let (first, consumed) = &responses[0];
+        assert_oversized(first, ctx);
+        assert!(
+            *consumed <= MAX_LINE_BYTES + (64 << 10),
+            "{ctx}: answered after {consumed} bytes of input"
+        );
+        assert_eq!(responses[1].0.id, "p", "{ctx}: the connection stays open");
+        assert_eq!(responses[1].0.body, ResponseBody::Pong, "{ctx}");
+    }
+}
+
+#[test]
+fn a_line_of_exactly_the_cap_is_served_with_either_ending() {
+    let pad = MAX_LINE_BYTES - "{\"v\":1,\"id\":\"\",\"op\":\"ping\"}".len();
+    let line = |pad: usize| format!("{{\"v\":1,\"id\":\"{}\",\"op\":\"ping\"}}", "y".repeat(pad));
+    for ending in ["\n", "\r\n"] {
+        let ctx = format!("ending {ending:?}");
+        let input = format!("{}{ending}{PING}{ending}", line(pad));
+        let responses = serve_bytes(input.into_bytes());
+        assert_eq!(responses.len(), 2, "{ctx}");
+        assert_eq!(responses[0].0.body, ResponseBody::Pong, "{ctx}: at the cap");
+        assert_eq!(responses[0].0.id.len(), pad, "{ctx}: id echoed");
+        assert_eq!(responses[1].0.body, ResponseBody::Pong, "{ctx}");
+
+        // One byte over the cap is oversized, and the next line is served.
+        let input = format!("{}{ending}{PING}{ending}", line(pad + 1));
+        let responses = serve_bytes(input.into_bytes());
+        assert_eq!(responses.len(), 2, "{ctx}");
+        assert_oversized(&responses[0].0, &ctx);
+        assert_eq!(responses[1].0.body, ResponseBody::Pong, "{ctx}");
+    }
 }
 
 #[test]

@@ -135,9 +135,8 @@ pub fn engine_builder(methods: &[MethodKind]) -> GedEngineBuilder {
 }
 
 /// A [`GedgwSolver`] that counts its prediction calls — the probe the
-/// planner suites and benches use to show an adaptive plan performs
-/// **strictly not more** solver work than the static plan while staying
-/// bit-identical.
+/// suites use to show how much solver work a plan performs, e.g. that
+/// collapsed (`lb == ub`) verification makes none.
 ///
 /// Both [`GedSolver::predict`] and [`GedSolver::predict_scratch`] bump
 /// the same shared counter (the engine's batched drivers call either),
@@ -305,8 +304,8 @@ pub fn brute_range_exact(store: &GraphStore, query: &Graph, tau: usize) -> Vec<E
 /// The brute-force self-join ground truth: the τ-bounded exact search
 /// run against every unordered pair of stored graphs, in ascending
 /// `(a, b)` id order — exactly what `GedQuery::SelfJoin` promises (for
-/// any store kind, pivot configuration, planner state, and thread
-/// count) under an unlimited verify budget.
+/// any store kind, pivot configuration, and thread count) under an
+/// unlimited verify budget.
 #[must_use]
 pub fn brute_self_join(store: &GraphStore, tau: usize) -> Vec<JoinPair> {
     let entries: Vec<(GraphId, &Graph)> = store.iter().collect();

@@ -67,9 +67,6 @@ pub mod prelude {
     pub use ged_core::gediot::{Gediot, GediotConfig};
     pub use ged_core::kbest::kbest_edit_path;
     pub use ged_core::method::MethodKind;
-    pub use ged_core::plan::{
-        FilterTier, PlanExplanation, PlannerCounters, QueryPlanner, QueryShape,
-    };
     pub use ged_core::search::{
         bounded_exact_ged, bounded_exact_ged_with_budget, pivot_distance, BoundedSearch,
         ExactSearchStats, JoinStats,

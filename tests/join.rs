@@ -1,7 +1,7 @@
 //! GED-join property suite: [`GedQuery::SelfJoin`] / [`GedQuery::Join`]
 //! must reproduce a brute-force nested loop over
 //! [`bounded_exact_ged`] bit for bit, for every store kind, pivot
-//! configuration, planner mode, and thread count — the join tiers are
+//! configuration, and thread count — the join tiers are
 //! all exact or admissible, so no knob may change the answer.
 //!
 //! * self-join ≡ [`ged_testkit::brute_self_join`] and cross-store join
@@ -40,11 +40,10 @@ use std::time::Duration;
 const TAUS: [usize; 3] = [0, 1, 2];
 
 /// A single-method GEDGW engine with the swept knobs.
-fn engine(threads: usize, pivots: usize, adaptive: bool) -> GedEngine {
+fn engine(threads: usize, pivots: usize) -> GedEngine {
     engine_builder(&[MethodKind::Gedgw])
         .threads(threads)
         .pivots(pivots)
-        .adaptive_planner(adaptive)
         .build()
         .expect("valid configuration")
 }
@@ -109,15 +108,13 @@ fn self_join_matches_brute_force_all_pairs() {
             let oracle = brute_self_join(store, tau);
             for threads in [1, 4] {
                 for pivots in [0, 3] {
-                    for adaptive in [false, true] {
-                        let ctx = format!(
-                            "{}/tau={tau}/threads={threads}/pivots={pivots}/adaptive={adaptive}",
-                            dataset.kind.name()
-                        );
-                        let e = engine(threads, pivots, adaptive);
-                        let got = e.self_join(store, tau as f64).expect("valid join");
-                        assert_join(&got, &oracle, total, &ctx);
-                    }
+                    let ctx = format!(
+                        "{}/tau={tau}/threads={threads}/pivots={pivots}",
+                        dataset.kind.name()
+                    );
+                    let e = engine(threads, pivots);
+                    let got = e.self_join(store, tau as f64).expect("valid join");
+                    assert_join(&got, &oracle, total, &ctx);
                 }
             }
         }
@@ -136,21 +133,19 @@ fn sharded_self_join_is_bit_identical_to_flat() {
             let (mut sharded, map) = sharded_copy(store, bucket_width);
             let want = translate(&oracle, &map);
             for pivots in [0, 3] {
-                for adaptive in [false, true] {
-                    let ctx = format!(
-                        "{}/width={bucket_width}/pivots={pivots}/adaptive={adaptive}",
-                        dataset.kind.name()
-                    );
-                    let e = engine(2, pivots, adaptive);
-                    if pivots > 0 {
-                        e.sync_sharded_pivots(&mut sharded);
-                        assert!(sharded.pivots_ready(pivots), "{ctx}: shards synced");
-                    }
-                    let got = e
-                        .self_join_sharded(&sharded, tau as f64)
-                        .expect("valid join");
-                    assert_join(&got, &want, total, &ctx);
+                let ctx = format!(
+                    "{}/width={bucket_width}/pivots={pivots}",
+                    dataset.kind.name()
+                );
+                let e = engine(2, pivots);
+                if pivots > 0 {
+                    e.sync_sharded_pivots(&mut sharded);
+                    assert!(sharded.pivots_ready(pivots), "{ctx}: shards synced");
                 }
+                let got = e
+                    .self_join_sharded(&sharded, tau as f64)
+                    .expect("valid join");
+                assert_join(&got, &want, total, &ctx);
             }
         }
     }
@@ -166,7 +161,7 @@ fn cross_join_matches_nested_loop_oracle() {
         for threads in [1, 4] {
             for pivots in [0, 3] {
                 let ctx = format!("cross/tau={tau}/threads={threads}/pivots={pivots}");
-                let e = engine(threads, pivots, false);
+                let e = engine(threads, pivots);
                 let got = e.join(&left, &right, tau as f64).expect("valid join");
                 assert_join(&got, &oracle, total, &ctx);
 
@@ -204,7 +199,7 @@ fn join_of_a_store_with_itself_covers_the_full_ordered_product() {
         oracle.len() >= n,
         "the diagonal alone contributes {n} zero-distance matches"
     );
-    let e = engine(2, 0, false);
+    let e = engine(2, 0);
     let got = e.join(&store, &store, tau as f64).expect("valid join");
     assert_join(&got, &oracle, n * n, "self-product");
     assert!(
@@ -230,7 +225,7 @@ fn duplicate_graphs_verify_once_and_all_match_at_tau_zero() {
         "τ = 0 matches are exact copies"
     );
 
-    let e = engine(1, 0, false);
+    let e = engine(1, 0);
     let got = e.self_join(&store, 0.0).expect("valid join");
     assert_join(&got, &oracle, n * (n - 1) / 2, "duplicates/tau=0");
 }
@@ -246,7 +241,7 @@ fn infinite_tau_degrades_to_the_full_join_with_exact_distances() {
         "τ = +∞ keeps every pair, each with its exact distance"
     );
     for pivots in [0, 3] {
-        let e = engine(2, pivots, false);
+        let e = engine(2, pivots);
         let got = e.self_join(&store, f64::INFINITY).expect("valid join");
         assert_join(
             &got,
@@ -261,7 +256,7 @@ fn infinite_tau_degrades_to_the_full_join_with_exact_distances() {
 fn join_rejects_nan_and_matches_nothing_below_zero() {
     let store = aids_store(6, 9051).into_store();
     let other = aids_store(5, 9052).into_store();
-    let e = engine(1, 0, false);
+    let e = engine(1, 0);
 
     assert!(
         matches!(e.self_join(&store, f64::NAN), Err(GedError::Config(_))),
@@ -292,7 +287,7 @@ fn join_rejects_nan_and_matches_nothing_below_zero() {
 
 #[test]
 fn empty_and_single_graph_stores() {
-    let e = engine(1, 0, false);
+    let e = engine(1, 0);
     let empty = GraphStore::new();
     assert!(
         matches!(e.self_join(&empty, 2.0), Err(GedError::EmptyStore)),
@@ -379,7 +374,7 @@ fn stats_close_and_matches_stay_sound_under_a_strangled_budget() {
 #[test]
 fn a_zero_deadline_aborts_the_join_mid_execution() {
     let store = aids_store(40, 9081).into_store();
-    let e = engine(2, 0, false);
+    let e = engine(2, 0);
     // Sanity: the same join succeeds without a deadline.
     assert!(e.self_join(&store, 2.0).is_ok());
     let bound = e.with_deadline(Deadline::within(Duration::ZERO));

@@ -20,13 +20,17 @@
 //!   verify budget);
 //! * a stored query — inline or by id — arms by reusing its own table
 //!   row (`pivot_distances == 0`), while an isomorphic but node-permuted
-//!   copy falls back to the oracle and still answers identically.
+//!   copy falls back to the oracle and still answers identically;
+//! * collapsed verification: a candidate whose pivot interval is tight
+//!   (`lb == ub`) is answered from the bound without a solver call.
 
 use ged_testkit::{
     aids_store, assert_same_neighbors as assert_same, brute_force_refined, brute_range,
-    brute_range_exact, brute_top_k, engine_builder, external_query, linux_store, solver_for,
+    brute_range_exact, brute_top_k, counting_engine_builder, engine_builder, external_query,
+    linux_store, solver_for,
 };
 use ot_ged::prelude::*;
+use std::sync::atomic::Ordering;
 
 /// The standard pivoted engine of this suite: GEDGW + Classic, `p`
 /// pivots, deterministic single-threaded verification.
@@ -426,4 +430,36 @@ fn a_permuted_copy_falls_back_to_the_oracle_with_identical_answers() {
         want.stats,
         "same pre-existing stats fields"
     );
+}
+
+#[test]
+fn collapsed_verification_eliminates_solver_calls_on_tight_intervals() {
+    // A query drawn from the engine's own pivot set has an exact pivot
+    // distance to every stored graph: lb == ub everywhere, so
+    // verification answers the whole candidate set from the bounds
+    // without one solver invocation.
+    let store = aids_store(14, 9501);
+    let (builder, calls) = counting_engine_builder();
+    let engine = builder.pivots(3).build().expect("valid configuration");
+    let pivots = engine.pivot_ids(&store);
+    let query = store.get(pivots[0]).expect("pivot is stored").clone();
+    let bounds = engine.pivot_bounds(&query, &store).expect("pivots enabled");
+    assert!(
+        bounds.values().all(|(lb, ub)| lb == ub),
+        "every interval is tight"
+    );
+
+    let range = engine.range(&query, &store, 6.0).expect("valid query");
+    let want = brute_range(&store, &query, &GedgwSolver, 6.0, Some(&bounds));
+    assert_same(&range.neighbors, &want, "pivot-member range");
+    assert!(
+        range.stats.verified > 0,
+        "the workload reaches the verify tier"
+    );
+    assert_eq!(calls.load(Ordering::Relaxed), 0, "range collapses");
+
+    let top = engine.top_k(&query, &store, 4).expect("valid query");
+    let want = brute_top_k(&store, &query, &GedgwSolver, 4, Some(&bounds));
+    assert_same(&top.neighbors, &want, "pivot-member top-k");
+    assert_eq!(calls.load(Ordering::Relaxed), 0, "top-k collapses too");
 }

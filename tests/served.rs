@@ -317,100 +317,6 @@ fn pipelined_requests_answer_in_order() {
     }
 }
 
-/// The `explain` op reports the tier plan over the wire: the static
-/// plan by default, the adaptive planner's plan (and its counters in
-/// `stats`) when the server runs with `adaptive: true` — and like the
-/// other introspection ops it answers even under a zero admission cap.
-#[test]
-fn explain_reports_plans_and_is_admission_exempt() {
-    let config = ServerConfig {
-        adaptive: true,
-        max_inflight: 0,
-        ..ServerConfig::default()
-    };
-    let (_server, mut client) = serve_in_process(&config);
-    let resp = client.call(&Request::Explain {
-        id: "e".to_string(),
-        shape: "range".to_string(),
-    });
-    match resp.body {
-        ResponseBody::Plan {
-            ref shape,
-            adaptive,
-            ref tiers,
-            ref skipped,
-            observations,
-            ..
-        } => {
-            assert_eq!(shape, "range");
-            assert!(adaptive);
-            assert_eq!(tiers.first().map(String::as_str), Some("shard"));
-            assert_eq!(tiers.last().map(String::as_str), Some("verify"));
-            assert!(skipped.is_empty(), "nothing to skip before any query");
-            assert_eq!(observations, 0);
-        }
-        other => panic!("expected plan, got {other:?}"),
-    }
-    // Matrix is verify-only, with or without the planner.
-    let resp = client.call(&Request::Explain {
-        id: "m".to_string(),
-        shape: "matrix".to_string(),
-    });
-    match resp.body {
-        ResponseBody::Plan { ref tiers, .. } => assert_eq!(tiers, &["verify".to_string()]),
-        other => panic!("expected plan, got {other:?}"),
-    }
-    // An unknown shape is a typed config error.
-    let resp = client.call(&Request::Explain {
-        id: "x".to_string(),
-        shape: "nope".to_string(),
-    });
-    match resp.body {
-        ResponseBody::Error { code, message } => {
-            assert_eq!(code, ErrorCode::Config);
-            assert!(message.contains("nope"), "{message}");
-        }
-        other => panic!("expected config error, got {other:?}"),
-    }
-    // Stats surfaces the planner state next to the admission counters.
-    let resp = client.call(&Request::Stats {
-        id: "s".to_string(),
-    });
-    match resp.body {
-        ResponseBody::Stats(ref s) => {
-            assert!(s.adaptive);
-            assert_eq!(s.planner_saved, 0, "no queries, nothing saved yet");
-        }
-        other => panic!("expected stats, got {other:?}"),
-    }
-
-    // The static server explains the static plan and reports adaptive
-    // off in both ops.
-    let (_server2, mut static_client) = serve_in_process(&ServerConfig::default());
-    let resp = static_client.call(&Request::Explain {
-        id: "e2".to_string(),
-        shape: "range_exact".to_string(),
-    });
-    match resp.body {
-        ResponseBody::Plan {
-            adaptive,
-            ref skipped,
-            ..
-        } => {
-            assert!(!adaptive);
-            assert!(skipped.is_empty());
-        }
-        other => panic!("expected plan, got {other:?}"),
-    }
-    let resp = static_client.call(&Request::Stats {
-        id: "s2".to_string(),
-    });
-    match resp.body {
-        ResponseBody::Stats(ref s) => assert!(!s.adaptive),
-        other => panic!("expected stats, got {other:?}"),
-    }
-}
-
 /// The join ops over the wire: `self_join` answers stored-name pairs
 /// with exact distances, `join` addresses the inline query batch by
 /// position (`"q{i}"`), the candidate accounting closes to the exact

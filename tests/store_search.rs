@@ -7,7 +7,10 @@
 //! brute-force τ-bounded **exact** scan, with every pipeline tier firing
 //! and `ExactSearchStats` accounting closing to the store size.
 
-use ged_testkit::{assert_same_neighbors as assert_same, property_stores as stores, solver_for};
+use ged_testkit::{
+    aids_store, assert_same_neighbors as assert_same, engine_builder, external_query,
+    property_stores as stores, sharded_copy, solver_for,
+};
 use ot_ged::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -287,4 +290,45 @@ fn parallel_verification_is_bit_identical_to_sequential() {
     let rb = parallel.range(&query, &ds, tau).unwrap();
     assert_eq!(ra.stats, rb.stats);
     assert_same(&ra.neighbors, &rb.neighbors, "range threads=1 vs 4");
+}
+
+#[test]
+fn range_by_id_resolves_stored_ids_and_rejects_foreign_ones() {
+    let store = aids_store(12, 9801);
+    let (sharded, map) = sharded_copy(&store, 4);
+    let engine = engine_builder(&[MethodKind::Gedgw])
+        .build()
+        .expect("valid configuration");
+
+    let (id, query) = store.iter().next().expect("nonempty store");
+    let by_id = engine.range_by_id(&store, id, 5.0).expect("stored id");
+    let direct = engine.range(query, &store, 5.0).expect("direct query");
+    assert_same(&by_id.neighbors, &direct.neighbors, "flat by-id");
+    assert!(
+        by_id.neighbors.iter().any(|n| n.id == id && n.ged == 0.0),
+        "the query graph matches itself at distance 0"
+    );
+
+    let sid = map[&id];
+    let by_id = engine
+        .range_sharded_by_id(&sharded, sid, 5.0)
+        .expect("stored id");
+    let direct = engine
+        .range_sharded(query, &sharded, 5.0)
+        .expect("direct query");
+    assert_same(&by_id.neighbors, &direct.neighbors, "sharded by-id");
+
+    let foreign = external_query(9803);
+    let mut scratch = GraphStore::new();
+    let foreign_id = scratch.insert(foreign);
+    assert_eq!(
+        engine.range_by_id(&store, foreign_id, 5.0).unwrap_err(),
+        GedError::UnknownGraphId(foreign_id)
+    );
+    assert_eq!(
+        engine
+            .range_sharded_by_id(&sharded, foreign_id, 5.0)
+            .unwrap_err(),
+        GedError::UnknownGraphId(foreign_id)
+    );
 }
