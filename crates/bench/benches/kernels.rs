@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the numerical kernels every method is built on:
 //! Sinkhorn iterations, linear assignment, and the fast `L ⊗ π` tensor
-//! product (the `O(n³)` decomposition of Appendix E.2).
+//! product (the decomposition of Appendix E.2, over adjacency nonzeros).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ged_linalg::{lsap_min, lsap_min_munkres, Matrix};

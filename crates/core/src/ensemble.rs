@@ -9,6 +9,7 @@ use crate::gedgw::{Gedgw, GedgwOptions};
 use crate::gediot::Gediot;
 use crate::kbest::{kbest_edit_path, KBestResult};
 use crate::pairs::ordered;
+use crate::workspace::GedWorkspace;
 use ged_graph::Graph;
 
 /// Which member supplied the winning estimate (Figure 13's adoption-rate
@@ -32,6 +33,23 @@ pub struct GedhotPrediction {
     pub gedgw_ged: f64,
     /// Which member the ensembled value came from.
     pub value_source: Source,
+}
+
+impl GedhotPrediction {
+    /// The ensembled prediction from the two members' estimates.
+    fn of_members(gediot_ged: f64, gedgw_ged: f64) -> Self {
+        let (ged, value_source) = if gediot_ged <= gedgw_ged {
+            (gediot_ged, Source::Gediot)
+        } else {
+            (gedgw_ged, Source::Gedgw)
+        };
+        GedhotPrediction {
+            ged,
+            gediot_ged,
+            gedgw_ged,
+            value_source,
+        }
+    }
 }
 
 /// The GEDHOT ensemble, borrowing a trained GEDIOT model.
@@ -60,19 +78,19 @@ impl<'m> Gedhot<'m> {
     /// Predicts the GED of a pair (order-insensitive).
     #[must_use]
     pub fn predict(&self, g1: &Graph, g2: &Graph) -> GedhotPrediction {
+        self.predict_in(g1, g2, &mut GedWorkspace::new())
+    }
+
+    /// [`Self::predict`] with the GEDGW member's buffers drawn from `ws`.
+    /// Bit-identical to [`Self::predict`] for any (possibly dirty)
+    /// workspace.
+    #[must_use]
+    pub fn predict_in(&self, g1: &Graph, g2: &Graph, ws: &mut GedWorkspace) -> GedhotPrediction {
         let iot = self.model.predict(g1, g2);
-        let gw = Gedgw::new(g1, g2).with_options(self.gw_options).solve();
-        let (ged, value_source) = if iot.ged <= gw.ged {
-            (iot.ged, Source::Gediot)
-        } else {
-            (gw.ged, Source::Gedgw)
-        };
-        GedhotPrediction {
-            ged,
-            gediot_ged: iot.ged,
-            gedgw_ged: gw.ged,
-            value_source,
-        }
+        let gw = Gedgw::new(g1, g2)
+            .with_options(self.gw_options)
+            .solve_in(ws);
+        GedhotPrediction::of_members(iot.ged, gw.ged)
     }
 
     /// Predicts and generates an edit path: both members' couplings go
@@ -85,10 +103,10 @@ impl<'m> Gedhot<'m> {
         g2: &Graph,
         k: usize,
     ) -> (GedhotPrediction, KBestResult, Source) {
-        let pred = self.predict(g1, g2);
-        let (a, b, _) = ordered(g1, g2);
         let iot = self.model.predict(g1, g2);
         let gw = Gedgw::new(g1, g2).with_options(self.gw_options).solve();
+        let pred = GedhotPrediction::of_members(iot.ged, gw.ged);
+        let (a, b, _) = ordered(g1, g2);
         let path_iot = kbest_edit_path(a, b, &iot.coupling, k);
         let path_gw = kbest_edit_path(a, b, &gw.coupling, k);
         if path_iot.ged <= path_gw.ged {
@@ -160,6 +178,31 @@ mod tests {
         // And the path is feasible.
         let out = path.path.apply(&g1).unwrap();
         assert!(ged_graph::isomorphism::are_isomorphic(&out, &g2));
+    }
+
+    /// Field-by-field `to_bits` equality of two predictions.
+    fn assert_same_bits(got: &GedhotPrediction, want: &GedhotPrediction) {
+        assert_eq!(got.ged.to_bits(), want.ged.to_bits());
+        assert_eq!(got.gediot_ged.to_bits(), want.gediot_ged.to_bits());
+        assert_eq!(got.gedgw_ged.to_bits(), want.gedgw_ged.to_bits());
+        assert_eq!(got.value_source, want.value_source);
+    }
+
+    #[test]
+    fn path_and_workspace_predictions_equal_predict_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(64);
+        let model = quick_model(&mut rng);
+        let ens = Gedhot::new(&model);
+        // One workspace, dirty from the second pair on.
+        let mut ws = GedWorkspace::new();
+        for n in [3, 7, 5, 6] {
+            let g1 = generate::random_connected(n, 1, &[0.5, 0.5], &mut rng);
+            let g2 = generate::random_connected(5, 2, &[0.5, 0.5], &mut rng);
+            let want = ens.predict(&g1, &g2);
+            let (with_path, _, _) = ens.predict_with_path(&g1, &g2, 4);
+            assert_same_bits(&with_path, &want);
+            assert_same_bits(&ens.predict_in(&g1, &g2, &mut ws), &want);
+        }
     }
 
     #[test]

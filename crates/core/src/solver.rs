@@ -122,9 +122,9 @@ pub trait GedSolver: Send + Sync {
 
     /// [`Self::predict`] with caller-provided scratch buffers. The default
     /// ignores the scratch and delegates to [`Self::predict`]; solvers
-    /// with a workspace-backed hot path (GEDGW) override it. Must return
-    /// results bit-identical to [`Self::predict`] — batched drivers pick
-    /// freely between the two.
+    /// with a workspace-backed hot path (GEDGW, GEDHOT) override it. Must
+    /// return results bit-identical to [`Self::predict`] — batched drivers
+    /// pick freely between the two.
     fn predict_scratch(&self, pair: &GedPair, _scratch: &mut SolverScratch) -> GedEstimate {
         self.predict(pair)
     }
@@ -221,6 +221,14 @@ impl GedSolver for GedhotSolver {
     fn predict(&self, pair: &GedPair) -> GedEstimate {
         GedEstimate {
             ged: Gedhot::new(&self.gediot).predict(&pair.g1, &pair.g2).ged,
+        }
+    }
+
+    fn predict_scratch(&self, pair: &GedPair, scratch: &mut SolverScratch) -> GedEstimate {
+        GedEstimate {
+            ged: Gedhot::new(&self.gediot)
+                .predict_in(&pair.g1, &pair.g2, &mut scratch.ged)
+                .ged,
         }
     }
 

@@ -1,9 +1,9 @@
 //! Persistent parameter storage shared across tapes.
 //!
 //! A model owns a [`ParamStore`]; every forward pass binds each parameter
-//! onto the fresh tape (as a gradient-requiring leaf) via
-//! [`ParamStore::bind`], and after `backward` the optimizer reads the
-//! gradients back through the recorded bindings.
+//! onto the fresh tape (as a gradient-requiring leaf borrowing the stored
+//! value) via [`ParamStore::bind`], and after `backward` the optimizer
+//! reads the gradients back through the recorded bindings.
 
 use crate::tape::{Tape, Var};
 use ged_linalg::Matrix;
@@ -73,14 +73,11 @@ impl ParamStore {
         &self.names[id.0]
     }
 
-    /// Binds every parameter onto `tape` as gradient-requiring leaves.
+    /// Binds every parameter onto `tape` as gradient-requiring leaves that
+    /// borrow the stored values (nothing is copied).
     #[must_use]
-    pub fn bind(&self, tape: &Tape) -> Bindings {
-        let vars = self
-            .values
-            .iter()
-            .map(|v| tape.leaf(v.clone(), true))
-            .collect();
+    pub fn bind<'p>(&'p self, tape: &Tape<'p>) -> Bindings {
+        let vars = self.values.iter().map(|v| tape.leaf_ref(v, true)).collect();
         Bindings { vars }
     }
 

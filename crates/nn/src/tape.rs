@@ -4,8 +4,12 @@
 //! operand indices and forward value. [`Tape::backward`] seeds the gradient
 //! of a scalar (`1x1`) output and walks the tape in reverse, accumulating
 //! gradients into every node that requires them.
+//!
+//! A tape may borrow leaf values for its lifetime `'p` ([`Tape::leaf_ref`]),
+//! so binding a model's parameters copies nothing.
 
 use ged_linalg::Matrix;
+use std::borrow::Cow;
 use std::cell::RefCell;
 
 /// Handle to a value on the tape.
@@ -49,20 +53,20 @@ enum Op {
     DivScalarVar(usize, usize),
 }
 
-struct Node {
+struct Node<'p> {
     op: Op,
-    value: Matrix,
+    value: Cow<'p, Matrix>,
     grad: Option<Matrix>,
     requires_grad: bool,
 }
 
 /// A define-by-run computation graph.
 #[derive(Default)]
-pub struct Tape {
-    nodes: RefCell<Vec<Node>>,
+pub struct Tape<'p> {
+    nodes: RefCell<Vec<Node<'p>>>,
 }
 
-impl Tape {
+impl<'p> Tape<'p> {
     /// Creates an empty tape.
     #[must_use]
     pub fn new() -> Self {
@@ -71,7 +75,7 @@ impl Tape {
         }
     }
 
-    fn push(&self, op: Op, value: Matrix, requires_grad: bool) -> Var {
+    fn push(&self, op: Op, value: Cow<'p, Matrix>, requires_grad: bool) -> Var {
         let mut nodes = self.nodes.borrow_mut();
         nodes.push(Node {
             op,
@@ -84,19 +88,25 @@ impl Tape {
 
     fn push_unary(&self, a: Var, op: Op, value: Matrix) -> Var {
         let rg = self.nodes.borrow()[a.0].requires_grad;
-        self.push(op, value, rg)
+        self.push(op, Cow::Owned(value), rg)
     }
 
     fn push_binary(&self, a: Var, b: Var, op: Op, value: Matrix) -> Var {
         let nodes = self.nodes.borrow();
         let rg = nodes[a.0].requires_grad || nodes[b.0].requires_grad;
         drop(nodes);
-        self.push(op, value, rg)
+        self.push(op, Cow::Owned(value), rg)
     }
 
     /// Registers a leaf value. `requires_grad` marks parameters.
     pub fn leaf(&self, value: Matrix, requires_grad: bool) -> Var {
-        self.push(Op::Leaf, value, requires_grad)
+        self.push(Op::Leaf, Cow::Owned(value), requires_grad)
+    }
+
+    /// [`Self::leaf`] borrowing `value` for the tape's lifetime instead of
+    /// owning a copy.
+    pub fn leaf_ref(&self, value: &'p Matrix, requires_grad: bool) -> Var {
+        self.push(Op::Leaf, Cow::Borrowed(value), requires_grad)
     }
 
     /// Registers a constant (no gradient).
@@ -112,7 +122,7 @@ impl Tape {
     /// The current value of `v` (cloned).
     #[must_use]
     pub fn value(&self, v: Var) -> Matrix {
-        self.nodes.borrow()[v.0].value.clone()
+        Matrix::clone(&self.nodes.borrow()[v.0].value)
     }
 
     /// The scalar value of a `1x1` variable.
@@ -396,16 +406,17 @@ impl Tape {
         nodes[loss.0].grad = Some(Matrix::from_vec(1, 1, vec![1.0]));
 
         for idx in (0..nodes.len()).rev() {
+            // Leaves have no operands to propagate into.
+            if !nodes[idx].requires_grad || matches!(nodes[idx].op, Op::Leaf) {
+                continue;
+            }
             let Some(g) = nodes[idx].grad.clone() else {
                 continue;
             };
-            if !nodes[idx].requires_grad {
-                continue;
-            }
             let op = nodes[idx].op.clone();
             let out_val = nodes[idx].value.clone();
             match op {
-                Op::Leaf => {}
+                Op::Leaf => unreachable!("leaves are skipped above"),
                 Op::MatMul(a, b) => {
                     let bv_t = nodes[b].value.transpose();
                     let ga = g.matmul(&bv_t);
@@ -559,7 +570,7 @@ impl Tape {
     }
 }
 
-fn accumulate(nodes: &mut [Node], idx: usize, g: Matrix) {
+fn accumulate(nodes: &mut [Node<'_>], idx: usize, g: Matrix) {
     if !nodes[idx].requires_grad {
         return;
     }

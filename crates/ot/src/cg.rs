@@ -10,6 +10,11 @@
 //! subproblem `min ⟨G, d⟩` over the Birkhoff polytope is solved exactly with
 //! LSAP (see [`crate::exact`]), and the step size comes from exact line
 //! search on the quadratic objective (Appendix B.4 / Eq. 21).
+//!
+//! Each iteration applies the tensor twice: `L ⊗ Δ` for the step size, and
+//! `L ⊗ π` once at the new coupling. That one `L ⊗ π` is shared by the new
+//! objective, the next gradient and the next line search's linear
+//! coefficient. The nonzeros of `C1` and `C2` are collected once per solve.
 
 use crate::gw::{gw_tensor_apply, gw_tensor_apply_into};
 use crate::workspace::OtWorkspace;
@@ -125,9 +130,11 @@ pub fn conditional_gradient_in(
         ..
     } = ws;
 
-    // Objective ⟨π, M⟩ + (q/2)⟨π, L⊗π⟩ with L⊗π landing in `ldelta`.
-    gw_tensor_apply_into(c1, c2, pi, ldelta, gw);
-    let mut obj = pi.dot(linear) + 0.5 * q * pi.dot(ldelta);
+    // Objective ⟨π, M⟩ + (q/2)⟨π, L⊗π⟩. `lpi` holds L⊗π for the current
+    // π from here on.
+    gw.load(c1, c2);
+    gw_tensor_apply_into(pi, lpi, gw);
+    let mut obj = pi.dot(linear) + 0.5 * q * pi.dot(lpi);
     let mut history = vec![obj];
     let mut iters = 0;
 
@@ -135,7 +142,6 @@ pub fn conditional_gradient_in(
         iters += 1;
         // Gradient of the objective. For symmetric squared-loss L the
         // gradient of (q/2)⟨π, L⊗π⟩ is q·(L⊗π).
-        gw_tensor_apply_into(c1, c2, pi, lpi, gw);
         grad.resize_zeroed(n, m);
         for i in 0..n {
             let grow = grad.row_mut(i);
@@ -165,7 +171,7 @@ pub fn conditional_gradient_in(
             *o = d - p;
         }
         let b = delta.dot(linear) + q * delta.dot(lpi);
-        gw_tensor_apply_into(c1, c2, delta, ldelta, gw);
+        gw_tensor_apply_into(delta, ldelta, gw);
         let a_coef = 0.5 * q * delta.dot(ldelta);
         let gamma = optimal_step(a_coef, b);
         if gamma <= 0.0 {
@@ -173,8 +179,8 @@ pub fn conditional_gradient_in(
         }
         pi.add_scaled_assign(delta, gamma);
 
-        gw_tensor_apply_into(c1, c2, pi, ldelta, gw);
-        let new_obj = pi.dot(linear) + 0.5 * q * pi.dot(ldelta);
+        gw_tensor_apply_into(pi, lpi, gw);
+        let new_obj = pi.dot(linear) + 0.5 * q * pi.dot(lpi);
         history.push(new_obj);
         let improved = obj - new_obj;
         obj = new_obj;

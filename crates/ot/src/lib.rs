@@ -8,8 +8,9 @@
 //!   unit marginals the Birkhoff polytope has permutation vertices, so the
 //!   linear program reduces to an assignment problem);
 //! * [`gw`] — the Gromov–Wasserstein machinery: the 4th-order tensor product
-//!   `L(C1,C2) ⊗ π` evaluated in `O(n³)` via the Peyré–Cuturi–Solomon
-//!   decomposition;
+//!   `L(C1,C2) ⊗ π` evaluated via the Peyré–Cuturi–Solomon decomposition,
+//!   over the nonzeros of `C1` and `C2` (`O(n²·d̄)` for graphs of mean
+//!   degree `d̄`);
 //! * [`cg`] — the conditional-gradient (Frank–Wolfe) solver used by GEDGW
 //!   (Algorithm 2), with exact line search for the quadratic objective;
 //! * [`workspace`] — reusable scratch buffers ([`OtWorkspace`]) behind the
