@@ -21,7 +21,7 @@ use ged_core::pairs::GedPair;
 use ged_core::search::similarity_search;
 use ged_core::solver::{BatchRunner, GedgwSolver, SolverRegistry};
 use ged_graph::{generate, Graph, GraphDataset, ShardedStore};
-use ged_linalg::{lsap_min, lsap_min_munkres, Matrix};
+use ged_linalg::{lsap_min, lsap_min_in, lsap_min_munkres, LsapWorkspace, Matrix};
 use ged_ot::gw::gw_tensor_apply;
 use ged_ot::sinkhorn::{sinkhorn, sinkhorn_dummy_row};
 use rand::rngs::SmallRng;
@@ -85,6 +85,11 @@ fn rand_adjacency(n: usize, seed: u64) -> Matrix {
     a
 }
 
+/// A skewed 29-label alphabet, like the AIDS-like dataset's.
+fn aids_label_weights() -> Vec<f64> {
+    (0..29).map(|i| 1.0 / (1.0 + i as f64).powf(1.4)).collect()
+}
+
 fn gedgw_engine(pivots: usize) -> GedEngine {
     let mut registry = SolverRegistry::new();
     registry.register(MethodKind::Gedgw, Box::new(GedgwSolver));
@@ -137,6 +142,29 @@ fn kernels_suite(smoke: bool) -> Vec<Measurement> {
         black_box(lsap_min_munkres(&lsap_cost));
     }));
 
+    // GEDGW's regime for the same solver: its Frank–Wolfe oracle on the
+    // first gradient M + L⊗π of an AIDS-like 7-vs-9-node pair at the
+    // barycenter start (0/1 label costs plus multiples of 1/9, so full of
+    // ties), reusing one workspace like a solve does.
+    let mut rng = SmallRng::seed_from_u64(19);
+    let g1 = generate::random_connected(7, 1, &aids_label_weights(), &mut rng);
+    let g2 = generate::random_connected(9, 2, &aids_label_weights(), &mut rng);
+    let (n1, n) = (g1.num_nodes(), g2.num_nodes());
+    let a1 = Matrix::from_vec(n, n, g1.adjacency_matrix_padded(n));
+    let a2 = Matrix::from_vec(n, n, g2.adjacency_matrix());
+    let barycenter = Matrix::from_fn(n, n, |_, _| 1.0 / n as f64);
+    let mut grad = gw_tensor_apply(&a1, &a2, &barycenter);
+    grad.add_scaled_assign(&Gedgw::new(&g1, &g2).node_cost_matrix(), 1.0);
+    let mut ws = LsapWorkspace::new();
+    out.push(measure(
+        "lsap_cg_gradient",
+        format!("n={n},n1={n1},first_fw_step,workspace"),
+        2_000,
+        || {
+            black_box(lsap_min_in(&grad, &mut ws));
+        },
+    ));
+
     let n = if smoke { 10 } else { 60 };
     let a1 = rand_adjacency(n, 4);
     let a2 = rand_adjacency(n, 5);
@@ -172,7 +200,7 @@ fn kernels_suite(smoke: bool) -> Vec<Measurement> {
     let kbest_k = if smoke { 5 } else { 50 };
     let beam = if smoke { 20 } else { 100 };
     let mut rng = SmallRng::seed_from_u64(11);
-    let weights: Vec<f64> = (0..29).map(|i| 1.0 / (1.0 + i as f64).powf(1.4)).collect();
+    let weights = aids_label_weights();
     let data: Vec<(Graph, Graph)> = (0..path_pairs)
         .map(|_| {
             (

@@ -12,6 +12,21 @@
 //! every row to a distinct column. [`lsap_min_constrained`] additionally
 //! supports forced and forbidden pairs, which is what the k-best matching
 //! framework needs for solution-space splitting.
+//!
+//! [`lsap_min_in`] is the linear minimization oracle of GEDGW's
+//! conditional gradient (one call per Frank–Wolfe step) and the largest
+//! kernel of a GEDGW solve. Its Dijkstra steps keep the free and used
+//! columns as lists, so a step scans only the columns still free; the
+//! arithmetic and the tie-breaking (lowest column index among equal
+//! distances) are those of the textbook sweep over all columns, so
+//! results are bit-identical to it. At the barycenter start of conditional
+//! gradient the gradients are full of ties, and another exact solver could
+//! return another optimal permutation there and change the trajectory.
+//!
+//! Both solvers terminate on every input. NaN and `+∞` entries act as
+//! `+∞`; a row that can reach no free column at finite cost takes the
+//! lowest free column (see each function for the exact rule), which only
+//! happens when no assignment has a finite cost.
 
 use crate::matrix::Matrix;
 use crate::workspace::{reset, LsapWorkspace, MatchingWorkspace};
@@ -41,13 +56,14 @@ impl Assignment {
             .sum()
     }
 
-    /// True if no selected entry is forbidden.
+    /// True if no selected entry is forbidden (`>= FORBIDDEN / 2`, which
+    /// includes `+∞`). A NaN entry is not forbidden.
     #[must_use]
     pub fn is_feasible(&self, cost: &Matrix) -> bool {
         self.row_to_col
             .iter()
             .enumerate()
-            .all(|(r, &c)| cost[(r, c)] < FORBIDDEN / 2.0)
+            .all(|(r, &c)| cost[(r, c)] < FORBIDDEN / 2.0 || cost[(r, c)].is_nan())
     }
 }
 
@@ -67,6 +83,27 @@ pub fn lsap_min(cost: &Matrix) -> Assignment {
 /// [`lsap_min`] with caller-provided scratch buffers. Bit-identical to
 /// the allocating version for any (possibly dirty) workspace.
 ///
+/// Rows are inserted one at a time. Each insertion runs Dijkstra over
+/// the columns on reduced costs `c[i][j] - u[i] - v[j]`: every step scans
+/// the *free* columns (not yet reached from the new row), relaxes their
+/// tentative distances `minv`, and moves the nearest one to the *used*
+/// set. The potentials then shift by that distance: `u`/`v` over the used
+/// columns, `minv` over the free ones (that subtraction is done as the
+/// next step's scan loads each `minv`). The search ends at an unmatched
+/// column and the path is flipped. The two column sets are kept as lists
+/// in [`LsapWorkspace`] (free ones in ascending order, used ones in
+/// marking order), so a step touches only the columns it updates; the
+/// strict `<` over ascending free columns picks the lowest-index nearest
+/// column, and every potential receives the same operations as in the
+/// textbook sweep over all `0..=m` columns.
+///
+/// Non-finite costs: NaN and `+∞` entries are never chosen by the scan,
+/// so they act as `+∞`. When no free column has a finite distance (a row
+/// that cannot reach any free column, as in an all-`+∞` or all-NaN row),
+/// the step takes the lowest free column and leaves the potentials
+/// unchanged, so the solve always terminates. Inputs with a finite
+/// optimum never reach this rule.
+///
 /// # Panics
 /// Panics if `rows > cols` or the matrix is empty with nonzero rows.
 #[must_use]
@@ -81,51 +118,72 @@ pub fn lsap_min_in(cost: &Matrix, ws: &mut LsapWorkspace) -> Assignment {
         };
     }
 
-    // 1-indexed arrays, following the classical potentials formulation.
+    // 1-indexed arrays, following the classical potentials formulation;
+    // column 0 is the virtual root of every search.
     let inf = f64::INFINITY;
     reset(&mut ws.u, n + 1, 0.0);
     reset(&mut ws.v, m + 1, 0.0);
     reset(&mut ws.p, m + 1, 0usize); // p[j] = row matched to column j (0 = none)
     reset(&mut ws.way, m + 1, 0usize);
     reset(&mut ws.minv, m + 1, inf);
-    reset(&mut ws.used, m + 1, false);
-    let (u, v, p, way) = (&mut ws.u, &mut ws.v, &mut ws.p, &mut ws.way);
-    let (minv, used) = (&mut ws.minv, &mut ws.used);
+    let LsapWorkspace {
+        u,
+        v,
+        p,
+        way,
+        minv,
+        free_cols: free,
+        used_cols: used,
+        ..
+    } = ws;
+    // Exact-length views let the optimizer drop most bounds checks.
+    let (v, way, minv) = (&mut v[..=m], &mut way[..=m], &mut minv[..=m]);
 
     for i in 1..=n {
         p[0] = i;
         let mut j0 = 0usize;
-        minv[..=m].fill(inf);
-        used[..=m].fill(false);
+        minv[1..].fill(inf);
+        free.clear();
+        free.extend(1..=m);
+        used.clear();
+        // The previous step's `minv[j] -= delta` over the free columns,
+        // applied when the next scan loads `minv[j]` (the same subtraction
+        // on the same value; after the last step `minv` is dead).
+        let mut shift = 0.0;
         loop {
-            used[j0] = true;
+            used.push(j0);
             let i0 = p[j0];
+            let ui0 = u[i0];
+            let row = &cost.row(i0 - 1)[..m];
             let mut delta = inf;
-            let mut j1 = 0usize;
-            let row = cost.row(i0 - 1);
-            for j in 1..=m {
-                if !used[j] {
-                    let cur = row[j - 1] - u[i0] - v[j];
-                    if cur < minv[j] {
-                        minv[j] = cur;
-                        way[j] = j0;
-                    }
-                    if minv[j] < delta {
-                        delta = minv[j];
-                        j1 = j;
-                    }
+            let mut pos1 = usize::MAX;
+            for (pos, &j) in free.iter().enumerate() {
+                let mut dist = minv[j] - shift;
+                let cur = row[j - 1] - ui0 - v[j];
+                if cur < dist {
+                    dist = cur;
+                    way[j] = j0;
+                }
+                minv[j] = dist;
+                if dist < delta {
+                    delta = dist;
+                    pos1 = pos;
                 }
             }
-            debug_assert!(delta < inf, "no augmenting column found");
-            for j in 0..=m {
-                if used[j] {
+            if pos1 == usize::MAX {
+                // No free column is reachable at finite cost: take the
+                // lowest one and leave the potentials unchanged.
+                pos1 = 0;
+                way[free[0]] = j0;
+                shift = 0.0;
+            } else {
+                for &j in used.iter() {
                     u[p[j]] += delta;
                     v[j] -= delta;
-                } else {
-                    minv[j] -= delta;
                 }
+                shift = delta;
             }
-            j0 = j1;
+            j0 = free.remove(pos1);
             if p[j0] == 0 {
                 break;
             }
@@ -162,6 +220,11 @@ pub fn lsap_min_in(cost: &Matrix, ws: &mut LsapWorkspace) -> Assignment {
 /// Minimum-cost assignment via the classical Munkres star/prime algorithm.
 /// Rectangular inputs (`rows <= cols`) are padded internally with zero-cost
 /// dummy rows.
+///
+/// Non-finite costs: when no uncovered entry is finite, no completion of
+/// the current stars has a finite cost, and each unstarred row takes the
+/// lowest unstarred column, so the solve always terminates. Inputs with a
+/// finite optimum never reach this rule.
 ///
 /// Allocates fresh scratch per call; hot loops should hold a
 /// [`LsapWorkspace`] and call [`lsap_min_munkres_in`] instead.
@@ -240,7 +303,7 @@ pub fn lsap_min_munkres_in(cost: &Matrix, ws: &mut LsapWorkspace) -> Assignment 
         }
     }
 
-    loop {
+    'solve: loop {
         // Step 3: cover columns containing stars.
         for cc in 0..size {
             col_covered[cc] = star_col[cc] != usize::MAX;
@@ -320,7 +383,20 @@ pub fn lsap_min_munkres_in(cost: &Matrix, ws: &mut LsapWorkspace) -> Assignment 
                             }
                         }
                     }
-                    debug_assert!(mn.is_finite());
+                    if mn == f64::INFINITY {
+                        // No uncovered entry is finite, so no assignment
+                        // extending the stars has a finite cost: give each
+                        // unstarred row the lowest unstarred column.
+                        for (r, sc) in starred.iter_mut().enumerate() {
+                            if *sc == usize::MAX {
+                                let cc = star_col.iter().position(|&sr| sr == usize::MAX);
+                                let cc = cc.expect("as many columns as rows");
+                                *sc = cc;
+                                star_col[cc] = r;
+                            }
+                        }
+                        break 'solve;
+                    }
                     for r in 0..size {
                         for cc in 0..size {
                             if row_covered[r] {
@@ -480,6 +556,139 @@ mod tests {
         let mut best = f64::INFINITY;
         rec(cost, 0, &mut vec![false; cost.cols()], 0.0, &mut best);
         best
+    }
+
+    /// The textbook body of [`lsap_min_in`]: every Dijkstra step sweeps
+    /// all columns with a `used` flag. Returns the assignment and the final
+    /// potentials `(u, v)`. It loops forever on a row with no finite
+    /// reduced cost, so it is fed only inputs that have a finite optimum.
+    fn lsap_min_sweep(cost: &Matrix) -> (Assignment, Vec<f64>, Vec<f64>) {
+        let n = cost.rows();
+        let m = cost.cols();
+        let inf = f64::INFINITY;
+        let mut u = vec![0.0; n + 1];
+        let mut v = vec![0.0; m + 1];
+        let mut p = vec![0usize; m + 1];
+        let mut way = vec![0usize; m + 1];
+        let mut minv = vec![inf; m + 1];
+        let mut used = vec![false; m + 1];
+        for i in 1..=n {
+            p[0] = i;
+            let mut j0 = 0usize;
+            minv.fill(inf);
+            used.fill(false);
+            loop {
+                used[j0] = true;
+                let i0 = p[j0];
+                let mut delta = inf;
+                let mut j1 = 0usize;
+                let row = cost.row(i0 - 1);
+                for j in 1..=m {
+                    if !used[j] {
+                        let cur = row[j - 1] - u[i0] - v[j];
+                        if cur < minv[j] {
+                            minv[j] = cur;
+                            way[j] = j0;
+                        }
+                        if minv[j] < delta {
+                            delta = minv[j];
+                            j1 = j;
+                        }
+                    }
+                }
+                for j in 0..=m {
+                    if used[j] {
+                        u[p[j]] += delta;
+                        v[j] -= delta;
+                    } else {
+                        minv[j] -= delta;
+                    }
+                }
+                j0 = j1;
+                if p[j0] == 0 {
+                    break;
+                }
+            }
+            loop {
+                let j1 = way[j0];
+                p[j0] = p[j1];
+                j0 = j1;
+                if j0 == 0 {
+                    break;
+                }
+            }
+        }
+        let mut row_to_col = vec![usize::MAX; n];
+        for j in 1..=m {
+            if p[j] > 0 {
+                row_to_col[p[j] - 1] = j - 1;
+            }
+        }
+        let total = row_to_col
+            .iter()
+            .enumerate()
+            .map(|(r, &c)| cost[(r, c)])
+            .sum();
+        let a = Assignment {
+            row_to_col,
+            cost: total,
+        };
+        (a, u, v)
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn free_list_solver_is_bit_identical_to_the_sweep() {
+        let mut rng = SmallRng::seed_from_u64(19);
+        // One workspace for every case, dirtied by the previous shape.
+        let mut ws = LsapWorkspace::new();
+        for trial in 0..3_000 {
+            let n = rng.gen_range(1..=12);
+            let m = if rng.gen_bool(0.5) {
+                n
+            } else {
+                rng.gen_range(n..=n + 5)
+            };
+            let c = match trial % 6 {
+                // Continuous random costs, either sign.
+                0 => Matrix::from_fn(n, m, |_, _| rng.gen_range(-3.0..3.0)),
+                // 0/1 costs, like GEDGW's label-mismatch matrix.
+                1 => Matrix::from_fn(n, m, |_, _| f64::from(u8::from(rng.gen_bool(0.5)))),
+                // All ties.
+                2 => Matrix::from_fn(n, m, |_, _| 0.25),
+                // Few distinct values, with FORBIDDEN entries.
+                3 => {
+                    let mut c = Matrix::from_fn(n, m, |_, _| f64::from(rng.gen_range(0..4u8)));
+                    for r in 0..n {
+                        if rng.gen_bool(0.4) {
+                            c[(r, rng.gen_range(0..m))] = FORBIDDEN;
+                        }
+                    }
+                    c
+                }
+                // Signed zeros and small ties.
+                4 => Matrix::from_fn(n, m, |_, _| match rng.gen_range(0..4) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => 0.5,
+                    _ => -0.5,
+                }),
+                // CG-like: a 0/1 matrix plus a multiple of 1/m.
+                _ => Matrix::from_fn(n, m, |_, _| {
+                    f64::from(u8::from(rng.gen_bool(0.6)))
+                        + f64::from(rng.gen_range(0..4u8)) / m as f64
+                }),
+            };
+            let (want, u, v) = lsap_min_sweep(&c);
+            let got = lsap_min_in(&c, &mut ws);
+            assert_eq!(got.row_to_col, want.row_to_col, "trial {trial}: {c:?}");
+            assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "trial {trial}");
+            assert_eq!(bits(&ws.u[..=n]), bits(&u), "trial {trial}: u");
+            assert_eq!(bits(&ws.v[..=m]), bits(&v), "trial {trial}: v");
+        }
     }
 
     fn assert_valid(a: &Assignment, n: usize, m: usize) {

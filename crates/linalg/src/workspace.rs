@@ -28,7 +28,13 @@ pub struct LsapWorkspace {
     pub(crate) p: Vec<usize>,
     pub(crate) way: Vec<usize>,
     pub(crate) minv: Vec<f64>,
-    pub(crate) used: Vec<bool>,
+    // The current row's Dijkstra sets: columns not yet reached, in
+    // ascending order (the scan visits only these, and shifts their
+    // `minv`), and columns reached, in the order they were marked (the
+    // `u`/`v` update runs over these). Column 0, the root of every
+    // search, is the first used column.
+    pub(crate) free_cols: Vec<usize>,
+    pub(crate) used_cols: Vec<usize>,
     // Munkres: padded square cost, stars/primes, covers, alternating path.
     pub(crate) square: Matrix,
     pub(crate) starred: Vec<usize>,
