@@ -26,7 +26,9 @@
 //! Both solvers terminate on every input. NaN and `+∞` entries act as
 //! `+∞`; a row that can reach no free column at finite cost takes the
 //! lowest free column (see each function for the exact rule), which only
-//! happens when no assignment has a finite cost.
+//! happens when no assignment has a finite cost. The constrained solve
+//! instead prices NaN entries finitely, below its forbidden entries, so a
+//! NaN is never mistaken for a forbidden pair.
 
 use crate::matrix::Matrix;
 use crate::workspace::{reset, LsapWorkspace, MatchingWorkspace};
@@ -56,14 +58,13 @@ impl Assignment {
             .sum()
     }
 
-    /// True if no selected entry is forbidden (`>= FORBIDDEN / 2`, which
-    /// includes `+∞`). A NaN entry is not forbidden.
+    /// True if no selected entry is forbidden.
     #[must_use]
     pub fn is_feasible(&self, cost: &Matrix) -> bool {
         self.row_to_col
             .iter()
             .enumerate()
-            .all(|(r, &c)| cost[(r, c)] < FORBIDDEN / 2.0 || cost[(r, c)].is_nan())
+            .all(|(r, &c)| cost[(r, c)] < FORBIDDEN / 2.0)
     }
 }
 
@@ -430,6 +431,12 @@ pub fn lsap_min_munkres_in(cost: &Matrix, ws: &mut LsapWorkspace) -> Assignment 
 /// `None` if the constraints are contradictory or no feasible assignment
 /// exists (i.e. the optimum would need a forbidden entry).
 ///
+/// NaN entries are allowed, not forbidden: the solve prices each at
+/// `FORBIDDEN / (2 (r + 1))` for `r` unforced rows, above any realistic
+/// cost and, all of them together, below one forbidden entry. So on an
+/// all-NaN matrix the result is `None` only when the constraints leave no
+/// assignment at all; otherwise its cost (taken from `cost`) is NaN.
+///
 /// Allocates fresh scratch per call; hot loops (the k-best matching
 /// framework issues `O(k · n)` of these) should hold a
 /// [`MatchingWorkspace`] and call [`lsap_min_constrained_in`] instead.
@@ -489,11 +496,17 @@ pub fn lsap_min_constrained_in(
         return None;
     }
 
+    // A NaN entry gets a finite price below `FORBIDDEN / 2`, so the search
+    // prefers it to a forbidden entry and `is_feasible` accepts it (the
+    // search itself would rank NaN above every finite cost, `FORBIDDEN`
+    // included).
+    let nan_cost = FORBIDDEN / (2.0 * (free_rows.len() + 1) as f64);
     red.resize_zeroed(free_rows.len(), free_cols.len());
     for (i, &fr) in free_rows.iter().enumerate() {
         let row = red.row_mut(i);
         for (j, &fc) in free_cols.iter().enumerate() {
-            row[j] = cost[(fr, fc)];
+            let x = cost[(fr, fc)];
+            row[j] = if x.is_nan() { nan_cost } else { x };
         }
     }
     for &(r, c) in forbidden {

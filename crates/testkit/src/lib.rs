@@ -59,6 +59,39 @@ pub const PROPERTY_SEED: u64 = 20_270_101;
 /// [`ged_core::engine::GedEngine::pivot_bounds`].
 pub type PivotBounds = BTreeMap<GraphId, (usize, usize)>;
 
+/// 64-bit FNV-1a, the hash the golden-digest tests (`tests/gedgw_golden.rs`,
+/// `tests/kbest_golden.rs`) fold result bits with: a fixed function,
+/// unlike `DefaultHasher`, whose output may change between Rust releases.
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// The empty digest (the FNV offset basis).
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Folds the eight little-endian bytes of `x`.
+    pub fn write_u64(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of everything written so far.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A deterministically seeded RNG — the single fixture every builder
 /// below derives from.
 #[must_use]

@@ -13,6 +13,7 @@
 //! nodes in both orders (so padded `n1 < n2` solves and swapped pairs
 //! both occur), graphs with an isolated node, and the empty graph.
 
+use ged_testkit::Fnv1a;
 use ot_ged::graph::generate;
 use ot_ged::prelude::*;
 use rand::rngs::SmallRng;
@@ -20,22 +21,6 @@ use rand::{Rng, SeedableRng};
 
 /// The digest of [`pool`] under [`digest`].
 const GOLDEN: u64 = 0xe105_286c_356c_d56c;
-
-/// 64-bit FNV-1a.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 /// `g` plus one extra node with no edges.
 fn with_isolated_node(mut g: Graph, label: u32) -> Graph {
@@ -105,7 +90,7 @@ fn digest(pairs: &[(Graph, Graph)]) -> u64 {
         }
         h.write_u64(res.iterations as u64);
     }
-    h.0
+    h.finish()
 }
 
 #[test]

@@ -7,13 +7,14 @@
 //! subspaces get split. So an LSAP change that keeps optimal costs but
 //! breaks ties differently moves this digest even when every GED stays
 //! the same. The constant was recorded before the LSAP kernel was last
-//! optimized; like `gedgw_golden.rs`, it folds values with FNV-1a (a
-//! fixed function, unlike `DefaultHasher`).
+//! optimized; like `gedgw_golden.rs`, it folds values with
+//! `ged_testkit::Fnv1a`.
 //!
 //! The couplings are those GEDGW computes for AIDS-like pairs, the
 //! uniform coupling (every entry tied) and coarsely quantized random
 //! couplings (many ties) over `random_connected` pairs of 1–10 nodes.
 
+use ged_testkit::Fnv1a;
 use ot_ged::graph::generate;
 use ot_ged::linalg::Matrix;
 use ot_ged::prelude::*;
@@ -25,22 +26,6 @@ const GOLDEN: u64 = 0xe51d_42db_f82e_c8bf;
 
 /// The `k` values every pair is run at.
 const KS: [usize; 3] = [1, 4, 16];
-
-/// 64-bit FNV-1a.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 /// `(g1, g2)` with the smaller graph first, as `kbest_edit_path` requires.
 fn ordered(g1: Graph, g2: Graph) -> (Graph, Graph) {
@@ -101,7 +86,7 @@ fn digest(cases: &[(Graph, Graph, Matrix)]) -> u64 {
             }
         }
     }
-    h.0
+    h.finish()
 }
 
 #[test]

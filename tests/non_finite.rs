@@ -84,6 +84,29 @@ fn constrained_solve_treats_nan_as_not_forbidden() {
     assert_valid(&forced, 5, 6);
     assert_eq!(forced.row_to_col[0], 1);
     assert_ne!(forced.row_to_col[2], 3);
+
+    // A NaN entry is preferred to a forbidden one: every feasible
+    // assignment below uses NaN entries, while the search alone ranks NaN
+    // above the finite forbidden price.
+    let (nan, fin) = (f64::NAN, 1.0);
+    let cases = vec![
+        (
+            Matrix::from_vec(2, 2, vec![nan, fin, nan, nan]),
+            vec![(0, 1)],
+            vec![0, 1],
+        ),
+        (Matrix::from_fn(2, 2, |_, _| nan), vec![(0, 0)], vec![1, 0]),
+        (
+            Matrix::from_fn(3, 3, |_, _| nan),
+            vec![(0, 0), (1, 1), (2, 2)],
+            vec![1, 2, 0],
+        ),
+    ];
+    for (c, forbidden, want) in cases {
+        let got = returns_in_time(move || lsap_min_constrained(&c, &[], &forbidden));
+        let got = got.expect("a NaN-only assignment avoids every forbidden pair");
+        assert_eq!(got.row_to_col, want);
+    }
 }
 
 #[test]
