@@ -126,7 +126,8 @@ pub fn kbest_edit_path_in(
 
     for _ in 2..=k {
         // Pick the subspace with the heaviest second-best matching among
-        // promising ones (LB < incumbent).
+        // promising ones (LB < incumbent). The first eligible one is taken
+        // outright, so a NaN weight cannot leave every subspace unchosen.
         let mut chosen: Option<usize> = None;
         let mut max_weight = f64::NEG_INFINITY;
         for (idx, s) in subspaces.iter().enumerate() {
@@ -134,7 +135,7 @@ pub fn kbest_edit_path_in(
                 continue;
             }
             if let Some(ref second) = s.second {
-                if second.cost > max_weight {
+                if chosen.is_none() || second.cost > max_weight {
                     max_weight = second.cost;
                     chosen = Some(idx);
                 }

@@ -56,12 +56,15 @@
 
 use crate::csr::CsrView;
 use crate::graph::{Graph, Label};
-use crate::io::{ParseError, ParseErrorKind, Parser};
+use crate::io::{ParseError, ParseErrorKind, Reader};
 use crate::pivot::{PivotDistance, PivotIndex};
 use crate::store::{GraphId, GraphSignature, GraphStore};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
+
+/// A pivot-table row as read: its position, graph id and distances.
+type PivotRow = (usize, GraphId, Vec<PivotDistance>);
 
 /// One partition of a [`ShardedStore`]: a full [`GraphStore`] plus the
 /// aggregate bounds the shard planner tier prunes with. Shards are
@@ -633,193 +636,185 @@ impl ShardedStore {
     /// inconsistent (duplicate ids, graphs in the wrong bucket, pivot
     /// tables not matching the member set).
     pub fn from_json(s: &str) -> Result<Self, ParseError> {
-        let mut p = Parser::new(s);
-        let store = Self::parse(&mut p)?;
-        p.end()?;
+        let mut r = Reader::new(s);
+        let store = Self::read(&mut r)?;
+        r.end()?;
         Ok(store)
     }
 
-    /// Parses a snapshot from the *front* of `s`, returning the store and
-    /// the number of bytes consumed — the hook outer grammars (the
-    /// `ged-server` daemon snapshot) use to embed store snapshots.
+    /// Reads a `snapshot` object (see [`crate::io`]): what grammars
+    /// embedding a store snapshot, such as `ged-server`'s, call. Checks
+    /// across members run after the `}`, as they may come in any order.
     ///
     /// # Errors
-    /// Returns a [`ParseError`] (positions relative to `s`) if the prefix
-    /// is not a valid snapshot.
-    pub fn from_json_prefix(s: &str) -> Result<(Self, usize), ParseError> {
-        let mut p = Parser::new(s);
-        let store = Self::parse(&mut p)?;
-        Ok((store, p.pos))
-    }
-
-    fn parse(p: &mut Parser<'_>) -> Result<Self, ParseError> {
-        p.expect("{")?;
-        p.expect("\"schema\"")?;
-        p.expect(":")?;
-        let at = p.pos;
-        if p.u64()? != 1 {
-            return Err(p.err(at, ParseErrorKind::Invalid("snapshot schema")));
-        }
-        p.expect(",")?;
-        p.expect("\"bucket_width\"")?;
-        p.expect(":")?;
-        let at = p.pos;
-        let bucket_width = usize::try_from(p.u64()?)
-            .ok()
-            .filter(|&w| w >= 1)
-            .ok_or_else(|| p.err(at, ParseErrorKind::Invalid("bucket width")))?;
-        p.expect(",")?;
-        p.expect("\"revision\"")?;
-        p.expect(":")?;
-        let revision = p.u64()?;
-        p.expect(",")?;
-        p.expect("\"shards\"")?;
-        p.expect(":")?;
-        let mut out = ShardedStore::new(bucket_width);
-        out.revision = revision;
-        p.list(|p| Self::parse_shard(p, &mut out))?;
-        p.expect("}")?;
-        Ok(out)
-    }
-
-    fn parse_shard(p: &mut Parser<'_>, out: &mut ShardedStore) -> Result<(), ParseError> {
-        let shard_at = {
-            p.skip_ws();
-            p.pos
-        };
-        p.expect("{")?;
-        p.expect("\"bucket\"")?;
-        p.expect(":")?;
-        let at = p.pos;
-        let bucket = usize::try_from(p.u64()?)
-            .map_err(|_| p.err(at, ParseErrorKind::Invalid("bucket index")))?;
-        if out.shards.contains_key(&bucket) {
-            return Err(p.err(shard_at, ParseErrorKind::Invalid("duplicate bucket")));
-        }
-        p.expect(",")?;
-        p.expect("\"revision\"")?;
-        p.expect(":")?;
-        let revision = p.u64()?;
-        p.expect(",")?;
-        p.expect("\"entries\"")?;
-        p.expect(":")?;
-        let mut shard = Shard::new(bucket);
-        p.list(|p| {
-            let at = {
-                p.skip_ws();
-                p.pos
-            };
-            p.expect("{")?;
-            p.expect("\"seq\"")?;
-            p.expect(":")?;
-            let seq = p.u64()?;
-            p.expect(",")?;
-            p.expect("\"graph\"")?;
-            p.expect(":")?;
-            let graph = p.graph()?;
-            p.expect("}")?;
-            if out.bucket_of(graph.num_nodes()) != bucket {
-                return Err(p.err(at, ParseErrorKind::Invalid("graph outside its bucket")));
-            }
-            let id = shard
-                .store
-                .insert_with_seq(seq, graph)
-                .ok_or_else(|| p.err(at, ParseErrorKind::Invalid("duplicate sequence number")))?;
-            if out.directory.insert(id, bucket).is_some() {
-                return Err(p.err(at, ParseErrorKind::Invalid("duplicate sequence number")));
+    /// As [`ShardedStore::from_json`].
+    pub fn read(r: &mut Reader<'_>) -> Result<Self, ParseError> {
+        let (mut schema, mut width, mut revision, mut shards) = (None, None, None, None);
+        let keys = ["schema", "bucket_width", "revision", "shards"];
+        let m = r.object(&keys, |r, key| {
+            let at = r.next_at();
+            let invalid = |r: &Reader<'_>, what| r.err(at, ParseErrorKind::Invalid(what));
+            match key {
+                "schema" => {
+                    if r.u64()? != 1 {
+                        return Err(invalid(r, "snapshot schema"));
+                    }
+                    schema = Some(());
+                }
+                "bucket_width" => {
+                    let w = usize::try_from(r.u64()?).ok().filter(|&w| w >= 1);
+                    width = Some(w.ok_or_else(|| invalid(r, "bucket width"))?);
+                }
+                "revision" => revision = Some(r.u64()?),
+                _ => shards = Some(r.list(Self::read_shard)?),
             }
             Ok(())
         })?;
-        shard.store.set_revision(revision);
-        p.expect(",")?;
-        p.expect("\"pivots\"")?;
-        p.expect(":")?;
-        if p.peek_is(b'n') {
-            p.expect("null")?;
-        } else {
-            let at = {
-                p.skip_ws();
-                p.pos
-            };
-            p.expect("{")?;
-            p.expect("\"target\"")?;
-            p.expect(":")?;
-            let target_at = p.pos;
-            let target = usize::try_from(p.u64()?)
-                .map_err(|_| p.err(target_at, ParseErrorKind::Invalid("pivot target")))?;
-            p.expect(",")?;
-            p.expect("\"revision\"")?;
-            p.expect(":")?;
-            let pivot_revision = p.u64()?;
-            p.expect(",")?;
-            p.expect("\"ids\"")?;
-            p.expect(":")?;
-            let pivot_ids: Vec<GraphId> = p.list(|p| p.u64().map(GraphId::from_seq))?;
-            p.expect(",")?;
-            p.expect("\"rows\"")?;
-            p.expect(":")?;
-            let mut rows: BTreeMap<GraphId, Vec<PivotDistance>> = BTreeMap::new();
-            p.list(|p| {
-                let row_at = {
-                    p.skip_ws();
-                    p.pos
-                };
-                p.expect("{")?;
-                p.expect("\"seq\"")?;
-                p.expect(":")?;
-                let id = GraphId::from_seq(p.u64()?);
-                p.expect(",")?;
-                p.expect("\"dists\"")?;
-                p.expect(":")?;
-                let dists = p.list(|p| {
-                    let d_at = {
-                        p.skip_ws();
-                        p.pos
-                    };
-                    p.expect("[")?;
-                    let lb = usize::try_from(p.u64()?)
-                        .map_err(|_| p.err(d_at, ParseErrorKind::Invalid("pivot distance")))?;
-                    p.expect(",")?;
-                    let ub = usize::try_from(p.u64()?)
-                        .map_err(|_| p.err(d_at, ParseErrorKind::Invalid("pivot distance")))?;
-                    p.expect("]")?;
-                    if lb > ub {
-                        return Err(p.err(d_at, ParseErrorKind::Invalid("pivot interval")));
-                    }
-                    Ok(PivotDistance::interval(lb, ub))
-                })?;
-                p.expect("}")?;
-                if dists.len() != pivot_ids.len() {
-                    return Err(p.err(row_at, ParseErrorKind::Invalid("pivot row width")));
-                }
-                if !shard.store.contains(id) || rows.insert(id, dists).is_some() {
-                    return Err(p.err(row_at, ParseErrorKind::Invalid("pivot row id")));
-                }
-                Ok(())
-            })?;
-            p.expect("}")?;
-            if rows.len() != shard.store.len() || pivot_ids.iter().any(|p| !rows.contains_key(p)) {
-                return Err(p.err(at, ParseErrorKind::Invalid("pivot table")));
+        m.need(r, schema, "\"schema\"")?;
+        let mut out = ShardedStore::new(m.need(r, width, "\"bucket_width\"")?);
+        out.revision = m.need(r, revision, "\"revision\"")?;
+        for (shard_at, shard, entries) in m.need(r, shards, "\"shards\"")? {
+            let bucket = shard.bucket;
+            if out.shards.contains_key(&bucket) {
+                return Err(r.err(shard_at, ParseErrorKind::Invalid("duplicate bucket")));
             }
-            shard.pivots = Some(PivotIndex::from_parts(
-                target,
-                pivot_revision,
-                pivot_ids,
-                rows,
-            ));
+            for (at, id) in entries {
+                let graph = shard.store.get(id).expect("the shard holds its entries");
+                let kind = if out.bucket_of(graph.num_nodes()) != bucket {
+                    "graph outside its bucket"
+                } else if out.directory.insert(id, bucket).is_some() {
+                    "duplicate sequence number"
+                } else {
+                    continue;
+                };
+                return Err(r.err(at, ParseErrorKind::Invalid(kind)));
+            }
+            out.shards.insert(bucket, shard);
         }
-        p.expect("}")?;
-        shard.recompute_aggregates();
-        out.shards.insert(bucket, shard);
-        Ok(())
+        Ok(out)
     }
 
-    /// Writes the snapshot to `path`.
+    /// One `shard` object, with its position and each entry's, for the
+    /// store-level checks.
+    #[allow(clippy::type_complexity)]
+    fn read_shard(r: &mut Reader<'_>) -> Result<(usize, Shard, Vec<(usize, GraphId)>), ParseError> {
+        let shard_at = r.next_at();
+        let (mut bucket, mut revision, mut entries, mut pivots) = (None, None, None, None);
+        let m = r.object(&["bucket", "revision", "entries", "pivots"], |r, key| {
+            match key {
+                "bucket" => bucket = Some(r.uint()?),
+                "revision" => revision = Some(r.u64()?),
+                "entries" => {
+                    entries = Some(r.list(|r| {
+                        let at = r.next_at();
+                        let (mut seq, mut graph) = (None, None);
+                        let m = r.object(&["seq", "graph"], |r, key| {
+                            match key {
+                                "seq" => seq = Some(r.u64()?),
+                                _ => graph = Some(r.graph()?),
+                            }
+                            Ok(())
+                        })?;
+                        let seq = m.need(r, seq, "\"seq\"")?;
+                        Ok((at, seq, m.need(r, graph, "\"graph\"")?))
+                    })?);
+                }
+                _ => pivots = Some(r.nullable(Self::read_pivots)?),
+            }
+            Ok(())
+        })?;
+        let mut shard = Shard::new(m.need(r, bucket, "\"bucket\"")?);
+        let revision = m.need(r, revision, "\"revision\"")?;
+        let entries = m.need(r, entries, "\"entries\"")?;
+        let pivots = m.need(r, pivots, "\"pivots\"")?;
+        let mut ids = Vec::with_capacity(entries.len());
+        for (at, seq, graph) in entries {
+            let id = shard.store.insert_with_seq(seq, graph);
+            let duplicate = || r.err(at, ParseErrorKind::Invalid("duplicate sequence number"));
+            ids.push((at, id.ok_or_else(duplicate)?));
+        }
+        shard.store.set_revision(revision);
+        if let Some((at, target, pivot_revision, pivot_ids, row_list)) = pivots {
+            let mut rows: BTreeMap<GraphId, Vec<PivotDistance>> = BTreeMap::new();
+            for (row_at, id, dists) in row_list {
+                if dists.len() != pivot_ids.len() {
+                    return Err(r.err(row_at, ParseErrorKind::Invalid("pivot row width")));
+                }
+                if !shard.store.contains(id) || rows.insert(id, dists).is_some() {
+                    return Err(r.err(row_at, ParseErrorKind::Invalid("pivot row id")));
+                }
+            }
+            if rows.len() != shard.store.len() || pivot_ids.iter().any(|p| !rows.contains_key(p)) {
+                return Err(r.err(at, ParseErrorKind::Invalid("pivot table")));
+            }
+            let index = PivotIndex::from_parts(target, pivot_revision, pivot_ids, rows);
+            shard.pivots = Some(index);
+        }
+        shard.recompute_aggregates();
+        Ok((shard_at, shard, ids))
+    }
+
+    /// A non-null `pivots` object: its position, target, revision, pivot
+    /// ids and positioned rows, checked against the entries by the caller.
+    #[allow(clippy::type_complexity)]
+    fn read_pivots(
+        r: &mut Reader<'_>,
+    ) -> Result<(usize, usize, u64, Vec<GraphId>, Vec<PivotRow>), ParseError> {
+        let at = r.next_at();
+        let (mut target, mut revision, mut ids, mut rows) = (None, None, None, None);
+        let m = r.object(&["target", "revision", "ids", "rows"], |r, key| {
+            match key {
+                "target" => target = Some(r.uint()?),
+                "revision" => revision = Some(r.u64()?),
+                "ids" => ids = Some(r.list(|r| r.u64().map(GraphId::from_seq))?),
+                _ => rows = Some(r.list(Self::read_pivot_row)?),
+            }
+            Ok(())
+        })?;
+        let target = m.need(r, target, "\"target\"")?;
+        let revision = m.need(r, revision, "\"revision\"")?;
+        let (ids, rows) = (m.need(r, ids, "\"ids\"")?, m.need(r, rows, "\"rows\"")?);
+        Ok((at, target, revision, ids, rows))
+    }
+
+    /// One `pivrow` object.
+    fn read_pivot_row(r: &mut Reader<'_>) -> Result<PivotRow, ParseError> {
+        let at = r.next_at();
+        let (mut id, mut dists) = (None, None);
+        let m = r.object(&["seq", "dists"], |r, key| {
+            if key == "seq" {
+                id = Some(GraphId::from_seq(r.u64()?));
+                return Ok(());
+            }
+            dists = Some(r.list(|r| {
+                let at = r.next_at();
+                r.expect("[")?;
+                let lb = r.uint()?;
+                r.expect(",")?;
+                let ub = r.uint()?;
+                r.expect("]")?;
+                if lb > ub {
+                    return Err(r.err(at, ParseErrorKind::Invalid("pivot interval")));
+                }
+                Ok(PivotDistance::interval(lb, ub))
+            })?);
+            Ok(())
+        })?;
+        Ok((
+            at,
+            m.need(r, id, "\"seq\"")?,
+            m.need(r, dists, "\"dists\"")?,
+        ))
+    }
+
+    /// Writes the snapshot to `path` atomically: to a sibling temporary
+    /// file, synced, then renamed over `path`, so a crash mid-write
+    /// leaves the previous snapshot intact.
     ///
     /// # Errors
-    /// Propagates I/O errors.
+    /// Propagates I/O errors; `path` is untouched when any step fails.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        fs::write(path, self.to_json())
+        crate::io::write_atomically(path, self.to_json().as_bytes())
     }
 
     /// Reads a snapshot from `path`. The restored store resolves exactly

@@ -2,19 +2,18 @@
 //!
 //! Both directions are covered — requests and responses, encode and
 //! parse — so the same codec serves the daemon and its clients (and lets
-//! property tests round-trip every message variant). The parser is the
-//! same fixed-grammar recursive descent as `ged_graph::io` (which it
-//! delegates inline graph payloads to via
-//! [`ged_graph::io::graph_from_json_prefix`]), and reports the same
-//! structured [`ParseError`]s.
+//! property tests round-trip every message variant). The grammars are
+//! written on [`ged_graph::io::Reader`], the workspace's one JSON reader,
+//! and report its structured [`ParseError`]s.
 
 use crate::protocol::{
     ErrorCode, GraphRef, Request, Response, ResponseBody, StatsBody, WireExactNeighbor,
     WireJoinPair, WireJoinUndecided, WireNeighbor, WireUndecided, PROTOCOL_VERSION,
 };
-use ged_graph::io::{graph_from_json_prefix, graph_to_json, ParseError, ParseErrorKind};
+use ged_graph::io::{graph_to_json, Members, ParseError, ParseErrorKind, Reader};
 use ged_graph::{CanonicalOp, ShardedStore};
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -411,716 +410,501 @@ pub fn encode_response(resp: &Response) -> String {
 // Parsing
 // ---------------------------------------------------------------------------
 
-/// Recursive-descent parser over one wire line (same style as the
-/// `ged_graph::io` parser; wire lines contain no raw newlines, so error
-/// positions are always line 1).
-struct Parser<'a> {
-    input: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
+/// A request line the codec rejected, with the id it had read by then.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RequestError {
+    /// The line's `"id"`, or `""` when the error came before the id was
+    /// read.
+    pub id: String,
+    /// What went wrong, and where.
+    pub error: ParseError,
 }
 
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            input: s,
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
+impl fmt::Display for RequestError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.error.fmt(f)
     }
+}
 
-    fn err(&self, at: usize, kind: ParseErrorKind) -> ParseError {
-        ParseError {
-            at,
-            line: 1,
-            column: at + 1,
-            kind,
-        }
+impl std::error::Error for RequestError {}
+
+/// The members of a request: the envelope, then every op's fields.
+#[rustfmt::skip]
+const REQUEST_KEYS: [&str; 13] = [
+    "v", "id", "op", "g1", "g2", "query", "k", "tau", "deadline_ms", "graph", "name", "graphs",
+    "path",
+];
+
+/// The `"v"` value, which must be [`PROTOCOL_VERSION`].
+fn version(r: &mut Reader<'_>) -> Result<(), ParseError> {
+    let at = r.next_at();
+    if r.u64()? == PROTOCOL_VERSION {
+        Ok(())
+    } else {
+        Err(r.err(at, ParseErrorKind::Invalid("protocol version")))
     }
+}
 
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
+fn string(r: &mut Reader<'_>) -> Result<String, ParseError> {
+    r.string().map(Cow::into_owned)
+}
+
+fn graph_ref(r: &mut Reader<'_>) -> Result<GraphRef, ParseError> {
+    let at = r.next_at();
+    match r.peek() {
+        Some(b'"') => Ok(GraphRef::Name(string(r)?)),
+        Some(b'{') => Ok(GraphRef::Inline(r.graph()?)),
+        _ => Err(r.err(at, ParseErrorKind::Invalid("graph reference"))),
     }
+}
 
-    fn expect(&mut self, token: &'static str) -> Result<(), ParseError> {
-        self.skip_ws();
-        let end = self.pos + token.len();
-        if end <= self.bytes.len() && &self.bytes[self.pos..end] == token.as_bytes() {
-            self.pos = end;
-            Ok(())
-        } else {
-            Err(self.err(self.pos, ParseErrorKind::Expected(token)))
+/// Reads a request; `id` holds the id once read, also when a later part
+/// of the line fails.
+fn request(r: &mut Reader<'_>, id: &mut Option<String>) -> Result<Request, ParseError> {
+    let (mut v, mut op, mut graph, mut name, mut g1, mut g2) = (None, None, None, None, None, None);
+    let (mut k, mut query, mut tau, mut graphs, mut path, mut deadline_ms) =
+        (None, None, None, None, None, None);
+    let m = r.object(&REQUEST_KEYS, |r, key| {
+        match key {
+            "v" => v = Some(version(r)?),
+            "id" => *id = Some(string(r)?),
+            "op" => op = Some((r.next_at(), r.string()?)),
+            "g1" => g1 = Some(graph_ref(r)?),
+            "g2" => g2 = Some(graph_ref(r)?),
+            "query" => query = Some(graph_ref(r)?),
+            "k" => k = Some(r.u64()?),
+            "tau" => tau = Some(r.f64()?),
+            "deadline_ms" => deadline_ms = Some(r.u64()?),
+            "graph" => graph = Some(r.graph()?),
+            "name" => name = Some(string(r)?),
+            "graphs" => graphs = Some(r.list(Reader::graph)?),
+            _ => path = Some(string(r)?),
         }
-    }
-
-    /// Consumes `token` if it is next; leaves the position alone if not.
-    fn try_token(&mut self, token: &str) -> bool {
-        self.skip_ws();
-        let end = self.pos + token.len();
-        if end <= self.bytes.len() && &self.bytes[self.pos..end] == token.as_bytes() {
-            self.pos = end;
-            true
-        } else {
-            false
+        Ok(())
+    })?;
+    r.end()?;
+    m.need(r, v, "\"v\"")?;
+    m.need(r, id.as_ref(), "\"id\"")?;
+    let (op_at, op) = m.need(r, op, "\"op\"")?;
+    // The op's own fields, past the envelope.
+    let only = |fields: &[&str]| m.only(r, &REQUEST_KEYS, 3, fields);
+    // Each arm checks its members before it takes the id, so an error
+    // leaves the id in place for the caller.
+    let mut id = || id.take().unwrap_or_default();
+    let req = match &*op {
+        "ping" => only(&[]).map(|()| Request::Ping { id: id() })?,
+        "stats" => only(&[]).map(|()| Request::Stats { id: id() })?,
+        "shutdown" => only(&[]).map(|()| Request::Shutdown { id: id() })?,
+        "insert_graph" => {
+            only(&["graph"])?;
+            let graph = m.need(r, graph, "\"graph\"")?;
+            Request::InsertGraph { id: id(), graph }
         }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn u64(&mut self) -> Result<u64, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_digit() {
-            self.pos += 1;
+        "remove_graph" => {
+            only(&["name"])?;
+            let name = m.need(r, name, "\"name\"")?;
+            Request::RemoveGraph { id: id(), name }
         }
-        if start == self.pos {
-            return Err(self.err(start, ParseErrorKind::ExpectedNumber));
-        }
-        self.input[start..self.pos]
-            .parse::<u64>()
-            .map_err(|_| self.err(start, ParseErrorKind::NumberOverflow))
-    }
-
-    fn u32(&mut self) -> Result<u32, ParseError> {
-        let start = {
-            self.skip_ws();
-            self.pos
-        };
-        let v = self.u64()?;
-        u32::try_from(v).map_err(|_| self.err(start, ParseErrorKind::NumberOverflow))
-    }
-
-    fn f64(&mut self) -> Result<f64, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(
-                self.bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(self.err(start, ParseErrorKind::ExpectedNumber));
-        }
-        self.input[start..self.pos]
-            .parse::<f64>()
-            .map_err(|_| self.err(start, ParseErrorKind::ExpectedNumber))
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect("\"")?;
-        let mut out = String::new();
-        loop {
-            let at = self.pos;
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(self.err(at, ParseErrorKind::Expected("\"")));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.bytes.get(self.pos) else {
-                        return Err(self.err(self.pos, ParseErrorKind::Invalid("string escape")));
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let end = self.pos + 4;
-                            let code = self
-                                .input
-                                .get(self.pos..end)
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| {
-                                    self.err(at, ParseErrorKind::Invalid("unicode escape"))
-                                })?;
-                            self.pos = end;
-                            out.push(code);
-                        }
-                        _ => return Err(self.err(at, ParseErrorKind::Invalid("string escape"))),
-                    }
-                }
-                _ => {
-                    // Copy the full UTF-8 scalar starting at `at`.
-                    let ch_end = (at + 1..=self.bytes.len())
-                        .find(|&e| self.input.is_char_boundary(e))
-                        .expect("input is valid UTF-8");
-                    out.push_str(&self.input[at..ch_end]);
-                    self.pos = ch_end;
-                }
+        "predict" => {
+            only(&["g1", "g2", "deadline_ms"])?;
+            let (g1, g2) = (m.need(r, g1, "\"g1\"")?, m.need(r, g2, "\"g2\"")?);
+            Request::Predict {
+                id: id(),
+                g1,
+                g2,
+                deadline_ms,
             }
         }
-    }
-
-    /// An inline graph object, delegated to the `ged_graph::io` grammar.
-    fn graph(&mut self) -> Result<ged_graph::Graph, ParseError> {
-        self.skip_ws();
-        let base = self.pos;
-        let (g, used) = graph_from_json_prefix(&self.input[base..]).map_err(|e| ParseError {
-            at: base + e.at,
-            line: 1,
-            column: base + e.at + 1,
-            kind: e.kind,
-        })?;
-        self.pos = base + used;
-        Ok(g)
-    }
-
-    fn graph_ref(&mut self) -> Result<GraphRef, ParseError> {
-        match self.peek() {
-            Some(b'"') => Ok(GraphRef::Name(self.string()?)),
-            Some(b'{') => Ok(GraphRef::Inline(self.graph()?)),
-            _ => Err(self.err(self.pos, ParseErrorKind::Invalid("graph reference"))),
-        }
-    }
-
-    /// `,"name":<u64>` if present.
-    fn opt_u64_field(&mut self, comma_name_colon: &str) -> Result<Option<u64>, ParseError> {
-        if self.try_token(comma_name_colon) {
-            Ok(Some(self.u64()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn end(&mut self) -> Result<(), ParseError> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(self.err(self.pos, ParseErrorKind::TrailingInput))
-        }
-    }
-
-    fn envelope(&mut self) -> Result<String, ParseError> {
-        self.expect("{")?;
-        self.expect("\"v\"")?;
-        self.expect(":")?;
-        let at = {
-            self.skip_ws();
-            self.pos
-        };
-        let v = self.u64()?;
-        if v != PROTOCOL_VERSION {
-            return Err(self.err(at, ParseErrorKind::Invalid("protocol version")));
-        }
-        self.expect(",")?;
-        self.expect("\"id\"")?;
-        self.expect(":")?;
-        self.string()
-    }
-
-    fn request(&mut self) -> Result<Request, ParseError> {
-        let id = self.envelope()?;
-        self.expect(",")?;
-        self.expect("\"op\"")?;
-        self.expect(":")?;
-        let op_at = {
-            self.skip_ws();
-            self.pos
-        };
-        let op = self.string()?;
-        let req = match op.as_str() {
-            "ping" => Request::Ping { id },
-            "stats" => Request::Stats { id },
-            "shutdown" => Request::Shutdown { id },
-            "insert_graph" => {
-                self.expect(",")?;
-                self.expect("\"graph\"")?;
-                self.expect(":")?;
-                let graph = self.graph()?;
-                Request::InsertGraph { id, graph }
+        "edit_path" => {
+            only(&["g1", "g2", "k", "deadline_ms"])?;
+            let (g1, g2) = (m.need(r, g1, "\"g1\"")?, m.need(r, g2, "\"g2\"")?);
+            Request::EditPath {
+                id: id(),
+                g1,
+                g2,
+                k,
+                deadline_ms,
             }
-            "remove_graph" => {
-                self.expect(",")?;
-                self.expect("\"name\"")?;
-                self.expect(":")?;
-                let name = self.string()?;
-                Request::RemoveGraph { id, name }
+        }
+        "top_k" => {
+            only(&["query", "k", "deadline_ms"])?;
+            let (query, k) = (m.need(r, query, "\"query\"")?, m.need(r, k, "\"k\"")?);
+            Request::TopK {
+                id: id(),
+                query,
+                k,
+                deadline_ms,
             }
-            "predict" | "edit_path" => {
-                self.expect(",")?;
-                self.expect("\"g1\"")?;
-                self.expect(":")?;
-                let g1 = self.graph_ref()?;
-                self.expect(",")?;
-                self.expect("\"g2\"")?;
-                self.expect(":")?;
-                let g2 = self.graph_ref()?;
-                if op == "predict" {
-                    let deadline_ms = self.opt_u64_field(",\"deadline_ms\":")?;
-                    Request::Predict {
-                        id,
-                        g1,
-                        g2,
-                        deadline_ms,
-                    }
-                } else {
-                    let k = self.opt_u64_field(",\"k\":")?;
-                    let deadline_ms = self.opt_u64_field(",\"deadline_ms\":")?;
-                    Request::EditPath {
-                        id,
-                        g1,
-                        g2,
-                        k,
-                        deadline_ms,
-                    }
-                }
-            }
-            "top_k" => {
-                self.expect(",")?;
-                self.expect("\"query\"")?;
-                self.expect(":")?;
-                let query = self.graph_ref()?;
-                self.expect(",")?;
-                self.expect("\"k\"")?;
-                self.expect(":")?;
-                let k = self.u64()?;
-                let deadline_ms = self.opt_u64_field(",\"deadline_ms\":")?;
-                Request::TopK {
+        }
+        "range" | "range_exact" => {
+            only(&["query", "tau", "deadline_ms"])?;
+            let (query, tau) = (m.need(r, query, "\"query\"")?, m.need(r, tau, "\"tau\"")?);
+            let id = id();
+            if &*op == "range" {
+                Request::Range {
                     id,
                     query,
-                    k,
+                    tau,
                     deadline_ms,
                 }
-            }
-            "range" | "range_exact" => {
-                self.expect(",")?;
-                self.expect("\"query\"")?;
-                self.expect(":")?;
-                let query = self.graph_ref()?;
-                self.expect(",")?;
-                self.expect("\"tau\"")?;
-                self.expect(":")?;
-                let tau = self.f64()?;
-                let deadline_ms = self.opt_u64_field(",\"deadline_ms\":")?;
-                if op == "range" {
-                    Request::Range {
-                        id,
-                        query,
-                        tau,
-                        deadline_ms,
-                    }
-                } else {
-                    Request::RangeExact {
-                        id,
-                        query,
-                        tau,
-                        deadline_ms,
-                    }
-                }
-            }
-            "matrix" => {
-                let deadline_ms = self.opt_u64_field(",\"deadline_ms\":")?;
-                Request::Matrix { id, deadline_ms }
-            }
-            "self_join" => {
-                self.expect(",")?;
-                self.expect("\"tau\"")?;
-                self.expect(":")?;
-                let tau = self.f64()?;
-                let deadline_ms = self.opt_u64_field(",\"deadline_ms\":")?;
-                Request::SelfJoin {
+            } else {
+                Request::RangeExact {
                     id,
+                    query,
                     tau,
                     deadline_ms,
                 }
             }
-            "join" => {
-                self.expect(",")?;
-                self.expect("\"graphs\"")?;
-                self.expect(":")?;
-                let graphs = self.list(Self::graph)?;
-                self.expect(",")?;
-                self.expect("\"tau\"")?;
-                self.expect(":")?;
-                let tau = self.f64()?;
-                let deadline_ms = self.opt_u64_field(",\"deadline_ms\":")?;
-                Request::Join {
-                    id,
-                    graphs,
-                    tau,
-                    deadline_ms,
-                }
-            }
-            "snapshot" | "load" => {
-                let path = if self.try_token(",\"path\":") {
-                    Some(self.string()?)
-                } else {
-                    None
-                };
-                if op == "snapshot" {
-                    Request::Snapshot { id, path }
-                } else {
-                    Request::Load { id, path }
-                }
-            }
-            _ => return Err(self.err(op_at, ParseErrorKind::Invalid("op"))),
-        };
-        self.expect("}")?;
-        self.end()?;
-        Ok(req)
-    }
-
-    /// `{"name":S,"ged":<num>}`-shaped entries.
-    fn named_f64(&mut self) -> Result<WireNeighbor, ParseError> {
-        self.expect("{")?;
-        self.expect("\"name\"")?;
-        self.expect(":")?;
-        let name = self.string()?;
-        self.expect(",")?;
-        self.expect("\"ged\"")?;
-        self.expect(":")?;
-        let ged = self.f64()?;
-        self.expect("}")?;
-        Ok(WireNeighbor { name, ged })
-    }
-
-    /// `[item, item, ...]` with `item` produced by `f`.
-    fn list<T>(
-        &mut self,
-        mut f: impl FnMut(&mut Self) -> Result<T, ParseError>,
-    ) -> Result<Vec<T>, ParseError> {
-        self.expect("[")?;
-        let mut out = Vec::new();
-        if self.try_token("]") {
-            return Ok(out);
         }
-        loop {
-            out.push(f(self)?);
-            if !self.try_token(",") {
-                self.expect("]")?;
-                return Ok(out);
+        "matrix" => {
+            only(&["deadline_ms"])?;
+            Request::Matrix {
+                id: id(),
+                deadline_ms,
             }
         }
-    }
-
-    fn op(&mut self) -> Result<CanonicalOp, ParseError> {
-        self.expect("[")?;
-        let at = {
-            self.skip_ws();
-            self.pos
-        };
-        let kind = self.string()?;
-        self.expect(",")?;
-        let a = self.u32()?;
-        let op = match kind.as_str() {
-            "relabel" => CanonicalOp::Relabel(a),
-            "insert_node" => CanonicalOp::InsertNode(a),
-            "delete_edge" | "insert_edge" => {
-                self.expect(",")?;
-                let b = self.u32()?;
-                if kind == "delete_edge" {
-                    CanonicalOp::DeleteEdge(a, b)
-                } else {
-                    CanonicalOp::InsertEdge(a, b)
-                }
+        "self_join" => {
+            only(&["tau", "deadline_ms"])?;
+            let tau = m.need(r, tau, "\"tau\"")?;
+            Request::SelfJoin {
+                id: id(),
+                tau,
+                deadline_ms,
             }
-            _ => return Err(self.err(at, ParseErrorKind::Invalid("edit op"))),
-        };
-        self.expect("]")?;
-        Ok(op)
-    }
+        }
+        "join" => {
+            only(&["graphs", "tau", "deadline_ms"])?;
+            let (graphs, tau) = (m.need(r, graphs, "\"graphs\"")?, m.need(r, tau, "\"tau\"")?);
+            Request::Join {
+                id: id(),
+                graphs,
+                tau,
+                deadline_ms,
+            }
+        }
+        "snapshot" => only(&["path"]).map(|()| Request::Snapshot { id: id(), path })?,
+        "load" => only(&["path"]).map(|()| Request::Load { id: id(), path })?,
+        _ => return Err(r.err(op_at, ParseErrorKind::Invalid("op"))),
+    };
+    Ok(req)
+}
 
-    fn response(&mut self) -> Result<Response, ParseError> {
-        let id = self.envelope()?;
-        self.expect(",")?;
-        self.expect("\"ok\"")?;
-        self.expect(":")?;
-        let ok = if self.try_token("true") {
-            true
-        } else if self.try_token("false") {
-            false
+/// The members of a response: the envelope, then every type's fields.
+#[rustfmt::skip]
+const RESPONSE_KEYS: [&str; 26] = [
+    "v", "id", "ok", "rev", "type", "graphs", "method", "pivots", "cached_predictions",
+    "inflight", "max_inflight", "name", "ged", "mapping", "ops", "neighbors", "matches",
+    "undecided", "pairs", "candidates", "verified", "names", "rows", "path", "code", "message",
+];
+
+fn edit_op(r: &mut Reader<'_>) -> Result<CanonicalOp, ParseError> {
+    r.expect("[")?;
+    let at = r.next_at();
+    let kind = r.string()?;
+    r.expect(",")?;
+    let a = r.u32()?;
+    let op = match &*kind {
+        "relabel" => CanonicalOp::Relabel(a),
+        "insert_node" => CanonicalOp::InsertNode(a),
+        "delete_edge" | "insert_edge" => {
+            r.expect(",")?;
+            let b = r.u32()?;
+            if kind == "delete_edge" {
+                CanonicalOp::DeleteEdge(a, b)
+            } else {
+                CanonicalOp::InsertEdge(a, b)
+            }
+        }
+        _ => return Err(r.err(at, ParseErrorKind::Invalid("edit op"))),
+    };
+    r.expect("]")?;
+    Ok(op)
+}
+
+/// A `{"name":STR,"ged":NUM}` entry, its `ged` read by `ged`.
+fn named<'a, T>(
+    r: &mut Reader<'a>,
+    ged: fn(&mut Reader<'a>) -> Result<T, ParseError>,
+) -> Result<(String, T), ParseError> {
+    let (mut name, mut value) = (None, None);
+    let m = r.object(&["name", "ged"], |r, key| {
+        if key == "name" {
+            name = Some(string(r)?);
         } else {
-            return Err(self.err(self.pos, ParseErrorKind::Invalid("ok flag")));
-        };
-        self.expect(",")?;
-        self.expect("\"rev\"")?;
-        self.expect(":")?;
-        let rev = self.u64()?;
-        self.expect(",")?;
-        self.expect("\"type\"")?;
-        self.expect(":")?;
-        let ty_at = {
-            self.skip_ws();
-            self.pos
-        };
-        let ty = self.string()?;
-        let body = match ty.as_str() {
-            "pong" => ResponseBody::Pong,
-            "shutdown_complete" => ResponseBody::ShutdownComplete,
-            "stats" => {
-                self.expect(",")?;
-                self.expect("\"graphs\"")?;
-                self.expect(":")?;
-                let graphs = self.u64()?;
-                self.expect(",")?;
-                self.expect("\"method\"")?;
-                self.expect(":")?;
-                let method = self.string()?;
-                self.expect(",")?;
-                self.expect("\"pivots\"")?;
-                self.expect(":")?;
-                let pivots = self.u64()?;
-                self.expect(",")?;
-                self.expect("\"cached_predictions\"")?;
-                self.expect(":")?;
-                let cached_predictions = if self.try_token("null") {
-                    None
-                } else {
-                    Some(self.u64()?)
-                };
-                self.expect(",")?;
-                self.expect("\"inflight\"")?;
-                self.expect(":")?;
-                let inflight = self.u64()?;
-                self.expect(",")?;
-                self.expect("\"max_inflight\"")?;
-                self.expect(":")?;
-                let max_inflight = self.u64()?;
-                ResponseBody::Stats(StatsBody {
-                    graphs,
-                    method,
-                    pivots,
-                    cached_predictions,
-                    inflight,
-                    max_inflight,
-                })
-            }
-            "inserted" | "removed" => {
-                self.expect(",")?;
-                self.expect("\"name\"")?;
-                self.expect(":")?;
-                let name = self.string()?;
-                if ty == "inserted" {
-                    ResponseBody::Inserted { name }
-                } else {
-                    ResponseBody::Removed { name }
-                }
-            }
-            "ged" => {
-                self.expect(",")?;
-                self.expect("\"ged\"")?;
-                self.expect(":")?;
-                ResponseBody::Ged { ged: self.f64()? }
-            }
-            "path" => {
-                self.expect(",")?;
-                self.expect("\"ged\"")?;
-                self.expect(":")?;
-                let ged = self.u64()?;
-                self.expect(",")?;
-                self.expect("\"mapping\"")?;
-                self.expect(":")?;
-                let mapping = self.list(Self::u32)?;
-                self.expect(",")?;
-                self.expect("\"ops\"")?;
-                self.expect(":")?;
-                let ops = self.list(Self::op)?;
-                ResponseBody::Path { ged, mapping, ops }
-            }
-            "neighbors" => {
-                self.expect(",")?;
-                self.expect("\"neighbors\"")?;
-                self.expect(":")?;
-                let neighbors = self.list(Self::named_f64)?;
-                ResponseBody::Neighbors { neighbors }
-            }
-            "exact" => {
-                self.expect(",")?;
-                self.expect("\"matches\"")?;
-                self.expect(":")?;
-                let matches = self.list(|p| {
-                    p.expect("{")?;
-                    p.expect("\"name\"")?;
-                    p.expect(":")?;
-                    let name = p.string()?;
-                    p.expect(",")?;
-                    p.expect("\"ged\"")?;
-                    p.expect(":")?;
-                    let ged = p.u64()?;
-                    p.expect("}")?;
-                    Ok(WireExactNeighbor { name, ged })
-                })?;
-                self.expect(",")?;
-                self.expect("\"undecided\"")?;
-                self.expect(":")?;
-                let undecided = self.list(|p| {
-                    p.expect("{")?;
-                    p.expect("\"name\"")?;
-                    p.expect(":")?;
-                    let name = p.string()?;
-                    p.expect(",")?;
-                    p.expect("\"known_match_ub\"")?;
-                    p.expect(":")?;
-                    let known_match_ub = if p.try_token("null") {
-                        None
-                    } else {
-                        Some(p.u64()?)
-                    };
-                    p.expect("}")?;
-                    Ok(WireUndecided {
-                        name,
-                        known_match_ub,
-                    })
-                })?;
-                ResponseBody::ExactMatches { matches, undecided }
-            }
-            "self_join" | "join" => {
-                self.expect(",")?;
-                self.expect("\"pairs\"")?;
-                self.expect(":")?;
-                let pairs = self.list(|p| {
-                    p.expect("{")?;
-                    p.expect("\"a\"")?;
-                    p.expect(":")?;
-                    let a = p.string()?;
-                    p.expect(",")?;
-                    p.expect("\"b\"")?;
-                    p.expect(":")?;
-                    let b = p.string()?;
-                    p.expect(",")?;
-                    p.expect("\"ged\"")?;
-                    p.expect(":")?;
-                    let ged = p.u64()?;
-                    p.expect("}")?;
-                    Ok(WireJoinPair { a, b, ged })
-                })?;
-                self.expect(",")?;
-                self.expect("\"undecided\"")?;
-                self.expect(":")?;
-                let undecided = self.list(|p| {
-                    p.expect("{")?;
-                    p.expect("\"a\"")?;
-                    p.expect(":")?;
-                    let a = p.string()?;
-                    p.expect(",")?;
-                    p.expect("\"b\"")?;
-                    p.expect(":")?;
-                    let b = p.string()?;
-                    p.expect(",")?;
-                    p.expect("\"known_match_ub\"")?;
-                    p.expect(":")?;
-                    let known_match_ub = if p.try_token("null") {
-                        None
-                    } else {
-                        Some(p.u64()?)
-                    };
-                    p.expect("}")?;
-                    Ok(WireJoinUndecided {
-                        a,
-                        b,
-                        known_match_ub,
-                    })
-                })?;
-                self.expect(",")?;
-                self.expect("\"candidates\"")?;
-                self.expect(":")?;
-                let candidates = self.u64()?;
-                self.expect(",")?;
-                self.expect("\"verified\"")?;
-                self.expect(":")?;
-                let verified = self.u64()?;
-                if ty == "self_join" {
-                    ResponseBody::SelfJoin {
-                        pairs,
-                        undecided,
-                        candidates,
-                        verified,
-                    }
-                } else {
-                    ResponseBody::Join {
-                        pairs,
-                        undecided,
-                        candidates,
-                        verified,
-                    }
-                }
-            }
-            "matrix" => {
-                self.expect(",")?;
-                self.expect("\"names\"")?;
-                self.expect(":")?;
-                let names = self.list(Self::string)?;
-                self.expect(",")?;
-                self.expect("\"rows\"")?;
-                self.expect(":")?;
-                let rows = self.list(|p| p.list(Self::f64))?;
-                ResponseBody::Matrix { names, rows }
-            }
-            "snapshotted" | "loaded" => {
-                self.expect(",")?;
-                self.expect("\"path\"")?;
-                self.expect(":")?;
-                let path = self.string()?;
-                self.expect(",")?;
-                self.expect("\"graphs\"")?;
-                self.expect(":")?;
-                let graphs = self.u64()?;
-                if ty == "snapshotted" {
-                    ResponseBody::Snapshotted { path, graphs }
-                } else {
-                    ResponseBody::Loaded { path, graphs }
-                }
-            }
-            "error" => {
-                self.expect(",")?;
-                self.expect("\"code\"")?;
-                self.expect(":")?;
-                let code_at = {
-                    self.skip_ws();
-                    self.pos
-                };
-                let code = self.string()?;
-                let code = ErrorCode::from_str_opt(&code)
-                    .ok_or_else(|| self.err(code_at, ParseErrorKind::Invalid("error code")))?;
-                self.expect(",")?;
-                self.expect("\"message\"")?;
-                self.expect(":")?;
-                let message = self.string()?;
-                ResponseBody::Error { code, message }
-            }
-            _ => return Err(self.err(ty_at, ParseErrorKind::Invalid("response type"))),
-        };
-        let resp = Response { id, rev, body };
-        if ok != resp.is_ok() {
-            return Err(self.err(ty_at, ParseErrorKind::Invalid("ok flag")));
+            value = Some(ged(r)?);
         }
-        self.expect("}")?;
-        self.end()?;
-        Ok(resp)
+        Ok(())
+    })?;
+    Ok((m.need(r, name, "\"name\"")?, m.need(r, value, "\"ged\"")?))
+}
+
+fn join_pair(r: &mut Reader<'_>) -> Result<WireJoinPair, ParseError> {
+    let (mut a, mut b, mut ged) = (None, None, None);
+    let m = r.object(&["a", "b", "ged"], |r, key| {
+        match key {
+            "a" => a = Some(string(r)?),
+            "b" => b = Some(string(r)?),
+            _ => ged = Some(r.u64()?),
+        }
+        Ok(())
+    })?;
+    let (a, b) = (m.need(r, a, "\"a\"")?, m.need(r, b, "\"b\"")?);
+    let ged = m.need(r, ged, "\"ged\"")?;
+    Ok(WireJoinPair { a, b, ged })
+}
+
+const UNDECIDED_KEYS: [&str; 4] = ["name", "a", "b", "known_match_ub"];
+
+/// An `undecided` entry: `{"name","known_match_ub"}` in an `exact`
+/// response, `{"a","b","known_match_ub"}` in a join. The response's type
+/// may come after the list, so entries are read with every key and
+/// shaped once it is known.
+struct Undecided {
+    m: Members<4>,
+    name: Option<String>,
+    a: Option<String>,
+    b: Option<String>,
+    ub: Option<Option<u64>>,
+}
+
+fn undecided(r: &mut Reader<'_>) -> Result<Undecided, ParseError> {
+    let (mut name, mut a, mut b, mut ub) = (None, None, None, None);
+    let m = r.object(&UNDECIDED_KEYS, |r, key| {
+        match key {
+            "name" => name = Some(string(r)?),
+            "a" => a = Some(string(r)?),
+            "b" => b = Some(string(r)?),
+            _ => ub = Some(r.nullable(Reader::u64)?),
+        }
+        Ok(())
+    })?;
+    Ok(Undecided { m, name, a, b, ub })
+}
+
+impl Undecided {
+    /// The `exact` shape.
+    fn named(self, r: &Reader<'_>) -> Result<WireUndecided, ParseError> {
+        self.m
+            .only(r, &UNDECIDED_KEYS, 0, &["name", "known_match_ub"])?;
+        let name = self.m.need(r, self.name, "\"name\"")?;
+        let known_match_ub = self.m.need(r, self.ub, "\"known_match_ub\"")?;
+        Ok(WireUndecided {
+            name,
+            known_match_ub,
+        })
+    }
+
+    /// The join shape.
+    fn pair(self, r: &Reader<'_>) -> Result<WireJoinUndecided, ParseError> {
+        self.m
+            .only(r, &UNDECIDED_KEYS, 0, &["a", "b", "known_match_ub"])?;
+        let (a, b) = (
+            self.m.need(r, self.a, "\"a\"")?,
+            self.m.need(r, self.b, "\"b\"")?,
+        );
+        let known_match_ub = self.m.need(r, self.ub, "\"known_match_ub\"")?;
+        Ok(WireJoinUndecided {
+            a,
+            b,
+            known_match_ub,
+        })
     }
 }
 
-/// Parses one request line.
+#[allow(clippy::too_many_lines)]
+fn response(r: &mut Reader<'_>) -> Result<Response, ParseError> {
+    let (mut v, mut id, mut ok, mut rev, mut ty) = (None, None, None, None, None);
+    let (mut graphs, mut method, mut pivots, mut cached) = (None, None, None, None);
+    let (mut inflight, mut max_inflight, mut name, mut ged) = (None, None, None, None);
+    let (mut mapping, mut ops, mut neighbors, mut matches) = (None, None, None, None);
+    let (mut undecided_list, mut pairs, mut candidates, mut verified) = (None, None, None, None);
+    let (mut names, mut rows, mut path, mut code, mut message) = (None, None, None, None, None);
+    let m = r.object(&RESPONSE_KEYS, |r, key| {
+        match key {
+            "v" => v = Some(version(r)?),
+            "id" => id = Some(string(r)?),
+            "ok" => {
+                let at = r.next_at();
+                let flag = ["false", "true"].iter().position(|t| r.try_token(t));
+                ok = Some(flag.ok_or_else(|| r.err(at, ParseErrorKind::Invalid("ok flag")))? == 1);
+            }
+            "rev" => rev = Some(r.u64()?),
+            "type" => ty = Some((r.next_at(), r.string()?)),
+            "graphs" => graphs = Some(r.u64()?),
+            "method" => method = Some(string(r)?),
+            "pivots" => pivots = Some(r.u64()?),
+            "cached_predictions" => cached = Some(r.nullable(Reader::u64)?),
+            "inflight" => inflight = Some(r.u64()?),
+            "max_inflight" => max_inflight = Some(r.u64()?),
+            "name" => name = Some(string(r)?),
+            "ged" => ged = Some((r.next_at(), r.number()?)),
+            "mapping" => mapping = Some(r.list(Reader::u32)?),
+            "ops" => ops = Some(r.list(edit_op)?),
+            "neighbors" => neighbors = Some(r.list(|r| named(r, Reader::f64))?),
+            "matches" => matches = Some(r.list(|r| named(r, Reader::u64))?),
+            "undecided" => undecided_list = Some(r.list(undecided)?),
+            "pairs" => pairs = Some(r.list(join_pair)?),
+            "candidates" => candidates = Some(r.u64()?),
+            "verified" => verified = Some(r.u64()?),
+            "names" => names = Some(r.list(string)?),
+            "rows" => rows = Some(r.list(|r| r.list(Reader::f64))?),
+            "path" => path = Some(string(r)?),
+            "code" => code = Some((r.next_at(), r.string()?)),
+            _ => message = Some(string(r)?),
+        }
+        Ok(())
+    })?;
+    r.end()?;
+    m.need(r, v, "\"v\"")?;
+    let id = m.need(r, id, "\"id\"")?;
+    let ok = m.need(r, ok, "\"ok\"")?;
+    let rev = m.need(r, rev, "\"rev\"")?;
+    let (ty_at, ty) = m.need(r, ty, "\"type\"")?;
+    let r = &*r;
+    // The type's own fields, past the envelope.
+    let only = |fields: &[&str]| m.only(r, &RESPONSE_KEYS, 5, fields);
+    let undecided_list = || m.need(r, undecided_list, "\"undecided\"");
+    let body = match &*ty {
+        "pong" => only(&[]).map(|()| ResponseBody::Pong)?,
+        "shutdown_complete" => only(&[]).map(|()| ResponseBody::ShutdownComplete)?,
+        "stats" => {
+            only(&[
+                "graphs",
+                "method",
+                "pivots",
+                "cached_predictions",
+                "inflight",
+                "max_inflight",
+            ])?;
+            ResponseBody::Stats(StatsBody {
+                graphs: m.need(r, graphs, "\"graphs\"")?,
+                method: m.need(r, method, "\"method\"")?,
+                pivots: m.need(r, pivots, "\"pivots\"")?,
+                cached_predictions: m.need(r, cached, "\"cached_predictions\"")?,
+                inflight: m.need(r, inflight, "\"inflight\"")?,
+                max_inflight: m.need(r, max_inflight, "\"max_inflight\"")?,
+            })
+        }
+        "inserted" | "removed" => {
+            only(&["name"])?;
+            let name = m.need(r, name, "\"name\"")?;
+            if &*ty == "inserted" {
+                ResponseBody::Inserted { name }
+            } else {
+                ResponseBody::Removed { name }
+            }
+        }
+        "ged" => {
+            only(&["ged"])?;
+            let (at, ged) = m.need(r, ged, "\"ged\"")?;
+            ResponseBody::Ged {
+                ged: r.f64_token(at, ged)?,
+            }
+        }
+        "path" => {
+            only(&["ged", "mapping", "ops"])?;
+            let (at, ged) = m.need(r, ged, "\"ged\"")?;
+            ResponseBody::Path {
+                ged: r.int_token(at, ged)?,
+                mapping: m.need(r, mapping, "\"mapping\"")?,
+                ops: m.need(r, ops, "\"ops\"")?,
+            }
+        }
+        "neighbors" => {
+            only(&["neighbors"])?;
+            let list = m.need(r, neighbors, "\"neighbors\"")?.into_iter();
+            let neighbors = list.map(|(name, ged)| WireNeighbor { name, ged }).collect();
+            ResponseBody::Neighbors { neighbors }
+        }
+        "exact" => {
+            only(&["matches", "undecided"])?;
+            let list = m.need(r, matches, "\"matches\"")?.into_iter();
+            let matches = list
+                .map(|(name, ged)| WireExactNeighbor { name, ged })
+                .collect();
+            let undecided = undecided_list()?.into_iter().map(|u| u.named(r));
+            let undecided = undecided.collect::<Result<_, _>>()?;
+            ResponseBody::ExactMatches { matches, undecided }
+        }
+        "self_join" | "join" => {
+            only(&["pairs", "undecided", "candidates", "verified"])?;
+            let pairs = m.need(r, pairs, "\"pairs\"")?;
+            let undecided = undecided_list()?.into_iter().map(|u| u.pair(r));
+            let undecided = undecided.collect::<Result<_, _>>()?;
+            let candidates = m.need(r, candidates, "\"candidates\"")?;
+            let verified = m.need(r, verified, "\"verified\"")?;
+            if &*ty == "self_join" {
+                ResponseBody::SelfJoin {
+                    pairs,
+                    undecided,
+                    candidates,
+                    verified,
+                }
+            } else {
+                ResponseBody::Join {
+                    pairs,
+                    undecided,
+                    candidates,
+                    verified,
+                }
+            }
+        }
+        "matrix" => {
+            only(&["names", "rows"])?;
+            ResponseBody::Matrix {
+                names: m.need(r, names, "\"names\"")?,
+                rows: m.need(r, rows, "\"rows\"")?,
+            }
+        }
+        "snapshotted" | "loaded" => {
+            only(&["path", "graphs"])?;
+            let path = m.need(r, path, "\"path\"")?;
+            let graphs = m.need(r, graphs, "\"graphs\"")?;
+            if &*ty == "snapshotted" {
+                ResponseBody::Snapshotted { path, graphs }
+            } else {
+                ResponseBody::Loaded { path, graphs }
+            }
+        }
+        "error" => {
+            only(&["code", "message"])?;
+            let (at, code) = m.need(r, code, "\"code\"")?;
+            let code = ErrorCode::from_str_opt(&code)
+                .ok_or_else(|| r.err(at, ParseErrorKind::Invalid("error code")))?;
+            let message = m.need(r, message, "\"message\"")?;
+            ResponseBody::Error { code, message }
+        }
+        _ => return Err(r.err(ty_at, ParseErrorKind::Invalid("response type"))),
+    };
+    let resp = Response { id, rev, body };
+    if ok != resp.is_ok() {
+        return Err(r.err(ty_at, ParseErrorKind::Invalid("ok flag")));
+    }
+    Ok(resp)
+}
+
+/// Parses one request line. Members may come in any order; see the
+/// [`crate::protocol`] docs for the key policy.
 ///
 /// # Errors
-/// Returns a [`ParseError`] if the line is not a well-formed request of
-/// the current protocol version.
-pub fn parse_request(line: &str) -> Result<Request, ParseError> {
-    Parser::new(line).request()
+/// Returns a [`RequestError`] if the line is not a well-formed request of
+/// the current protocol version, carrying the request's id if the parser
+/// had read it.
+pub fn parse_request(line: &str) -> Result<Request, RequestError> {
+    let mut id = None;
+    request(&mut Reader::new(line), &mut id).map_err(|error| RequestError {
+        id: id.unwrap_or_default(),
+        error,
+    })
 }
 
-/// Parses one response line.
+/// Parses one response line (members in any order).
 ///
 /// # Errors
 /// Returns a [`ParseError`] if the line is not a well-formed response of
 /// the current protocol version.
 pub fn parse_response(line: &str) -> Result<Response, ParseError> {
-    Parser::new(line).response()
+    response(&mut Reader::new(line))
 }
 
 // ---------------------------------------------------------------------------
@@ -1165,61 +949,48 @@ pub fn encode_server_snapshot(
     s
 }
 
-/// Parses a server snapshot file, delegating the `"store"` payload to
-/// the `ged_graph::shard` snapshot grammar.
+/// Parses a server snapshot file, reading the `"store"` payload with the
+/// `ged_graph::shard` snapshot grammar (members in any order).
 ///
 /// # Errors
 /// Returns a [`ParseError`] on any grammar violation, including a name
 /// table whose length disagrees with the store population.
 pub fn parse_server_snapshot(s: &str) -> Result<ServerSnapshot, ParseError> {
-    let mut p = Parser::new(s);
-    p.expect("{")?;
-    p.expect("\"schema\"")?;
-    p.expect(":")?;
-    let at = {
-        p.skip_ws();
-        p.pos
-    };
-    if p.u64()? != 1 {
-        return Err(p.err(at, ParseErrorKind::Invalid("snapshot schema")));
-    }
-    p.expect(",")?;
-    p.expect("\"rev\"")?;
-    p.expect(":")?;
-    let rev = p.u64()?;
-    p.expect(",")?;
-    p.expect("\"next_name\"")?;
-    p.expect(":")?;
-    let next_name = p.u64()?;
-    p.expect(",")?;
-    p.expect("\"names\"")?;
-    p.expect(":")?;
-    let names_at = {
-        p.skip_ws();
-        p.pos
-    };
-    let names = p.list(|p| p.string())?;
-    p.expect(",")?;
-    p.expect("\"store\"")?;
-    p.expect(":")?;
-    p.skip_ws();
-    let base = p.pos;
-    let (store, used) = ShardedStore::from_json_prefix(&s[base..]).map_err(|e| ParseError {
-        at: base + e.at,
-        line: 1,
-        column: base + e.at + 1,
-        kind: e.kind,
+    let r = &mut Reader::new(s);
+    let (mut schema, mut rev, mut next_name, mut names, mut store) = (None, None, None, None, None);
+    let mut names_at = 0;
+    let keys = ["schema", "rev", "next_name", "names", "store"];
+    let m = r.object(&keys, |r, key| {
+        match key {
+            "schema" => {
+                let at = r.next_at();
+                if r.u64()? != 1 {
+                    return Err(r.err(at, ParseErrorKind::Invalid("snapshot schema")));
+                }
+                schema = Some(());
+            }
+            "rev" => rev = Some(r.u64()?),
+            "next_name" => next_name = Some(r.u64()?),
+            "names" => {
+                names_at = r.next_at();
+                names = Some(r.list(string)?);
+            }
+            _ => store = Some(ShardedStore::read(r)?),
+        }
+        Ok(())
     })?;
-    p.pos = base + used;
-    p.expect("}")?;
-    p.end()?;
+    r.end()?;
+    m.need(r, schema, "\"schema\"")?;
+    let (rev, next_name) = (
+        m.need(r, rev, "\"rev\"")?,
+        m.need(r, next_name, "\"next_name\"")?,
+    );
+    let (names, store) = (
+        m.need(r, names, "\"names\"")?,
+        m.need(r, store, "\"store\"")?,
+    );
     if names.len() != store.len() {
-        return Err(ParseError {
-            at: names_at,
-            line: 1,
-            column: names_at + 1,
-            kind: ParseErrorKind::Invalid("name table"),
-        });
+        return Err(r.err(names_at, ParseErrorKind::Invalid("name table")));
     }
     Ok(ServerSnapshot {
         rev,

@@ -12,7 +12,7 @@
 //! * [`protocol`] — the typed request/response model and error codes
 //!   (the wire schema, independent of any transport);
 //! * [`codec`] — the hand-rolled encoder/parser between those types
-//!   and wire lines, extending the `ged_graph::io` JSON grammar;
+//!   and wire lines, written on `ged_graph::io::Reader`;
 //! * [`server`] — the daemon itself: engine + store behind a
 //!   reader–writer lock, admission control, per-request deadlines,
 //!   and graceful drain-then-exit shutdown.

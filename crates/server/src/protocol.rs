@@ -3,15 +3,23 @@
 //! The protocol is line-delimited JSON — exactly one request object per
 //! line in, one response object per line out, over stdin/stdout or a Unix
 //! domain socket. Like the rest of the workspace the codec is hand-rolled
-//! ([`crate::codec`], extending `ged_graph::io`): the grammar is the fixed
-//! shape documented here, with fields in the exact order written below,
-//! not general JSON.
+//! ([`crate::codec`], on `ged_graph::io::Reader`).
 //!
 //! Every request carries the protocol version `"v"` (currently
 //! [`PROTOCOL_VERSION`]), a client-chosen `"id"` echoed verbatim in the
 //! response, and an `"op"`. Every response echoes `"v"` and `"id"` and
 //! adds `"ok"`, the server's mutation counter `"rev"` (see
 //! [`Response::rev`]), and a `"type"`-tagged payload.
+//!
+//! Members of every object may come in any order, with whitespace between
+//! tokens; the encoders write them in the order shown below. Each object
+//! takes exactly the members shown for its op or type: a missing required
+//! member, a repeated member, and a member the op (or type) does not
+//! define, even one another op uses, are all rejected. A rejected request
+//! is answered with a `parse` error that echoes the request's `"id"`
+//! whenever the parser had read it before the error, and `""` otherwise.
+//! Numbers must fit their field: `u64` counts, `u32` labels, finite `f64`
+//! reals.
 //!
 //! ```text
 //! request  := {"v":1,"id":STR,"op":OP ...op fields...}
@@ -20,8 +28,7 @@
 //! graph    := {"labels":[U32,...],"edges":[[U32,U32],...]}
 //! ```
 //!
-//! Requests (op fields in order; `deadline_ms` is optional and always
-//! last):
+//! Requests (`[...]` marks an optional member):
 //!
 //! ```text
 //! {"v":1,"id":I,"op":"ping"}

@@ -15,6 +15,8 @@
 //! revisions, and the protocol name table included — via the hand-rolled
 //! grammar in [`crate::codec`]; `ged-served --store PATH` restores a
 //! snapshot at startup and names the default path for both ops.
+//! `snapshot` writes atomically ([`ged_graph::io::write_atomically`]):
+//! a failed or interrupted write leaves the previous file intact.
 //!
 //! Concurrency discipline:
 //!
@@ -50,6 +52,7 @@ use ged_core::method::MethodKind;
 use ged_core::pairs::GedPair;
 use ged_core::solver::{GedgwSolver, SolverRegistry};
 use ged_core::GedError;
+use ged_graph::io::write_atomically;
 use ged_graph::{Graph, GraphId, GraphStore, ShardedStore};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -119,6 +122,9 @@ struct Shared {
     state: RwLock<StoreState>,
     /// Default snapshot path ([`ServerConfig::store_path`]).
     store_path: Option<PathBuf>,
+    /// Serializes snapshot writes: `snapshot` runs under the shared read
+    /// lock, and two writes to one path would share a temporary file.
+    snapshot_writes: Mutex<()>,
     /// Count of admitted (executing) store/engine requests.
     inflight: Mutex<usize>,
     drained: Condvar,
@@ -211,6 +217,7 @@ impl Server {
                     rev: 0,
                 }),
                 store_path: config.store_path.clone(),
+                snapshot_writes: Mutex::new(()),
                 inflight: Mutex::new(0),
                 drained: Condvar::new(),
                 max_inflight: config.max_inflight,
@@ -294,10 +301,9 @@ impl Server {
         let req = match parse_request(line) {
             Ok(req) => req,
             Err(e) => {
-                return (
-                    Response::error("", self.current_rev(), ErrorCode::Parse, e.to_string()),
-                    false,
-                )
+                let resp =
+                    Response::error(&e.id, self.current_rev(), ErrorCode::Parse, e.to_string());
+                return (resp, false);
             }
         };
         let id = req.id().to_string();
@@ -670,7 +676,10 @@ impl Server {
         self.with_read(|state, _| {
             let names: Vec<String> = state.ids.values().cloned().collect();
             let json = encode_server_snapshot(state.rev, state.next_name, &names, &state.store);
-            std::fs::write(&path, json.as_bytes()).map_err(|e| {
+            // The guard protects no data, so a poisoned lock is still sound.
+            let lock = self.shared.snapshot_writes.lock();
+            let _writing = lock.unwrap_or_else(std::sync::PoisonError::into_inner);
+            write_atomically(&path, json.as_bytes()).map_err(|e| {
                 (
                     ErrorCode::Io,
                     format!("cannot write snapshot {}: {e}", path.display()),

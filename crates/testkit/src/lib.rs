@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod served;
+pub mod wire;
 
 use ged_baselines::solvers::ClassicSolver;
 use ged_core::engine::{ExactNeighbor, GedEngine, GedEngineBuilder, JoinPair, Neighbor};

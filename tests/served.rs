@@ -544,3 +544,96 @@ fn snapshot_and_load_restore_the_store_over_the_wire() {
 
     std::fs::remove_file(&path).ok();
 }
+
+fn error_of(line: &str) -> (String, ErrorCode, String) {
+    let resp = ot_ged::server::parse_response(line).expect("well-formed");
+    match resp.body {
+        ResponseBody::Error { code, message } => (resp.id, code, message),
+        other => panic!("expected an error, got {other:?}"),
+    }
+}
+
+/// A request is answered whatever the order of its members, and a
+/// rejected line echoes its id once the parser has read it.
+#[test]
+fn members_in_any_order_and_parse_errors_echo_the_id() {
+    let (_server, mut client) = serve_in_process(&ServerConfig::default());
+    let pong = client.request_line("{\"id\":\"b\",\"op\":\"ping\",\"v\":1}");
+    assert_eq!(
+        pong,
+        "{\"v\":1,\"id\":\"b\",\"ok\":true,\"rev\":0,\"type\":\"pong\"}"
+    );
+    let inserted = client.request_line(
+        "{\"graph\":{\"edges\":[[0,1]],\"labels\":[1,2]},\"op\":\"insert_graph\",\"id\":\"i\",\"v\":1}",
+    );
+    assert!(
+        inserted.contains("\"type\":\"inserted\",\"name\":\"g0\""),
+        "{inserted}"
+    );
+
+    // `k` is missing: the error comes after the id was read.
+    let line = client.request_line("{\"v\":1,\"id\":\"b\",\"op\":\"top_k\",\"query\":\"g0\"}");
+    let (id, code, message) = error_of(&line);
+    assert_eq!((id.as_str(), code), ("b", ErrorCode::Parse), "{message}");
+    // Unknown, duplicate and foreign members also echo the id.
+    for (line, what) in [
+        (
+            "{\"v\":1,\"id\":\"u\",\"op\":\"ping\",\"extra\":1}",
+            "unknown key",
+        ),
+        (
+            "{\"v\":1,\"id\":\"d\",\"op\":\"ping\",\"op\":\"ping\"}",
+            "duplicate key",
+        ),
+        (
+            "{\"op\":\"ping\",\"k\":3,\"id\":\"f\",\"v\":1}",
+            "unknown key",
+        ),
+    ] {
+        let (id, code, message) = error_of(&client.request_line(line));
+        assert_eq!(code, ErrorCode::Parse);
+        assert!(message.contains(what), "{message}");
+        assert_eq!(id, &line[line.find("\"id\":\"").unwrap() + 6..][..1]);
+    }
+    // An error before the id is read cannot echo it.
+    let (id, ..) = error_of(&client.request_line("{\"v\":1,\"bad\":0,\"id\":\"late\"}"));
+    assert_eq!(id, "");
+    // So does a version mismatch found after the id.
+    let (id, _, message) = error_of(&client.request_line("{\"id\":\"p\",\"v\":2,\"op\":\"ping\"}"));
+    assert_eq!(id, "p");
+    assert!(message.contains("invalid protocol version"), "{message}");
+}
+
+/// `snapshot` writes through a temporary file: when that file cannot be
+/// created the op fails with `io`, and the previous snapshot keeps every
+/// byte.
+#[test]
+fn a_failed_snapshot_leaves_the_previous_file_intact() {
+    let dir = std::env::temp_dir().join(format!("ot_ged_served_atomic_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("store.json");
+    let config = ServerConfig {
+        store_path: Some(path.clone()),
+        ..ServerConfig::default()
+    };
+    let (_server, mut client) = serve_in_process(&config);
+    let insert = "{\"v\":1,\"id\":\"i\",\"op\":\"insert_graph\",\"graph\":{\"labels\":[1,2],\"edges\":[[0,1]]}}";
+    assert!(client.request_line(insert).contains("\"ok\":true"));
+    let snapshot = "{\"v\":1,\"id\":\"s\",\"op\":\"snapshot\"}";
+    assert!(client
+        .request_line(snapshot)
+        .contains("\"type\":\"snapshotted\""));
+    let before = std::fs::read(&path).expect("first snapshot");
+
+    assert!(client.request_line(insert).contains("\"ok\":true"));
+    std::fs::create_dir(dir.join("store.json.tmp")).expect("occupy the temporary name");
+    let (id, code, message) = error_of(&client.request_line(snapshot));
+    assert_eq!((id.as_str(), code), ("s", ErrorCode::Io), "{message}");
+    assert_eq!(std::fs::read(&path).expect("old snapshot"), before);
+
+    // Once the name is free again, the snapshot goes through.
+    std::fs::remove_dir(dir.join("store.json.tmp")).expect("free the name");
+    assert!(client.request_line(snapshot).contains("\"graphs\":2"));
+    assert_ne!(std::fs::read(&path).expect("new snapshot"), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
