@@ -15,11 +15,13 @@
 use ged_baselines::astar::astar_beam;
 use ged_core::engine::GedEngine;
 use ged_core::gedgw::Gedgw;
+use ged_core::gediot::{Gediot, GediotConfig};
 use ged_core::kbest::kbest_edit_path;
 use ged_core::method::MethodKind;
 use ged_core::pairs::GedPair;
 use ged_core::search::similarity_search;
 use ged_core::solver::{BatchRunner, GedgwSolver, SolverRegistry};
+use ged_core::GedWorkspace;
 use ged_graph::{generate, Graph, GraphDataset, ShardedStore};
 use ged_linalg::{lsap_min, lsap_min_in, lsap_min_munkres, LsapWorkspace, Matrix};
 use ged_ot::gw::gw_tensor_apply;
@@ -190,6 +192,42 @@ fn kernels_suite(smoke: bool) -> Vec<Measurement> {
         1,
         || {
             black_box(runner.predict_batch(&GedgwSolver, &pairs));
+        },
+    ));
+
+    // GEDIOT: one training epoch of the small config over supervised
+    // AIDS-like pairs (every pair's tape on one pool), then the trained
+    // network's forward pass per pair through one workspace, as
+    // `predict_batch` runs it.
+    let train_n = if smoke { 8 } else { 80 };
+    let mut rng = SmallRng::seed_from_u64(12_000);
+    let train_pairs: Vec<GedPair> = (0..train_n)
+        .map(|_| {
+            let n = rng.gen_range(5..=10);
+            let g = generate::random_connected(n, 2, &aids_label_weights(), &mut rng);
+            let p = generate::perturb_with_edits(&g, rng.gen_range(1..=4), 29, &mut rng);
+            GedPair::supervised(g, p.graph, p.applied as f64, p.mapping)
+        })
+        .collect();
+    let mut model = Gediot::new(GediotConfig::small(29), &mut rng);
+    out.push(measure(
+        "gediot_train_epoch",
+        format!("pairs={train_n},config=small"),
+        1,
+        || {
+            black_box(model.train_epoch(&train_pairs, &mut rng));
+        },
+    ));
+    let mut ws = GedWorkspace::new();
+    let mut next = 0;
+    out.push(measure(
+        "gediot_predict",
+        format!("pairs={pairs_n},config=small,dataset=aids_like,workspace"),
+        pairs_n,
+        || {
+            let p = &pairs[next % pairs.len()];
+            next += 1;
+            black_box(model.predict_in(&p.g1, &p.g2, &mut ws).ged);
         },
     ));
 

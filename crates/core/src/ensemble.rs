@@ -81,12 +81,12 @@ impl<'m> Gedhot<'m> {
         self.predict_in(g1, g2, &mut GedWorkspace::new())
     }
 
-    /// [`Self::predict`] with the GEDGW member's buffers drawn from `ws`.
+    /// [`Self::predict`] with both members' buffers drawn from `ws`.
     /// Bit-identical to [`Self::predict`] for any (possibly dirty)
     /// workspace.
     #[must_use]
     pub fn predict_in(&self, g1: &Graph, g2: &Graph, ws: &mut GedWorkspace) -> GedhotPrediction {
-        let iot = self.model.predict(g1, g2);
+        let iot = self.model.predict_in(g1, g2, ws);
         let gw = Gedgw::new(g1, g2)
             .with_options(self.gw_options)
             .solve_in(ws);

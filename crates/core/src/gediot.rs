@@ -25,16 +25,18 @@
 
 use crate::kbest::{kbest_edit_path, KBestResult};
 use crate::pairs::{ordered, GedPair};
+use crate::workspace::GedWorkspace;
 use ged_graph::{max_edit_ops, Graph};
 use ged_linalg::Matrix;
 use ged_nn::init::softplus_inverse;
 use ged_nn::layers::{Activation, AttentionPool, GinLayer, Linear, Mlp, Ntn};
 use ged_nn::loss::{bce_matrix, mse_scalar};
 use ged_nn::params::{Bindings, ParamId, ParamStore};
-use ged_nn::tape::{Tape, Var};
+use ged_nn::tape::{Tape, TapePool, Var};
 use ged_nn::Adam;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::mem;
 
 /// Graph convolution flavor (Table 6 ablation "w/ GCN").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -248,20 +250,21 @@ impl Gediot {
         raw.max(0.0) + (-raw.abs()).exp().ln_1p()
     }
 
-    fn one_hot_features(&self, g: &Graph) -> Matrix {
+    /// The one-hot label features of `g` as a tape constant.
+    fn one_hot_features(&self, tape: &Tape, g: &Graph) -> Var {
         let n = g.num_nodes();
         let k = self.config.num_labels;
         if k <= 1 {
             // Unlabeled graphs: constant feature (paper convention).
-            return Matrix::filled(n, 1, 1.0);
+            return tape.filled(n, 1, 1.0);
         }
-        let mut x = Matrix::zeros(n, k);
-        for u in 0..n {
-            let l = g.label(u as u32).0 as usize;
-            assert!(l < k, "label {l} out of alphabet {k}");
-            x[(u, l)] = 1.0;
-        }
-        x
+        tape.constant_with(n, k, |x| {
+            for u in 0..n {
+                let l = g.label(u as u32).0 as usize;
+                assert!(l < k, "label {l} out of alphabet {k}");
+                x[(u, l)] = 1.0;
+            }
+        })
     }
 
     fn normalized_adjacency(g: &Graph) -> Matrix {
@@ -277,13 +280,16 @@ impl Gediot {
 
     /// Embeds one graph into final node embeddings (`n x d_out`).
     fn embed(&self, tape: &Tape, binds: &Bindings, g: &Graph) -> Var {
-        let x0 = tape.constant(self.one_hot_features(g));
+        let x0 = self.one_hot_features(tape, g);
+        let n = g.num_nodes();
         let adj = match self.config.conv {
-            ConvKind::Gin => tape.constant(Matrix::from_vec(
-                g.num_nodes(),
-                g.num_nodes(),
-                g.adjacency_matrix(),
-            )),
+            // The dense adjacency matrix of `Graph::adjacency_matrix`.
+            ConvKind::Gin => tape.constant_with(n, n, |a| {
+                for (u, v) in g.edges() {
+                    a[(u as usize, v as usize)] = 1.0;
+                    a[(v as usize, u as usize)] = 1.0;
+                }
+            }),
             ConvKind::Gcn => tape.constant(Self::normalized_adjacency(g)),
         };
         let mut h = x0;
@@ -345,12 +351,13 @@ impl Gediot {
         let scaled_cost = tape.div_scalar_var(neg, eps);
         let kernel = tape.exp(scaled_cost);
         let kernel_t = tape.transpose(kernel);
-        let mut mu = vec![1.0; n1 + 1];
-        mu[n1] = (n2 - n1) as f64;
-        let mu = tape.constant(Matrix::col_vec(mu));
-        let nu = tape.constant(Matrix::col_vec(vec![1.0; n2]));
-        let mut phi = tape.constant(Matrix::col_vec(vec![1.0; n1 + 1]));
-        let mut psi = tape.constant(Matrix::col_vec(vec![1.0; n2]));
+        let mu = tape.constant_with(n1 + 1, 1, |mu| {
+            mu.as_mut_slice().fill(1.0);
+            mu[(n1, 0)] = (n2 - n1) as f64;
+        });
+        let nu = tape.filled(n2, 1, 1.0);
+        let mut phi = tape.filled(n1 + 1, 1, 1.0);
+        let mut psi = tape.filled(n2, 1, 1.0);
         for _ in 0..self.config.sinkhorn_iters.max(1) {
             let denom_psi = tape.matmul(kernel_t, phi);
             psi = tape.div(nu, denom_psi);
@@ -399,35 +406,33 @@ impl Gediot {
     }
 
     /// Trains one epoch over `pairs` (shuffled); returns the mean loss.
+    /// Every pair's tape draws its buffers from one pool, and the batch
+    /// gradient is summed in place.
     pub fn train_epoch<R: Rng>(&mut self, pairs: &[GedPair], rng: &mut R) -> f64 {
         let mut order: Vec<usize> = (0..pairs.len()).collect();
         order.shuffle(rng);
         let mut total_loss = 0.0;
+        let mut pool = TapePool::new();
+        let mut acc: Vec<Matrix> = Vec::new();
         for batch in order.chunks(self.config.batch_size.max(1)) {
-            let mut grad_acc: Option<Vec<Matrix>> = None;
-            for &i in batch {
-                let tape = Tape::new();
+            for (k, &i) in batch.iter().enumerate() {
+                let tape = Tape::with_pool(mem::take(&mut pool));
                 let binds = self.store.bind(&tape);
                 let loss = self.pair_loss(&tape, &binds, &pairs[i]);
                 total_loss += tape.scalar_value(loss);
                 tape.backward(loss);
-                let grads = self.store.gradients(&tape, &binds);
-                match &mut grad_acc {
-                    Some(acc) => {
-                        for (a, g) in acc.iter_mut().zip(&grads) {
-                            a.add_scaled_assign(g, 1.0);
-                        }
-                    }
-                    None => grad_acc = Some(grads),
+                if k == 0 {
+                    self.store.gradients_into(&tape, &binds, &mut acc);
+                } else {
+                    self.store.add_gradients(&tape, &binds, &mut acc);
                 }
+                pool = tape.into_pool();
             }
-            if let Some(mut acc) = grad_acc {
-                let scale = 1.0 / batch.len() as f64;
-                for g in &mut acc {
-                    *g = g.scale(scale);
-                }
-                self.adam.step(&mut self.store, &acc);
+            let scale = 1.0 / batch.len() as f64;
+            for g in &mut acc {
+                g.as_mut_slice().iter_mut().for_each(|x| *x *= scale);
             }
+            self.adam.step(&mut self.store, &acc);
         }
         total_loss / pairs.len().max(1) as f64
     }
@@ -440,16 +445,27 @@ impl Gediot {
     /// Predicts the GED and coupling of a pair (order-insensitive).
     #[must_use]
     pub fn predict(&self, g1: &Graph, g2: &Graph) -> GediotPrediction {
+        self.predict_in(g1, g2, &mut GedWorkspace::new())
+    }
+
+    /// [`Self::predict`] with the tape's buffers drawn from `ws`'s pool
+    /// and handed back to it, so that after a warm-up over pairs of the
+    /// largest size only the returned coupling is allocated.
+    /// Bit-identical to [`Self::predict`] for any (possibly dirty)
+    /// workspace, including one a model of another configuration used.
+    #[must_use]
+    pub fn predict_in(&self, g1: &Graph, g2: &Graph, ws: &mut GedWorkspace) -> GediotPrediction {
         let (a, b, swapped) = ordered(g1, g2);
-        let tape = Tape::new();
+        let tape = Tape::with_pool(mem::take(&mut ws.tape));
         let binds = self.store.bind(&tape);
         let (pi, _, score) = self.forward_pair(&tape, &binds, a, b);
         let nged = tape.scalar_value(score);
-        let ged = nged * max_edit_ops(a, b) as f64;
+        let coupling = tape.value(pi);
+        ws.tape = tape.into_pool();
         GediotPrediction {
-            ged,
+            ged: nged * max_edit_ops(a, b) as f64,
             nged,
-            coupling: tape.value(pi),
+            coupling,
             swapped,
         }
     }
@@ -489,11 +505,13 @@ impl Gediot {
     #[must_use]
     pub fn evaluate_loss(&self, pairs: &[GedPair]) -> f64 {
         let mut total = 0.0;
+        let mut pool = TapePool::new();
         for pair in pairs {
-            let tape = Tape::new();
+            let tape = Tape::with_pool(mem::take(&mut pool));
             let binds = self.store.bind(&tape);
             let loss = self.pair_loss(&tape, &binds, pair);
             total += tape.scalar_value(loss);
+            pool = tape.into_pool();
         }
         total / pairs.len().max(1) as f64
     }

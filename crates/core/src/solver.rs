@@ -122,7 +122,7 @@ pub trait GedSolver: Send + Sync {
 
     /// [`Self::predict`] with caller-provided scratch buffers. The default
     /// ignores the scratch and delegates to [`Self::predict`]; solvers
-    /// with a workspace-backed hot path (GEDGW, GEDHOT) override it. Must
+    /// with a workspace-backed hot path (GEDIOT, GEDGW, GEDHOT) override it. Must
     /// return results bit-identical to [`Self::predict`] — batched drivers
     /// pick freely between the two.
     fn predict_scratch(&self, pair: &GedPair, _scratch: &mut SolverScratch) -> GedEstimate {
@@ -159,6 +159,15 @@ impl GedSolver for GediotSolver {
     fn predict(&self, pair: &GedPair) -> GedEstimate {
         GedEstimate {
             ged: self.model.predict(&pair.g1, &pair.g2).ged,
+        }
+    }
+
+    fn predict_scratch(&self, pair: &GedPair, scratch: &mut SolverScratch) -> GedEstimate {
+        GedEstimate {
+            ged: self
+                .model
+                .predict_in(&pair.g1, &pair.g2, &mut scratch.ged)
+                .ged,
         }
     }
 

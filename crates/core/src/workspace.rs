@@ -7,7 +7,8 @@
 //! back to back: the OT/Frank–Wolfe buffers of
 //! [`ged_ot::OtWorkspace`], the GEDGW problem matrices, a pair of
 //! [`ged_graph::CsrView`]s the search and cost-matrix readers iterate,
-//! and the mark/label scratch of the A\* bounds.
+//! the mark/label scratch of the A\* bounds, and the autodiff-tape buffers
+//! of GEDIOT's forward pass ([`crate::gediot::Gediot::predict_in`]).
 //!
 //! Batched drivers keep one workspace per worker thread
 //! (`BatchRunner::map_init`) so a store-level query allocates
@@ -19,6 +20,7 @@
 
 use ged_graph::{CsrView, Label};
 use ged_linalg::Matrix;
+use ged_nn::TapePool;
 use ged_ot::OtWorkspace;
 
 /// Reusable scratch for the GEDGW + exact-search hot path. See the
@@ -44,6 +46,8 @@ pub struct GedWorkspace {
     pub(crate) rest2: Vec<Label>,
     pub(crate) deg1: Vec<usize>,
     pub(crate) deg2: Vec<usize>,
+    // GEDIOT: the buffers of the last forward pass's tape.
+    pub(crate) tape: TapePool,
 }
 
 impl GedWorkspace {

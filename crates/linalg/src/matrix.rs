@@ -46,11 +46,9 @@ impl Matrix {
     /// A `rows x cols` matrix filled with `value`.
     #[must_use]
     pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
+        let mut out = Matrix::default();
+        out.resize_filled(rows, cols, value);
+        out
     }
 
     /// The `n x n` identity.
@@ -75,14 +73,29 @@ impl Matrix {
 
     /// Builds a matrix from a function of `(row, col)`.
     #[must_use]
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
+    pub fn from_fn(rows: usize, cols: usize, f: impl FnMut(usize, usize) -> f64) -> Self {
+        let mut out = Matrix::default();
+        out.fill_from_fn(rows, cols, f);
+        out
+    }
+
+    /// [`Self::from_fn`] into `self` (reshaped as needed), reusing its
+    /// buffer.
+    pub fn fill_from_fn(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        mut f: impl FnMut(usize, usize) -> f64,
+    ) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.reserve(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
-                data.push(f(r, c));
+                self.data.push(f(r, c));
             }
         }
-        Matrix { rows, cols, data }
     }
 
     /// A column vector (`n x 1`).
@@ -169,6 +182,15 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Reshapes to `rows x cols` with every element `value`, reusing the
+    /// existing buffer when its capacity suffices.
+    pub fn resize_filled(&mut self, rows: usize, cols: usize, value: f64) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, value);
+    }
+
     /// Makes `self` an exact copy of `other` (shape and data), reusing the
     /// existing buffer when possible.
     pub fn copy_from(&mut self, other: &Matrix) {
@@ -248,17 +270,30 @@ impl Matrix {
     /// The transpose.
     #[must_use]
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Self::transpose`] into a caller-provided output matrix.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.fill_from_fn(self.cols, self.rows, |i, j| self[(j, i)]);
     }
 
     /// Element-wise map into a new matrix.
     #[must_use]
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        let mut out = Matrix::default();
+        self.map_into(&mut out, f);
+        out
+    }
+
+    /// [`Self::map`] into a caller-provided output matrix.
+    pub fn map_into(&self, out: &mut Matrix, f: impl Fn(f64) -> f64) {
+        out.rows = self.rows;
+        out.cols = self.cols;
+        out.data.clear();
+        out.data.extend(self.data.iter().map(|&x| f(x)));
     }
 
     /// Element-wise combination of two same-shape matrices.
@@ -267,17 +302,22 @@ impl Matrix {
     /// Panics on shape mismatch.
     #[must_use]
     pub fn zip_map(&self, other: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
+        let mut out = Matrix::default();
+        self.zip_map_into(other, &mut out, f);
+        out
+    }
+
+    /// [`Self::zip_map`] into a caller-provided output matrix.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn zip_map_into(&self, other: &Matrix, out: &mut Matrix, f: impl Fn(f64, f64) -> f64) {
         assert_eq!(self.shape(), other.shape(), "zip_map shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
+        out.rows = self.rows;
+        out.cols = self.cols;
+        out.data.clear();
+        out.data
+            .extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
     }
 
     /// `self + other`.
@@ -286,10 +326,20 @@ impl Matrix {
         self.zip_map(other, |a, b| a + b)
     }
 
+    /// [`Self::add`] into a caller-provided output matrix.
+    pub fn add_into(&self, other: &Matrix, out: &mut Matrix) {
+        self.zip_map_into(other, out, |a, b| a + b);
+    }
+
     /// `self - other`.
     #[must_use]
     pub fn sub(&self, other: &Matrix) -> Matrix {
         self.zip_map(other, |a, b| a - b)
+    }
+
+    /// [`Self::sub`] into a caller-provided output matrix.
+    pub fn sub_into(&self, other: &Matrix, out: &mut Matrix) {
+        self.zip_map_into(other, out, |a, b| a - b);
     }
 
     /// Hadamard (element-wise) product.
@@ -298,10 +348,38 @@ impl Matrix {
         self.zip_map(other, |a, b| a * b)
     }
 
+    /// [`Self::hadamard`] into a caller-provided output matrix.
+    pub fn hadamard_into(&self, other: &Matrix, out: &mut Matrix) {
+        self.zip_map_into(other, out, |a, b| a * b);
+    }
+
+    /// `self` with the `1 x cols` row vector `row` added to every row
+    /// (`out_ij = self_ij + row_j`), into a caller-provided output matrix.
+    ///
+    /// # Panics
+    /// Panics if `row` is not `1 x self.cols`.
+    pub fn add_row_into(&self, row: &Matrix, out: &mut Matrix) {
+        assert_eq!(row.shape(), (1, self.cols), "broadcast row shape");
+        out.copy_from(self);
+        if self.cols == 0 {
+            return;
+        }
+        for orow in out.data.chunks_exact_mut(self.cols) {
+            for (o, &r) in orow.iter_mut().zip(&row.data) {
+                *o += r;
+            }
+        }
+    }
+
     /// `self * scalar`.
     #[must_use]
     pub fn scale(&self, s: f64) -> Matrix {
         self.map(|x| x * s)
+    }
+
+    /// [`Self::scale`] into a caller-provided output matrix.
+    pub fn scale_into(&self, s: f64, out: &mut Matrix) {
+        self.map_into(out, |x| x * s);
     }
 
     /// In-place `self += other * s`.
@@ -392,13 +470,18 @@ impl Matrix {
     #[must_use]
     pub fn with_appended_row(&self, row: &[f64]) -> Matrix {
         assert_eq!(row.len(), self.cols);
-        let mut data = self.data.clone();
-        data.extend_from_slice(row);
-        Matrix {
-            rows: self.rows + 1,
-            cols: self.cols,
-            data,
-        }
+        let mut out = self.clone();
+        out.data.extend_from_slice(row);
+        out.rows += 1;
+        out
+    }
+
+    /// `self` with a row of zeros appended, into a caller-provided output
+    /// matrix: [`Self::with_appended_row`] of a zero row.
+    pub fn with_zero_row_into(&self, out: &mut Matrix) {
+        out.copy_from(self);
+        out.data.resize(out.data.len() + self.cols, 0.0);
+        out.rows += 1;
     }
 
     /// Returns a copy with the last row removed.
@@ -407,12 +490,22 @@ impl Matrix {
     /// Panics if the matrix has no rows.
     #[must_use]
     pub fn without_last_row(&self) -> Matrix {
+        let mut out = Matrix::default();
+        self.without_last_row_into(&mut out);
+        out
+    }
+
+    /// [`Self::without_last_row`] into a caller-provided output matrix.
+    ///
+    /// # Panics
+    /// Panics if the matrix has no rows.
+    pub fn without_last_row_into(&self, out: &mut Matrix) {
         assert!(self.rows > 0);
-        Matrix {
-            rows: self.rows - 1,
-            cols: self.cols,
-            data: self.data[..(self.rows - 1) * self.cols].to_vec(),
-        }
+        out.rows = self.rows - 1;
+        out.cols = self.cols;
+        out.data.clear();
+        out.data
+            .extend_from_slice(&self.data[..(self.rows - 1) * self.cols]);
     }
 
     /// Horizontal concatenation `[self | other]`.
@@ -421,16 +514,24 @@ impl Matrix {
     /// Panics if row counts differ.
     #[must_use]
     pub fn hcat(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.hcat_into(other, &mut out);
+        out
+    }
+
+    /// [`Self::hcat`] into a caller-provided output matrix.
+    ///
+    /// # Panics
+    /// Panics if row counts differ.
+    pub fn hcat_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "hcat row mismatch");
-        let mut data = Vec::with_capacity(self.len() + other.len());
+        out.rows = self.rows;
+        out.cols = self.cols + other.cols;
+        out.data.clear();
+        out.data.reserve(self.len() + other.len());
         for r in 0..self.rows {
-            data.extend_from_slice(self.row(r));
-            data.extend_from_slice(other.row(r));
-        }
-        Matrix {
-            rows: self.rows,
-            cols: self.cols + other.cols,
-            data,
+            out.data.extend_from_slice(self.row(r));
+            out.data.extend_from_slice(other.row(r));
         }
     }
 
@@ -604,5 +705,46 @@ mod tests {
         let c = Matrix::from_fn(6, 4, |i, j| (i * 4 + j) as f64 - 5.5);
         a.matmul_transpose_b_into(&c, &mut dirty);
         assert_eq!(dirty, a.matmul_transpose_b(&c));
+    }
+
+    /// Every `_into` form the autodiff tape writes through equals its
+    /// allocating form bit for bit, whatever the output held before.
+    #[test]
+    fn elementwise_into_variants_match_allocating_forms() {
+        let a = Matrix::from_fn(3, 4, |i, j| (i * 7 + j) as f64 * 0.3 - 1.0);
+        let b = Matrix::from_fn(3, 4, |i, j| (i + j * 2) as f64 * 0.7 + 0.1);
+        let row = Matrix::from_fn(1, 4, |_, j| j as f64 - 1.5);
+        let bits = |m: &Matrix| -> Vec<u64> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
+        let same = |got: &Matrix, want: &Matrix| {
+            assert_eq!(got.shape(), want.shape());
+            assert_eq!(bits(got), bits(want));
+        };
+        let mut out = Matrix::filled(5, 2, f64::NAN);
+        a.transpose_into(&mut out);
+        same(&out, &a.transpose());
+        a.map_into(&mut out, f64::tanh);
+        same(&out, &a.map(f64::tanh));
+        a.zip_map_into(&b, &mut out, |x, y| x / y);
+        same(&out, &a.zip_map(&b, |x, y| x / y));
+        a.add_into(&b, &mut out);
+        same(&out, &a.add(&b));
+        a.sub_into(&b, &mut out);
+        same(&out, &a.sub(&b));
+        a.hadamard_into(&b, &mut out);
+        same(&out, &a.hadamard(&b));
+        a.scale_into(-0.25, &mut out);
+        same(&out, &a.scale(-0.25));
+        a.hcat_into(&b, &mut out);
+        same(&out, &a.hcat(&b));
+        a.without_last_row_into(&mut out);
+        same(&out, &a.without_last_row());
+        a.with_zero_row_into(&mut out);
+        same(&out, &a.with_appended_row(&[0.0; 4]));
+        a.add_row_into(&row, &mut out);
+        same(&out, &Matrix::from_fn(3, 4, |i, j| a[(i, j)] + row[(0, j)]));
+        out.fill_from_fn(2, 3, |i, j| (i * 3 + j) as f64);
+        same(&out, &Matrix::from_fn(2, 3, |i, j| (i * 3 + j) as f64));
+        out.resize_filled(2, 2, 1.5);
+        same(&out, &Matrix::filled(2, 2, 1.5));
     }
 }

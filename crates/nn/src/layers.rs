@@ -215,7 +215,7 @@ impl AttentionPool {
     pub fn forward(&self, tape: &Tape, binds: &Bindings, h: Var) -> Var {
         let (n, _) = tape.shape(h);
         // mean row: (1/n) 1ᵀ H  -> 1 x d
-        let ones = tape.constant(Matrix::filled(1, n, 1.0 / n as f64));
+        let ones = tape.filled(1, n, 1.0 / n as f64);
         let mean = tape.matmul(ones, h);
         let hc = tape.tanh(tape.matmul(mean, binds.var(self.w1))); // 1 x d
         let scores = tape.matmul(h, tape.transpose(hc)); // n x 1

@@ -6,7 +6,9 @@
 //! * [`tape::Tape`] records an enum-op computation graph over dense
 //!   [`ged_linalg::Matrix`] values; no closures, no lifetimes in user code —
 //!   a [`tape::Var`] is just an index. A fresh tape is built per forward
-//!   pass (define-by-run), matching how the per-pair GED models work.
+//!   pass (define-by-run), matching how the per-pair GED models work; its
+//!   buffers come from a [`tape::TapePool`] the previous tape handed back,
+//!   so repeated passes stop allocating.
 //! * Every operation's gradient is validated against central finite
 //!   differences in this crate's test suite (Invariant E of DESIGN.md).
 //! * [`params::ParamStore`] owns the trainable matrices across tapes;
@@ -27,4 +29,4 @@ pub mod tape;
 pub use layers::{AttentionPool, GinLayer, Linear, Mlp, Ntn};
 pub use optim::Adam;
 pub use params::{ParamId, ParamStore};
-pub use tape::{Tape, Var};
+pub use tape::{Tape, TapePool, Var};

@@ -23,8 +23,8 @@ pub fn mse_scalar(tape: &Tape, pred: Var, target: f64) -> Var {
 pub fn bce_matrix(tape: &Tape, pred: Var, target: &Matrix) -> Var {
     let (n1, n2) = tape.shape(pred);
     assert_eq!(target.shape(), (n1, n2), "BCE target shape");
-    let t = tape.constant(target.clone());
-    let one = tape.constant(Matrix::filled(n1, n2, 1.0));
+    let t = tape.constant_with(n1, n2, |m| m.copy_from(target));
+    let one = tape.filled(n1, n2, 1.0);
 
     let p = tape.clamp(pred, BCE_EPS, 1.0 - BCE_EPS);
     let log_p = tape.ln(p);

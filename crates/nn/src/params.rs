@@ -19,9 +19,12 @@ pub struct ParamStore {
     names: Vec<String>,
 }
 
-/// The tape bindings of every parameter for one forward pass.
+/// The tape bindings of every parameter for one forward pass: the
+/// parameters are bound as consecutive tape nodes, so parameter `i` is
+/// node `first + i`.
 pub struct Bindings {
-    vars: Vec<Var>,
+    first: usize,
+    len: usize,
 }
 
 impl ParamStore {
@@ -77,14 +80,40 @@ impl ParamStore {
     /// borrow the stored values (nothing is copied).
     #[must_use]
     pub fn bind<'p>(&'p self, tape: &Tape<'p>) -> Bindings {
-        let vars = self.values.iter().map(|v| tape.leaf_ref(v, true)).collect();
-        Bindings { vars }
+        let first = tape.len();
+        for v in &self.values {
+            tape.leaf_ref(v, true);
+        }
+        Bindings {
+            first,
+            len: self.values.len(),
+        }
     }
 
     /// Reads the gradient of every parameter from a backward-completed tape.
     #[must_use]
     pub fn gradients(&self, tape: &Tape, bindings: &Bindings) -> Vec<Matrix> {
-        bindings.vars.iter().map(|&v| tape.grad(v)).collect()
+        bindings.vars().map(|v| tape.grad(v)).collect()
+    }
+
+    /// [`Self::gradients`] into `out`, reusing its matrices.
+    pub fn gradients_into(&self, tape: &Tape, bindings: &Bindings, out: &mut Vec<Matrix>) {
+        out.resize_with(bindings.len, Matrix::default);
+        for (v, g) in bindings.vars().zip(out.iter_mut()) {
+            tape.grad_into(v, g);
+        }
+    }
+
+    /// Adds the gradient of every parameter onto `acc`, which
+    /// [`Self::gradients_into`] shaped: `acc[i] += grad_i`.
+    ///
+    /// # Panics
+    /// Panics if `acc` does not hold one matrix per parameter.
+    pub fn add_gradients(&self, tape: &Tape, bindings: &Bindings, acc: &mut [Matrix]) {
+        assert_eq!(acc.len(), bindings.len, "gradient count mismatch");
+        for (v, a) in bindings.vars().zip(acc.iter_mut()) {
+            tape.add_grad_to(v, a);
+        }
     }
 
     /// Raw access for optimizers: `(values, count)`.
@@ -95,9 +124,17 @@ impl ParamStore {
 
 impl Bindings {
     /// The tape variable bound to `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` is not a parameter of the bound store.
     #[must_use]
     pub fn var(&self, id: ParamId) -> Var {
-        self.vars[id.0]
+        assert!(id.0 < self.len, "parameter {} is not bound", id.0);
+        Var(self.first + id.0)
+    }
+
+    fn vars(&self) -> impl Iterator<Item = Var> {
+        (self.first..self.first + self.len).map(Var)
     }
 }
 

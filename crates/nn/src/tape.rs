@@ -7,16 +7,27 @@
 //!
 //! A tape may borrow leaf values for its lifetime `'p` ([`Tape::leaf_ref`]),
 //! so binding a model's parameters copies nothing.
+//!
+//! Every value and gradient a tape computes is written into a buffer drawn
+//! from a [`TapePool`]: [`Tape::with_pool`] hands a pool in and
+//! [`Tape::into_pool`] takes it back with every buffer of the finished
+//! tape. Node `i` draws the buffer node `i` of the previous tape used, so
+//! a model that builds the same graph pair after pair stops allocating once
+//! its buffers have grown to the largest pair. Each op writes through the
+//! `_into` form of the [`Matrix`] op its allocating form delegates to, so
+//! the values are bit-identical whatever state the pool is in.
 
 use ged_linalg::Matrix;
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::fmt;
+use std::mem;
 
 /// Handle to a value on the tape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Var(pub(crate) usize);
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Op {
     /// Leaf value (input or parameter).
     Leaf,
@@ -53,6 +64,7 @@ enum Op {
     DivScalarVar(usize, usize),
 }
 
+#[derive(Clone)]
 struct Node<'p> {
     op: Op,
     value: Cow<'p, Matrix>,
@@ -60,42 +72,180 @@ struct Node<'p> {
     requires_grad: bool,
 }
 
+/// The buffers of a finished tape, ready for the next one. See the
+/// [module docs](self).
+#[derive(Clone, Default)]
+pub struct TapePool {
+    /// Value buffer of node `i` at index `i` (empty once drawn).
+    values: Vec<Matrix>,
+    /// Gradient buffer of node `i` at index `i` (empty once drawn).
+    grads: Vec<Matrix>,
+    /// Temporaries of the backward pass.
+    scratch: [Matrix; 3],
+    /// The emptied node list, kept for its capacity.
+    nodes: Vec<Node<'static>>,
+}
+
+impl fmt::Debug for TapePool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TapePool")
+            .field("values", &self.values.len())
+            .field("grads", &self.grads.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl TapePool {
+    /// An empty pool; buffers grow on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Empties `nodes` and re-types it for another borrow lifetime. The
+/// list is empty, and `collect` from a `Vec`'s own `into_iter` into a
+/// type of the same layout reuses the allocation (std's in-place
+/// iteration; the allocation tests would count a new one).
+fn recycle<'a, 'b>(mut nodes: Vec<Node<'a>>) -> Vec<Node<'b>> {
+    nodes.clear();
+    nodes
+        .into_iter()
+        .map(|_| unreachable!("the list was cleared"))
+        .collect()
+}
+
+/// Takes buffer `i` of `slots`, or a new empty one past its end.
+fn draw(slots: &mut [Matrix], i: usize) -> Matrix {
+    slots.get_mut(i).map(mem::take).unwrap_or_default()
+}
+
+/// Puts `buf` back as buffer `i` of `slots`, unless that slot still holds
+/// a buffer nobody drew (then `buf` came from outside the pool).
+fn restore(slots: &mut Vec<Matrix>, i: usize, buf: Matrix) {
+    if slots.len() <= i {
+        slots.resize_with(i + 1, Matrix::default);
+    }
+    if slots[i].is_empty() {
+        slots[i] = buf;
+    }
+}
+
+struct Inner<'p> {
+    nodes: Vec<Node<'p>>,
+    values: Vec<Matrix>,
+    grads: Vec<Matrix>,
+    scratch: [Matrix; 3],
+}
+
 /// A define-by-run computation graph.
-#[derive(Default)]
 pub struct Tape<'p> {
-    nodes: RefCell<Vec<Node<'p>>>,
+    inner: RefCell<Inner<'p>>,
+}
+
+impl Default for Tape<'_> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<'p> Tape<'p> {
-    /// Creates an empty tape.
+    /// Creates an empty tape with an empty pool.
     #[must_use]
     pub fn new() -> Self {
+        Self::with_pool(TapePool::default())
+    }
+
+    /// Creates an empty tape that draws its buffers from `pool`.
+    #[must_use]
+    pub fn with_pool(pool: TapePool) -> Self {
         Tape {
-            nodes: RefCell::new(Vec::new()),
+            inner: RefCell::new(Inner {
+                nodes: recycle(pool.nodes),
+                values: pool.values,
+                grads: pool.grads,
+                scratch: pool.scratch,
+            }),
+        }
+    }
+
+    /// Ends the tape and returns its buffers, those of every node's value
+    /// and gradient included, for the next tape.
+    #[must_use]
+    pub fn into_pool(self) -> TapePool {
+        let Inner {
+            mut nodes,
+            mut values,
+            mut grads,
+            scratch,
+        } = self.inner.into_inner();
+        for (i, node) in nodes.drain(..).enumerate() {
+            if let Cow::Owned(v) = node.value {
+                restore(&mut values, i, v);
+            }
+            if let Some(g) = node.grad {
+                restore(&mut grads, i, g);
+            }
+        }
+        TapePool {
+            values,
+            grads,
+            scratch,
+            nodes: recycle(nodes),
         }
     }
 
     fn push(&self, op: Op, value: Cow<'p, Matrix>, requires_grad: bool) -> Var {
-        let mut nodes = self.nodes.borrow_mut();
-        nodes.push(Node {
+        let mut inner = self.inner.borrow_mut();
+        inner.nodes.push(Node {
             op,
             value,
             grad: None,
             requires_grad,
         });
-        Var(nodes.len() - 1)
+        Var(inner.nodes.len() - 1)
     }
 
-    fn push_unary(&self, a: Var, op: Op, value: Matrix) -> Var {
-        let rg = self.nodes.borrow()[a.0].requires_grad;
-        self.push(op, Cow::Owned(value), rg)
+    /// Pushes a node whose value `f` writes into the next recycled buffer.
+    fn push_with(
+        &self,
+        op: Op,
+        requires_grad: bool,
+        f: impl FnOnce(&[Node<'p>], &mut Matrix),
+    ) -> Var {
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let i = inner.nodes.len();
+        let mut value = draw(&mut inner.values, i);
+        f(&inner.nodes, &mut value);
+        inner.nodes.push(Node {
+            op,
+            value: Cow::Owned(value),
+            grad: None,
+            requires_grad,
+        });
+        Var(i)
     }
 
-    fn push_binary(&self, a: Var, b: Var, op: Op, value: Matrix) -> Var {
-        let nodes = self.nodes.borrow();
-        let rg = nodes[a.0].requires_grad || nodes[b.0].requires_grad;
-        drop(nodes);
-        self.push(op, Cow::Owned(value), rg)
+    fn push_unary(&self, a: Var, op: Op, f: impl FnOnce(&Matrix, &mut Matrix)) -> Var {
+        let rg = self.inner.borrow().nodes[a.0].requires_grad;
+        self.push_with(op, rg, |nodes, out| f(&nodes[a.0].value, out))
+    }
+
+    fn push_binary(
+        &self,
+        a: Var,
+        b: Var,
+        op: Op,
+        f: impl FnOnce(&Matrix, &Matrix, &mut Matrix),
+    ) -> Var {
+        let rg = {
+            let nodes = &self.inner.borrow().nodes;
+            nodes[a.0].requires_grad || nodes[b.0].requires_grad
+        };
+        self.push_with(op, rg, |nodes, out| {
+            f(&nodes[a.0].value, &nodes[b.0].value, out);
+        })
     }
 
     /// Registers a leaf value. `requires_grad` marks parameters.
@@ -114,15 +264,31 @@ impl<'p> Tape<'p> {
         self.leaf(value, false)
     }
 
+    /// Registers a `rows x cols` constant that `fill` writes into a
+    /// recycled buffer, zeroed first. `fill` must not use the tape.
+    pub fn constant_with(&self, rows: usize, cols: usize, fill: impl FnOnce(&mut Matrix)) -> Var {
+        self.push_with(Op::Leaf, false, |_, out| {
+            out.resize_zeroed(rows, cols);
+            fill(out);
+        })
+    }
+
+    /// Registers a `rows x cols` constant with every element `value`.
+    pub fn filled(&self, rows: usize, cols: usize, value: f64) -> Var {
+        self.push_with(Op::Leaf, false, |_, out| {
+            out.resize_filled(rows, cols, value);
+        })
+    }
+
     /// Registers a `1x1` constant scalar.
     pub fn scalar(&self, value: f64) -> Var {
-        self.constant(Matrix::from_vec(1, 1, vec![value]))
+        self.filled(1, 1, value)
     }
 
     /// The current value of `v` (cloned).
     #[must_use]
     pub fn value(&self, v: Var) -> Matrix {
-        Matrix::clone(&self.nodes.borrow()[v.0].value)
+        Matrix::clone(&self.inner.borrow().nodes[v.0].value)
     }
 
     /// The scalar value of a `1x1` variable.
@@ -131,8 +297,8 @@ impl<'p> Tape<'p> {
     /// Panics if `v` is not `1x1`.
     #[must_use]
     pub fn scalar_value(&self, v: Var) -> f64 {
-        let nodes = self.nodes.borrow();
-        let m = &nodes[v.0].value;
+        let inner = self.inner.borrow();
+        let m = &inner.nodes[v.0].value;
         assert_eq!(m.shape(), (1, 1), "scalar_value needs a 1x1 value");
         m.as_slice()[0]
     }
@@ -140,172 +306,161 @@ impl<'p> Tape<'p> {
     /// The shape of `v`.
     #[must_use]
     pub fn shape(&self, v: Var) -> (usize, usize) {
-        self.nodes.borrow()[v.0].value.shape()
+        self.inner.borrow().nodes[v.0].value.shape()
     }
 
     /// The accumulated gradient of `v` (zeros if it never received one).
     #[must_use]
     pub fn grad(&self, v: Var) -> Matrix {
-        let nodes = self.nodes.borrow();
-        let n = &nodes[v.0];
-        n.grad.clone().unwrap_or_else(|| {
-            let (r, c) = n.value.shape();
-            Matrix::zeros(r, c)
-        })
+        let mut out = Matrix::default();
+        self.grad_into(v, &mut out);
+        out
+    }
+
+    /// [`Self::grad`] into a caller-provided matrix (reshaped as needed).
+    pub fn grad_into(&self, v: Var, out: &mut Matrix) {
+        let inner = self.inner.borrow();
+        let n = &inner.nodes[v.0];
+        match &n.grad {
+            Some(g) => out.copy_from(g),
+            None => {
+                let (r, c) = n.value.shape();
+                out.resize_zeroed(r, c);
+            }
+        }
+    }
+
+    /// `acc += grad(v)`, bit-identical to `acc.add_scaled_assign(&self.grad(v), 1.0)`
+    /// without materializing the gradient.
+    ///
+    /// # Panics
+    /// Panics if `acc` and `v` differ in shape.
+    pub fn add_grad_to(&self, v: Var, acc: &mut Matrix) {
+        let inner = self.inner.borrow();
+        let n = &inner.nodes[v.0];
+        assert_eq!(acc.shape(), n.value.shape(), "gradient shape mismatch");
+        match &n.grad {
+            Some(g) => acc.add_scaled_assign(g, 1.0),
+            // Adding the zero gradient still turns -0.0 into +0.0.
+            None => acc.as_mut_slice().iter_mut().for_each(|x| *x += 0.0),
+        }
     }
 
     // ----- ops -------------------------------------------------------
 
     /// Matrix product.
     pub fn matmul(&self, a: Var, b: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            nodes[a.0].value.matmul(&nodes[b.0].value)
-        };
-        self.push_binary(a, b, Op::MatMul(a.0, b.0), v)
+        self.push_binary(a, b, Op::MatMul(a.0, b.0), |x, y, out| {
+            x.matmul_into(y, out);
+        })
     }
 
     /// Transpose.
     pub fn transpose(&self, a: Var) -> Var {
-        let v = self.nodes.borrow()[a.0].value.transpose();
-        self.push_unary(a, Op::Transpose(a.0), v)
+        self.push_unary(a, Op::Transpose(a.0), Matrix::transpose_into)
     }
 
     /// Element-wise sum.
     pub fn add(&self, a: Var, b: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            nodes[a.0].value.add(&nodes[b.0].value)
-        };
-        self.push_binary(a, b, Op::Add(a.0, b.0), v)
+        self.push_binary(a, b, Op::Add(a.0, b.0), Matrix::add_into)
     }
 
     /// Element-wise difference.
     pub fn sub(&self, a: Var, b: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            nodes[a.0].value.sub(&nodes[b.0].value)
-        };
-        self.push_binary(a, b, Op::Sub(a.0, b.0), v)
+        self.push_binary(a, b, Op::Sub(a.0, b.0), Matrix::sub_into)
     }
 
     /// Hadamard product.
     pub fn mul(&self, a: Var, b: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            nodes[a.0].value.hadamard(&nodes[b.0].value)
-        };
-        self.push_binary(a, b, Op::Mul(a.0, b.0), v)
+        self.push_binary(a, b, Op::Mul(a.0, b.0), Matrix::hadamard_into)
     }
 
     /// Element-wise division.
     pub fn div(&self, a: Var, b: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            nodes[a.0].value.zip_map(&nodes[b.0].value, |x, y| x / y)
-        };
-        self.push_binary(a, b, Op::Div(a.0, b.0), v)
+        self.push_binary(a, b, Op::Div(a.0, b.0), |x, y, out| {
+            x.zip_map_into(y, out, |p, q| p / q);
+        })
     }
 
     /// Multiplication by a compile-time scalar.
     pub fn scale(&self, a: Var, s: f64) -> Var {
-        let v = self.nodes.borrow()[a.0].value.scale(s);
-        self.push_unary(a, Op::Scale(a.0, s), v)
+        self.push_unary(a, Op::Scale(a.0, s), |x, out| x.scale_into(s, out))
     }
 
     /// Addition of a compile-time scalar to every element.
     pub fn add_const(&self, a: Var, s: f64) -> Var {
-        let v = self.nodes.borrow()[a.0].value.map(|x| x + s);
-        self.push_unary(a, Op::AddConst(a.0), v)
+        self.push_unary(a, Op::AddConst(a.0), |x, out| x.map_into(out, |v| v + s))
     }
 
     /// Element-wise `exp`.
     pub fn exp(&self, a: Var) -> Var {
-        let v = self.nodes.borrow()[a.0].value.map(f64::exp);
-        self.push_unary(a, Op::Exp(a.0), v)
+        self.push_unary(a, Op::Exp(a.0), |x, out| x.map_into(out, f64::exp))
     }
 
     /// Element-wise natural log.
     pub fn ln(&self, a: Var) -> Var {
-        let v = self.nodes.borrow()[a.0].value.map(f64::ln);
-        self.push_unary(a, Op::Ln(a.0), v)
+        self.push_unary(a, Op::Ln(a.0), |x, out| x.map_into(out, f64::ln))
     }
 
     /// Element-wise `tanh`.
     pub fn tanh(&self, a: Var) -> Var {
-        let v = self.nodes.borrow()[a.0].value.map(f64::tanh);
-        self.push_unary(a, Op::Tanh(a.0), v)
+        self.push_unary(a, Op::Tanh(a.0), |x, out| x.map_into(out, f64::tanh))
     }
 
     /// Element-wise logistic sigmoid.
     pub fn sigmoid(&self, a: Var) -> Var {
-        let v = self.nodes.borrow()[a.0]
-            .value
-            .map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push_unary(a, Op::Sigmoid(a.0), v)
+        self.push_unary(a, Op::Sigmoid(a.0), |x, out| {
+            x.map_into(out, |v| 1.0 / (1.0 + (-v).exp()));
+        })
     }
 
     /// Element-wise ReLU.
     pub fn relu(&self, a: Var) -> Var {
-        let v = self.nodes.borrow()[a.0].value.map(|x| x.max(0.0));
-        self.push_unary(a, Op::Relu(a.0), v)
+        self.push_unary(a, Op::Relu(a.0), |x, out| x.map_into(out, |v| v.max(0.0)))
     }
 
     /// Element-wise softplus `ln(1 + e^x)` (used to keep the learnable
     /// Sinkhorn ε positive).
     pub fn softplus(&self, a: Var) -> Var {
-        let v = self.nodes.borrow()[a.0].value.map(|x| {
+        self.push_unary(a, Op::Softplus(a.0), |x, out| {
             // Numerically stable: max(x,0) + ln(1+exp(-|x|)).
-            x.max(0.0) + (-x.abs()).exp().ln_1p()
-        });
-        self.push_unary(a, Op::Softplus(a.0), v)
+            x.map_into(out, |v| v.max(0.0) + (-v.abs()).exp().ln_1p());
+        })
     }
 
     /// Sum of all elements (`1x1` result).
     pub fn sum(&self, a: Var) -> Var {
-        let v = Matrix::from_vec(1, 1, vec![self.nodes.borrow()[a.0].value.sum()]);
-        self.push_unary(a, Op::Sum(a.0), v)
+        self.push_unary(a, Op::Sum(a.0), |x, out| out.resize_filled(1, 1, x.sum()))
     }
 
     /// Mean of all elements (`1x1` result).
     pub fn mean(&self, a: Var) -> Var {
-        let nodes = self.nodes.borrow();
-        let m = &nodes[a.0].value;
-        let v = Matrix::from_vec(1, 1, vec![m.sum() / m.len() as f64]);
-        drop(nodes);
-        self.push_unary(a, Op::Mean(a.0), v)
+        self.push_unary(a, Op::Mean(a.0), |x, out| {
+            out.resize_filled(1, 1, x.sum() / x.len() as f64);
+        })
     }
 
     /// Element-wise clamp into `[lo, hi]` (gradient passes through inside
     /// the interval, zero outside).
     pub fn clamp(&self, a: Var, lo: f64, hi: f64) -> Var {
-        let v = self.nodes.borrow()[a.0].value.map(|x| x.clamp(lo, hi));
-        self.push_unary(a, Op::Clamp(a.0, lo, hi), v)
+        self.push_unary(a, Op::Clamp(a.0, lo, hi), |x, out| {
+            x.map_into(out, |v| v.clamp(lo, hi));
+        })
     }
 
     /// Horizontal concatenation `[a | b]`.
     pub fn concat_cols(&self, a: Var, b: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            nodes[a.0].value.hcat(&nodes[b.0].value)
-        };
-        self.push_binary(a, b, Op::ConcatCols(a.0, b.0), v)
+        self.push_binary(a, b, Op::ConcatCols(a.0, b.0), Matrix::hcat_into)
     }
 
     /// Appends a zero row (the dummy supernode row of Section 4.2).
     pub fn append_zero_row(&self, a: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            let cols = nodes[a.0].value.cols();
-            nodes[a.0].value.with_appended_row(&vec![0.0; cols])
-        };
-        self.push_unary(a, Op::AppendZeroRow(a.0), v)
+        self.push_unary(a, Op::AppendZeroRow(a.0), Matrix::with_zero_row_into)
     }
 
     /// Removes the last row (drops the dummy supernode from the coupling).
     pub fn remove_last_row(&self, a: Var) -> Var {
-        let v = self.nodes.borrow()[a.0].value.without_last_row();
-        self.push_unary(a, Op::RemoveLastRow(a.0), v)
+        self.push_unary(a, Op::RemoveLastRow(a.0), Matrix::without_last_row_into)
     }
 
     /// `c_ij = a_ij * r_j` with `r` a `1 x cols` row vector.
@@ -313,14 +468,10 @@ impl<'p> Tape<'p> {
     /// # Panics
     /// Panics if `r` is not `1 x a.cols`.
     pub fn mul_broadcast_row(&self, a: Var, r: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            let am = &nodes[a.0].value;
-            let rm = &nodes[r.0].value;
+        self.push_binary(a, r, Op::MulBroadcastRow(a.0, r.0), |am, rm, out| {
             assert_eq!(rm.shape(), (1, am.cols()), "broadcast row shape");
-            Matrix::from_fn(am.rows(), am.cols(), |i, j| am[(i, j)] * rm[(0, j)])
-        };
-        self.push_binary(a, r, Op::MulBroadcastRow(a.0, r.0), v)
+            out.fill_from_fn(am.rows(), am.cols(), |i, j| am[(i, j)] * rm[(0, j)]);
+        })
     }
 
     /// `c_ij = a_ij * col_i` with `col` a `rows x 1` column vector.
@@ -328,14 +479,10 @@ impl<'p> Tape<'p> {
     /// # Panics
     /// Panics if `col` is not `a.rows x 1`.
     pub fn mul_broadcast_col(&self, a: Var, col: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            let am = &nodes[a.0].value;
-            let cm = &nodes[col.0].value;
+        self.push_binary(a, col, Op::MulBroadcastCol(a.0, col.0), |am, cm, out| {
             assert_eq!(cm.shape(), (am.rows(), 1), "broadcast col shape");
-            Matrix::from_fn(am.rows(), am.cols(), |i, j| am[(i, j)] * cm[(i, 0)])
-        };
-        self.push_binary(a, col, Op::MulBroadcastCol(a.0, col.0), v)
+            out.fill_from_fn(am.rows(), am.cols(), |i, j| am[(i, j)] * cm[(i, 0)]);
+        })
     }
 
     /// `c_ij = a_ij + r_j` with `r` a `1 x cols` row vector (bias add).
@@ -343,14 +490,7 @@ impl<'p> Tape<'p> {
     /// # Panics
     /// Panics if `r` is not `1 x a.cols`.
     pub fn add_broadcast_row(&self, a: Var, r: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            let am = &nodes[a.0].value;
-            let rm = &nodes[r.0].value;
-            assert_eq!(rm.shape(), (1, am.cols()), "broadcast row shape");
-            Matrix::from_fn(am.rows(), am.cols(), |i, j| am[(i, j)] + rm[(0, j)])
-        };
-        self.push_binary(a, r, Op::AddBroadcastRow(a.0, r.0), v)
+        self.push_binary(a, r, Op::AddBroadcastRow(a.0, r.0), Matrix::add_row_into)
     }
 
     /// `c = a * s` with `s` a `1x1` tape value.
@@ -358,13 +498,10 @@ impl<'p> Tape<'p> {
     /// # Panics
     /// Panics if `s` is not `1x1`.
     pub fn mul_scalar_var(&self, a: Var, s: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            let sv = &nodes[s.0].value;
+        self.push_binary(a, s, Op::MulScalarVar(a.0, s.0), |am, sv, out| {
             assert_eq!(sv.shape(), (1, 1), "scalar var must be 1x1");
-            nodes[a.0].value.scale(sv.as_slice()[0])
-        };
-        self.push_binary(a, s, Op::MulScalarVar(a.0, s.0), v)
+            am.scale_into(sv.as_slice()[0], out);
+        })
     }
 
     /// `c = a / s` with `s` a `1x1` tape value.
@@ -372,13 +509,10 @@ impl<'p> Tape<'p> {
     /// # Panics
     /// Panics if `s` is not `1x1`.
     pub fn div_scalar_var(&self, a: Var, s: Var) -> Var {
-        let v = {
-            let nodes = self.nodes.borrow();
-            let sv = &nodes[s.0].value;
+        self.push_binary(a, s, Op::DivScalarVar(a.0, s.0), |am, sv, out| {
             assert_eq!(sv.shape(), (1, 1), "scalar var must be 1x1");
-            nodes[a.0].value.scale(1.0 / sv.as_slice()[0])
-        };
-        self.push_binary(a, s, Op::DivScalarVar(a.0, s.0), v)
+            am.scale_into(1.0 / sv.as_slice()[0], out);
+        })
     }
 
     /// Frobenius inner product `⟨a, b⟩` as a `1x1` value.
@@ -391,192 +525,235 @@ impl<'p> Tape<'p> {
 
     /// Runs reverse-mode accumulation from the scalar `loss`.
     ///
+    /// Each operand's gradient contribution is computed into a recycled
+    /// temporary, in the same order and with the same [`Matrix`] ops as
+    /// the allocating forms would, and then copied into (first
+    /// contribution) or added onto the operand's recycled gradient.
+    ///
     /// # Panics
     /// Panics if `loss` is not `1x1`.
     pub fn backward(&self, loss: Var) {
-        let mut nodes = self.nodes.borrow_mut();
+        let mut inner = self.inner.borrow_mut();
+        let Inner {
+            nodes,
+            grads,
+            scratch,
+            ..
+        } = &mut *inner;
         assert_eq!(
             nodes[loss.0].value.shape(),
             (1, 1),
             "backward needs a scalar loss"
         );
-        for n in nodes.iter_mut() {
-            n.grad = None;
+        for (i, n) in nodes.iter_mut().enumerate() {
+            if let Some(g) = n.grad.take() {
+                restore(grads, i, g);
+            }
         }
-        nodes[loss.0].grad = Some(Matrix::from_vec(1, 1, vec![1.0]));
+        let mut seed = draw(grads, loss.0);
+        seed.resize_filled(1, 1, 1.0);
+        nodes[loss.0].grad = Some(seed);
 
+        let [t, s1, s2] = scratch;
         for idx in (0..nodes.len()).rev() {
             // Leaves have no operands to propagate into.
             if !nodes[idx].requires_grad || matches!(nodes[idx].op, Op::Leaf) {
                 continue;
             }
-            let Some(g) = nodes[idx].grad.clone() else {
+            let Some(g) = nodes[idx].grad.take() else {
                 continue;
             };
-            let op = nodes[idx].op.clone();
-            let out_val = nodes[idx].value.clone();
-            match op {
+            match nodes[idx].op {
                 Op::Leaf => unreachable!("leaves are skipped above"),
                 Op::MatMul(a, b) => {
-                    let bv_t = nodes[b].value.transpose();
-                    let ga = g.matmul(&bv_t);
-                    accumulate(&mut nodes, a, ga);
-                    let av_t = nodes[a].value.transpose();
-                    let gb = av_t.matmul(&g);
-                    accumulate(&mut nodes, b, gb);
+                    nodes[b].value.transpose_into(t);
+                    g.matmul_into(t, s1);
+                    accumulate(nodes, grads, a, s1);
+                    nodes[a].value.transpose_into(t);
+                    t.matmul_into(&g, s1);
+                    accumulate(nodes, grads, b, s1);
                 }
-                Op::Transpose(a) => accumulate(&mut nodes, a, g.transpose()),
+                Op::Transpose(a) => {
+                    g.transpose_into(s1);
+                    accumulate(nodes, grads, a, s1);
+                }
                 Op::Add(a, b) => {
-                    accumulate(&mut nodes, a, g.clone());
-                    accumulate(&mut nodes, b, g);
+                    accumulate(nodes, grads, a, &g);
+                    accumulate(nodes, grads, b, &g);
                 }
                 Op::Sub(a, b) => {
-                    accumulate(&mut nodes, a, g.clone());
-                    accumulate(&mut nodes, b, g.scale(-1.0));
+                    accumulate(nodes, grads, a, &g);
+                    g.scale_into(-1.0, s1);
+                    accumulate(nodes, grads, b, s1);
                 }
                 Op::Mul(a, b) => {
-                    let ga = g.hadamard(&nodes[b].value);
-                    let gb = g.hadamard(&nodes[a].value);
-                    accumulate(&mut nodes, a, ga);
-                    accumulate(&mut nodes, b, gb);
+                    g.hadamard_into(&nodes[b].value, s1);
+                    g.hadamard_into(&nodes[a].value, s2);
+                    accumulate(nodes, grads, a, s1);
+                    accumulate(nodes, grads, b, s2);
                 }
                 Op::Div(a, b) => {
-                    let bv = nodes[b].value.clone();
-                    let ga = g.zip_map(&bv, |gi, bi| gi / bi);
+                    let bv = &nodes[b].value;
+                    g.zip_map_into(bv, s1, |gi, bi| gi / bi);
                     // d/db (a/b) = -a/b² = -c/b
-                    let gb = g.hadamard(&out_val).zip_map(&bv, |x, bi| -x / bi);
-                    accumulate(&mut nodes, a, ga);
-                    accumulate(&mut nodes, b, gb);
+                    g.hadamard_into(&nodes[idx].value, t);
+                    t.zip_map_into(bv, s2, |x, bi| -x / bi);
+                    accumulate(nodes, grads, a, s1);
+                    accumulate(nodes, grads, b, s2);
                 }
-                Op::Scale(a, s) => accumulate(&mut nodes, a, g.scale(s)),
-                Op::AddConst(a) => accumulate(&mut nodes, a, g),
-                Op::Exp(a) => accumulate(&mut nodes, a, g.hadamard(&out_val)),
+                Op::Scale(a, s) => {
+                    g.scale_into(s, s1);
+                    accumulate(nodes, grads, a, s1);
+                }
+                Op::AddConst(a) => accumulate(nodes, grads, a, &g),
+                Op::Exp(a) => {
+                    g.hadamard_into(&nodes[idx].value, s1);
+                    accumulate(nodes, grads, a, s1);
+                }
                 Op::Ln(a) => {
-                    let av = nodes[a].value.clone();
-                    accumulate(&mut nodes, a, g.zip_map(&av, |gi, ai| gi / ai));
+                    g.zip_map_into(&nodes[a].value, s1, |gi, ai| gi / ai);
+                    accumulate(nodes, grads, a, s1);
                 }
                 Op::Tanh(a) => {
-                    let ga = g.zip_map(&out_val, |gi, t| gi * (1.0 - t * t));
-                    accumulate(&mut nodes, a, ga);
+                    g.zip_map_into(&nodes[idx].value, s1, |gi, t| gi * (1.0 - t * t));
+                    accumulate(nodes, grads, a, s1);
                 }
                 Op::Sigmoid(a) => {
-                    let ga = g.zip_map(&out_val, |gi, s| gi * s * (1.0 - s));
-                    accumulate(&mut nodes, a, ga);
+                    g.zip_map_into(&nodes[idx].value, s1, |gi, s| gi * s * (1.0 - s));
+                    accumulate(nodes, grads, a, s1);
                 }
                 Op::Relu(a) => {
-                    let av = nodes[a].value.clone();
-                    accumulate(
-                        &mut nodes,
-                        a,
-                        g.zip_map(&av, |gi, ai| if ai > 0.0 { gi } else { 0.0 }),
+                    g.zip_map_into(
+                        &nodes[a].value,
+                        s1,
+                        |gi, ai| if ai > 0.0 { gi } else { 0.0 },
                     );
+                    accumulate(nodes, grads, a, s1);
                 }
                 Op::Softplus(a) => {
-                    let av = nodes[a].value.clone();
-                    let ga = g.zip_map(&av, |gi, ai| gi / (1.0 + (-ai).exp()));
-                    accumulate(&mut nodes, a, ga);
+                    g.zip_map_into(&nodes[a].value, s1, |gi, ai| gi / (1.0 + (-ai).exp()));
+                    accumulate(nodes, grads, a, s1);
                 }
                 Op::Sum(a) => {
                     let (r, c) = nodes[a].value.shape();
-                    accumulate(&mut nodes, a, Matrix::filled(r, c, g.as_slice()[0]));
+                    s1.resize_filled(r, c, g.as_slice()[0]);
+                    accumulate(nodes, grads, a, s1);
                 }
                 Op::Mean(a) => {
                     let (r, c) = nodes[a].value.shape();
                     let scale = g.as_slice()[0] / (r * c) as f64;
-                    accumulate(&mut nodes, a, Matrix::filled(r, c, scale));
+                    s1.resize_filled(r, c, scale);
+                    accumulate(nodes, grads, a, s1);
                 }
                 Op::Clamp(a, lo, hi) => {
-                    let av = nodes[a].value.clone();
-                    let ga = g.zip_map(&av, |gi, ai| if ai >= lo && ai <= hi { gi } else { 0.0 });
-                    accumulate(&mut nodes, a, ga);
+                    g.zip_map_into(&nodes[a].value, s1, |gi, ai| {
+                        if ai >= lo && ai <= hi {
+                            gi
+                        } else {
+                            0.0
+                        }
+                    });
+                    accumulate(nodes, grads, a, s1);
                 }
                 Op::ConcatCols(a, b) => {
                     let ca = nodes[a].value.cols();
                     let (rows, cols) = g.shape();
-                    let ga = Matrix::from_fn(rows, ca, |i, j| g[(i, j)]);
-                    let gb = Matrix::from_fn(rows, cols - ca, |i, j| g[(i, j + ca)]);
-                    accumulate(&mut nodes, a, ga);
-                    accumulate(&mut nodes, b, gb);
+                    s1.fill_from_fn(rows, ca, |i, j| g[(i, j)]);
+                    s2.fill_from_fn(rows, cols - ca, |i, j| g[(i, j + ca)]);
+                    accumulate(nodes, grads, a, s1);
+                    accumulate(nodes, grads, b, s2);
                 }
-                Op::AppendZeroRow(a) => accumulate(&mut nodes, a, g.without_last_row()),
+                Op::AppendZeroRow(a) => {
+                    g.without_last_row_into(s1);
+                    accumulate(nodes, grads, a, s1);
+                }
                 Op::RemoveLastRow(a) => {
-                    let cols = g.cols();
-                    accumulate(&mut nodes, a, g.with_appended_row(&vec![0.0; cols]));
+                    g.with_zero_row_into(s1);
+                    accumulate(nodes, grads, a, s1);
                 }
                 Op::MulBroadcastRow(a, r) => {
-                    let rv = nodes[r.to_owned()].value.clone();
-                    let av = nodes[a].value.clone();
-                    let ga = Matrix::from_fn(g.rows(), g.cols(), |i, j| g[(i, j)] * rv[(0, j)]);
-                    let mut gr = Matrix::zeros(1, g.cols());
+                    let rv = &nodes[r].value;
+                    let av = &nodes[a].value;
+                    s1.fill_from_fn(g.rows(), g.cols(), |i, j| g[(i, j)] * rv[(0, j)]);
+                    s2.resize_zeroed(1, g.cols());
                     for i in 0..g.rows() {
                         for j in 0..g.cols() {
-                            gr[(0, j)] += g[(i, j)] * av[(i, j)];
+                            s2[(0, j)] += g[(i, j)] * av[(i, j)];
                         }
                     }
-                    accumulate(&mut nodes, a, ga);
-                    accumulate(&mut nodes, r, gr);
+                    accumulate(nodes, grads, a, s1);
+                    accumulate(nodes, grads, r, s2);
                 }
                 Op::MulBroadcastCol(a, c) => {
-                    let cv = nodes[c].value.clone();
-                    let av = nodes[a].value.clone();
-                    let ga = Matrix::from_fn(g.rows(), g.cols(), |i, j| g[(i, j)] * cv[(i, 0)]);
-                    let mut gc = Matrix::zeros(g.rows(), 1);
+                    let cv = &nodes[c].value;
+                    let av = &nodes[a].value;
+                    s1.fill_from_fn(g.rows(), g.cols(), |i, j| g[(i, j)] * cv[(i, 0)]);
+                    s2.resize_zeroed(g.rows(), 1);
                     for i in 0..g.rows() {
                         for j in 0..g.cols() {
-                            gc[(i, 0)] += g[(i, j)] * av[(i, j)];
+                            s2[(i, 0)] += g[(i, j)] * av[(i, j)];
                         }
                     }
-                    accumulate(&mut nodes, a, ga);
-                    accumulate(&mut nodes, c, gc);
+                    accumulate(nodes, grads, a, s1);
+                    accumulate(nodes, grads, c, s2);
                 }
                 Op::AddBroadcastRow(a, r) => {
-                    let mut gr = Matrix::zeros(1, g.cols());
+                    s2.resize_zeroed(1, g.cols());
                     for i in 0..g.rows() {
                         for j in 0..g.cols() {
-                            gr[(0, j)] += g[(i, j)];
+                            s2[(0, j)] += g[(i, j)];
                         }
                     }
-                    accumulate(&mut nodes, a, g);
-                    accumulate(&mut nodes, r, gr);
+                    accumulate(nodes, grads, a, &g);
+                    accumulate(nodes, grads, r, s2);
                 }
                 Op::MulScalarVar(a, s) => {
                     let sv = nodes[s].value.as_slice()[0];
-                    let av = nodes[a].value.clone();
-                    accumulate(&mut nodes, a, g.scale(sv));
-                    let gs = g.hadamard(&av).sum();
-                    accumulate(&mut nodes, s, Matrix::from_vec(1, 1, vec![gs]));
+                    g.scale_into(sv, s1);
+                    accumulate(nodes, grads, a, s1);
+                    g.hadamard_into(&nodes[a].value, t);
+                    s2.resize_filled(1, 1, t.sum());
+                    accumulate(nodes, grads, s, s2);
                 }
                 Op::DivScalarVar(a, s) => {
                     let sv = nodes[s].value.as_slice()[0];
-                    let av = nodes[a].value.clone();
-                    accumulate(&mut nodes, a, g.scale(1.0 / sv));
-                    let gs = -g.hadamard(&av).sum() / (sv * sv);
-                    accumulate(&mut nodes, s, Matrix::from_vec(1, 1, vec![gs]));
+                    g.scale_into(1.0 / sv, s1);
+                    accumulate(nodes, grads, a, s1);
+                    g.hadamard_into(&nodes[a].value, t);
+                    s2.resize_filled(1, 1, -t.sum() / (sv * sv));
+                    accumulate(nodes, grads, s, s2);
                 }
             }
+            nodes[idx].grad = Some(g);
         }
     }
 
     /// Number of nodes on the tape (diagnostics).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.borrow().len()
+        self.inner.borrow().nodes.len()
     }
 
     /// Whether the tape is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.borrow().is_empty()
+        self.inner.borrow().nodes.is_empty()
     }
 }
 
-fn accumulate(nodes: &mut [Node<'_>], idx: usize, g: Matrix) {
+/// Adds the contribution `g` to node `idx`'s gradient: the first one is
+/// copied into a recycled buffer, later ones are added onto it.
+fn accumulate(nodes: &mut [Node<'_>], grads: &mut [Matrix], idx: usize, g: &Matrix) {
     if !nodes[idx].requires_grad {
         return;
     }
     match &mut nodes[idx].grad {
-        Some(existing) => existing.add_scaled_assign(&g, 1.0),
-        slot @ None => *slot = Some(g),
+        Some(existing) => existing.add_scaled_assign(g, 1.0),
+        slot @ None => {
+            let mut buf = draw(grads, idx);
+            buf.copy_from(g);
+            *slot = Some(buf);
+        }
     }
 }
 
@@ -794,6 +971,72 @@ mod tests {
             },
             2e-3,
         );
+    }
+
+    /// Values and gradients of the unrolled Sinkhorn layer over inputs of
+    /// several shapes, on a fresh tape (`None`) or on one drawing from
+    /// `pool` and handing it back.
+    fn sinkhorn_run(input: &Matrix, pool: Option<&mut TapePool>) -> (Vec<u64>, Vec<u64>) {
+        let mut pool = pool;
+        let tape = Tape::with_pool(pool.as_deref_mut().map(mem::take).unwrap_or_default());
+        let (n1, n2) = input.shape();
+        let c = tape.leaf(input.clone(), true);
+        let ext = tape.append_zero_row(c);
+        let eps = tape.softplus(tape.scalar(-2.5));
+        let k = tape.exp(tape.div_scalar_var(tape.scale(ext, -1.0), eps));
+        let mu = tape.constant_with(n1 + 1, 1, |m| {
+            m.as_mut_slice().fill(1.0);
+            m[(n1, 0)] = (n2 - n1) as f64;
+        });
+        let nu = tape.filled(n2, 1, 1.0);
+        let mut phi = tape.filled(n1 + 1, 1, 1.0);
+        let mut psi = tape.filled(n2, 1, 1.0);
+        for _ in 0..3 {
+            psi = tape.div(nu, tape.matmul(tape.transpose(k), phi));
+            phi = tape.div(mu, tape.matmul(k, psi));
+        }
+        let pi = tape.mul_broadcast_row(tape.mul_broadcast_col(k, phi), tape.transpose(psi));
+        let pi = tape.remove_last_row(pi);
+        let h = tape.relu(tape.add_broadcast_row(c, tape.filled(1, n2, -0.2)));
+        let h = tape.concat_cols(h, tape.sigmoid(tape.tanh(c)));
+        let loss = tape.add(tape.dot(c, pi), tape.mean(tape.ln(tape.clamp(h, 0.1, 5.0))));
+        tape.backward(loss);
+        let bits = |m: Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let out = (bits(tape.value(pi)), bits(tape.grad(c)));
+        if let Some(p) = pool {
+            *p = tape.into_pool();
+        }
+        out
+    }
+
+    #[test]
+    fn a_recycled_pool_gives_bit_identical_values_and_gradients() {
+        let mut pool = TapePool::new();
+        for (case, (n1, n2)) in [(3, 5), (2, 2), (4, 7), (1, 3), (3, 5)]
+            .into_iter()
+            .enumerate()
+        {
+            let input = rand_matrix(n1, n2, 20 + case as u64).map(f64::abs);
+            let fresh = sinkhorn_run(&input, None);
+            let pooled = sinkhorn_run(&input, Some(&mut pool));
+            assert_eq!(pooled, fresh, "case {case}: {n1}x{n2}");
+        }
+    }
+
+    #[test]
+    fn into_pool_returns_every_owned_buffer() {
+        let store = Matrix::filled(2, 2, 1.0);
+        let t = Tape::new();
+        let p = t.leaf_ref(&store, true);
+        let y = t.sum(t.matmul(p, t.filled(2, 3, 0.5)));
+        t.backward(y);
+        let pool = t.into_pool();
+        // Four nodes; the borrowed leaf's value is not the tape's to keep.
+        assert_eq!(pool.values.iter().filter(|m| !m.is_empty()).count(), 3);
+        assert_eq!(pool.grads.iter().filter(|m| !m.is_empty()).count(), 3);
+        let t = Tape::with_pool(pool);
+        let x = t.filled(2, 3, 2.0);
+        assert_eq!(t.value(x), Matrix::filled(2, 3, 2.0));
     }
 
     #[test]

@@ -428,6 +428,23 @@ impl fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
+impl RequestError {
+    /// The code the daemon answers this error with: [`ErrorCode::Protocol`]
+    /// for a well-formed `"v"` of another protocol version,
+    /// [`ErrorCode::Parse`] for everything else.
+    #[must_use]
+    pub fn code(&self) -> ErrorCode {
+        if self.error.kind == VERSION_MISMATCH {
+            ErrorCode::Protocol
+        } else {
+            ErrorCode::Parse
+        }
+    }
+}
+
+/// The error kind of a `"v"` other than [`PROTOCOL_VERSION`].
+const VERSION_MISMATCH: ParseErrorKind = ParseErrorKind::Invalid("protocol version");
+
 /// The members of a request: the envelope, then every op's fields.
 #[rustfmt::skip]
 const REQUEST_KEYS: [&str; 13] = [
@@ -441,7 +458,7 @@ fn version(r: &mut Reader<'_>) -> Result<(), ParseError> {
     if r.u64()? == PROTOCOL_VERSION {
         Ok(())
     } else {
-        Err(r.err(at, ParseErrorKind::Invalid("protocol version")))
+        Err(r.err(at, VERSION_MISMATCH))
     }
 }
 

@@ -254,8 +254,8 @@ impl Request {
 pub enum ErrorCode {
     /// The request line failed to parse.
     Parse,
-    /// Structurally valid JSON that violates the protocol (wrong
-    /// version, unknown op).
+    /// A request of another protocol version: a well-formed `"v"` other
+    /// than [`PROTOCOL_VERSION`].
     Protocol,
     /// The request line exceeded [`MAX_LINE_BYTES`].
     Oversized,

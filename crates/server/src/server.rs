@@ -301,8 +301,7 @@ impl Server {
         let req = match parse_request(line) {
             Ok(req) => req,
             Err(e) => {
-                let resp =
-                    Response::error(&e.id, self.current_rev(), ErrorCode::Parse, e.to_string());
+                let resp = Response::error(&e.id, self.current_rev(), e.code(), e.to_string());
                 return (resp, false);
             }
         };

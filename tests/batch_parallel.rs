@@ -11,10 +11,14 @@
 //! [`GedSolver::edit_path`]: ot_ged::core::solver::GedSolver::edit_path
 //! [`BatchRunner`]: ot_ged::core::solver::BatchRunner
 
+use ot_ged::core::gediot::{Gediot, GediotConfig};
 use ot_ged::core::pairs::GedPair;
-use ot_ged::core::solver::BatchRunner;
+use ot_ged::core::solver::{BatchRunner, GedSolver, GedhotSolver, GediotSolver};
 use ot_ged::experiments::harness::{prepare, train_all, ExpConfig, MethodKind};
-use ot_ged::graph::DatasetKind;
+use ot_ged::graph::{DatasetKind, Graph, GraphDataset};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use std::sync::Arc;
 
 fn tiny_cfg() -> ExpConfig {
     ExpConfig {
@@ -88,6 +92,41 @@ fn batch_runner_matches_sequential_for_every_registered_solver() {
             if let Some(est) = est {
                 assert_eq!(est.ops.len(), est.ged, "{name}: ops/length mismatch");
             }
+        }
+    }
+}
+
+/// GEDIOT and GEDHOT batches give the same bits at 1 and at 4 threads,
+/// and the same bits as a fresh per-pair `predict`. Each worker runs its
+/// pairs on one workspace, so its tape pool is dirty from pairs of other
+/// sizes, and which pairs share a pool depends on the thread count.
+#[test]
+fn gediot_and_gedhot_batches_are_bit_identical_across_threads() {
+    let mut rng = SmallRng::seed_from_u64(20_261_019);
+    let graphs: Vec<Graph> = GraphDataset::build(DatasetKind::Aids, 96, &mut rng)
+        .store()
+        .graphs()
+        .cloned()
+        .collect();
+    let pairs: Vec<GedPair> = graphs
+        .chunks_exact(2)
+        .map(|c| GedPair::new(c[0].clone(), c[1].clone()))
+        .collect();
+    let model = Arc::new(Gediot::new(GediotConfig::small(29), &mut rng));
+    let gediot = GediotSolver::new(Arc::clone(&model));
+    let gedhot = GedhotSolver::new(model);
+    for solver in [&gediot as &dyn GedSolver, &gedhot] {
+        let name = solver.name();
+        let fresh: Vec<u64> = pairs
+            .iter()
+            .map(|p| solver.predict(p).ged.to_bits())
+            .collect();
+        for (threads, chunk) in [(1, 8), (4, 3)] {
+            let batch = BatchRunner::new(threads)
+                .with_chunk_size(chunk)
+                .predict_batch(solver, &pairs);
+            let got: Vec<u64> = batch.iter().map(|e| e.ged.to_bits()).collect();
+            assert_eq!(got, fresh, "{name}: batch at {threads} threads differs");
         }
     }
 }

@@ -598,9 +598,12 @@ fn members_in_any_order_and_parse_errors_echo_the_id() {
     // An error before the id is read cannot echo it.
     let (id, ..) = error_of(&client.request_line("{\"v\":1,\"bad\":0,\"id\":\"late\"}"));
     assert_eq!(id, "");
-    // So does a version mismatch found after the id.
-    let (id, _, message) = error_of(&client.request_line("{\"id\":\"p\",\"v\":2,\"op\":\"ping\"}"));
+    // So does a version mismatch found after the id, answered with the
+    // `protocol` code.
+    let (id, code, message) =
+        error_of(&client.request_line("{\"id\":\"p\",\"v\":2,\"op\":\"ping\"}"));
     assert_eq!(id, "p");
+    assert_eq!(code, ErrorCode::Protocol);
     assert!(message.contains("invalid protocol version"), "{message}");
 }
 

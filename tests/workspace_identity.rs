@@ -15,6 +15,7 @@
 
 use ot_ged::baselines::astar::{astar_beam, astar_beam_in, BeamWorkspace};
 use ot_ged::core::gedgw::Gedgw;
+use ot_ged::core::gediot::ConvKind;
 use ot_ged::core::kbest::{kbest_edit_path, kbest_edit_path_in};
 use ot_ged::core::search::{
     bounded_exact_ged_with_budget, bounded_exact_ged_with_budget_in, fast_upper_bound,
@@ -213,6 +214,84 @@ fn core_workspace_paths_are_bit_identical() {
             bounded_exact_ged_with_budget_in(&g1, &g2, tau, budget, &mut ws),
             bounded_exact_ged_with_budget(&g1, &g2, tau, budget),
             "case {case}: bounded search verdict"
+        );
+    }
+}
+
+/// GEDIOT and GEDHOT through one shared `GedWorkspace` equal a fresh
+/// `predict` bit for bit. The workspace's tape pool is left dirty by pairs
+/// of other sizes (in both orders, so swapped pairs occur), by GEDGW
+/// solves, and by models of other configurations, whose tapes have other
+/// node counts and other shapes at every node.
+#[test]
+fn gediot_and_gedhot_workspace_predictions_are_bit_identical() {
+    let mut rng = SmallRng::seed_from_u64(0xB17_0010);
+    let small = GediotConfig::small(3);
+    let configs = [
+        small.clone(),
+        GediotConfig {
+            conv: ConvKind::Gcn,
+            ..small.clone()
+        },
+        GediotConfig {
+            use_mlp: false,
+            use_cost_layer: false,
+            ..small.clone()
+        },
+        GediotConfig {
+            learnable_epsilon: false,
+            conv_dims: vec![12, 6],
+            embed_dim: 5,
+            ..small
+        },
+    ];
+    let models: Vec<Gediot> = configs
+        .into_iter()
+        .map(|c| Gediot::new(c, &mut rng))
+        .collect();
+    let mut ws = GedWorkspace::new();
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0xB17_0011 + case);
+        let model = &models[case as usize % models.len()];
+        let g1 = small_graph(10, 3, &mut rng);
+        let g2 = small_graph(10, 3, &mut rng);
+
+        let want = model.predict(&g1, &g2);
+        let got = model.predict_in(&g1, &g2, &mut ws);
+        assert_eq!(
+            got.ged.to_bits(),
+            want.ged.to_bits(),
+            "case {case}: GEDIOT ged"
+        );
+        assert_eq!(
+            got.nged.to_bits(),
+            want.nged.to_bits(),
+            "case {case}: GEDIOT nged"
+        );
+        assert_eq!(got.swapped, want.swapped, "case {case}: GEDIOT orientation");
+        assert_bits_eq(&got.coupling, &want.coupling, "GEDIOT coupling");
+
+        let ens = Gedhot::new(model);
+        let want = ens.predict(&g1, &g2);
+        let got = ens.predict_in(&g1, &g2, &mut ws);
+        assert_eq!(
+            got.ged.to_bits(),
+            want.ged.to_bits(),
+            "case {case}: GEDHOT ged"
+        );
+        assert_eq!(
+            got.gediot_ged.to_bits(),
+            want.gediot_ged.to_bits(),
+            "case {case}: GEDHOT's GEDIOT member"
+        );
+        assert_eq!(
+            got.gedgw_ged.to_bits(),
+            want.gedgw_ged.to_bits(),
+            "case {case}: GEDHOT's GEDGW member"
+        );
+        assert_eq!(
+            got.value_source, want.value_source,
+            "case {case}: GEDHOT source"
         );
     }
 }
