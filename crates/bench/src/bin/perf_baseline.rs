@@ -17,13 +17,14 @@ use ged_core::engine::GedEngine;
 use ged_core::gedgw::Gedgw;
 use ged_core::gediot::{Gediot, GediotConfig};
 use ged_core::kbest::kbest_edit_path;
+use ged_core::lower_bound::branch_lower_bound_in;
 use ged_core::method::MethodKind;
 use ged_core::pairs::GedPair;
 use ged_core::search::similarity_search;
 use ged_core::solver::{BatchRunner, GedgwSolver, SolverRegistry};
 use ged_core::GedWorkspace;
 use ged_graph::{generate, Graph, GraphDataset, ShardedStore};
-use ged_linalg::{lsap_min, lsap_min_in, lsap_min_munkres, LsapWorkspace, Matrix};
+use ged_linalg::{lsap_min, lsap_min_into, lsap_min_munkres, LsapWorkspace, Matrix};
 use ged_ot::gw::gw_tensor_apply;
 use ged_ot::sinkhorn::{sinkhorn, sinkhorn_dummy_row};
 use rand::rngs::SmallRng;
@@ -163,7 +164,7 @@ fn kernels_suite(smoke: bool) -> Vec<Measurement> {
         format!("n={n},n1={n1},first_fw_step,workspace"),
         2_000,
         || {
-            black_box(lsap_min_in(&grad, &mut ws));
+            black_box(lsap_min_into(&grad, &mut ws));
         },
     ));
 
@@ -192,6 +193,21 @@ fn kernels_suite(smoke: bool) -> Vec<Measurement> {
         1,
         || {
             black_box(runner.predict_batch(&GedgwSolver, &pairs));
+        },
+    ));
+
+    // The branch tier's bound on the same pairs, per pair, through one
+    // workspace as the plans' verify step runs it.
+    let mut ws = GedWorkspace::new();
+    let mut next = 0;
+    out.push(measure(
+        "branch_lower_bound",
+        format!("pairs={pairs_n},dataset=aids_like,workspace"),
+        pairs_n,
+        || {
+            let p = &pairs[next % pairs.len()];
+            next += 1;
+            black_box(branch_lower_bound_in(&p.g1, &p.g2, &mut ws));
         },
     ));
 
@@ -281,7 +297,8 @@ fn search_suite(smoke: bool) -> Vec<Measurement> {
     let size = if smoke { 12 } else { 100 };
     let tau = 4usize;
 
-    // fig_search: top-k filter–verify (same seeds as the criterion bench).
+    // fig_search: top-k and approximate range filter–verify (same seeds
+    // as the criterion bench).
     {
         let mut rng = SmallRng::seed_from_u64(7_000 + size as u64);
         let store = GraphDataset::aids_like(size, &mut rng).into_store();
@@ -293,6 +310,18 @@ fn search_suite(smoke: bool) -> Vec<Measurement> {
             1,
             || {
                 black_box(engine.top_k(&query, &store, 5).expect("valid query"));
+            },
+        ));
+        out.push(measure(
+            "fig_search_range",
+            format!("store={size},tau={tau},threads=1"),
+            1,
+            || {
+                black_box(
+                    engine
+                        .range(&query, &store, tau as f64)
+                        .expect("valid query"),
+                );
             },
         ));
     }

@@ -35,7 +35,12 @@
 //! threshold τ (or, for top-k, the running k-th-best distance) is
 //! discarded without ever invoking a solver. The **verify** phase runs
 //! the surviving candidates through the selected solver in parallel via
-//! the engine's [`BatchRunner`].
+//! the engine's [`BatchRunner`]. For a solver that declares
+//! [`crate::solver::GedSolver::respects_branch_bound`] (GEDGW), a
+//! verify step first discards a candidate whose branch bound on GEDGW's
+//! objective ([`crate::lower_bound::branch_lower_bound`]) exceeds the
+//! threshold ([`SearchStats::pruned_branch`]): that bound holds for the
+//! estimate itself, not only for the true GED.
 //!
 //! Verified distances are *bound-refined*: the reported value is
 //! `max(prediction, lower bound)`. Since the bounds provably
@@ -209,6 +214,13 @@ pub struct SearchStats {
     /// by the pivot-table triangle-inequality lower bound
     /// ([`GedEngineBuilder::pivots`]). Always zero without a pivot index.
     pub pruned_pivot: usize,
+    /// Candidates that survived every bound above but were discarded by
+    /// the branch bound on GEDGW's objective
+    /// ([`crate::lower_bound::branch_lower_bound`]) against the k-th best
+    /// at the start of their verify block, or τ. A bound on the
+    /// estimator, not only on GED: always zero for solvers that do not
+    /// declare [`crate::solver::GedSolver::respects_branch_bound`].
+    pub pruned_branch: usize,
     /// Candidates verified by the solver (actual solver invocations).
     pub verified: usize,
     /// Of the verified candidates of a `Range` query, how many the
@@ -230,24 +242,29 @@ impl SearchStats {
     /// Total candidates discarded without a solver invocation.
     #[must_use]
     pub fn pruned(&self) -> usize {
-        self.pruned_shard + self.pruned_label + self.pruned_degree + self.pruned_pivot
+        self.pruned_shard
+            + self.pruned_label
+            + self.pruned_degree
+            + self.pruned_pivot
+            + self.pruned_branch
     }
 }
 
 impl fmt::Display for SearchStats {
     /// One-line tier breakdown, filter order left to right:
-    /// `candidates=.. shard=.. label=.. degree=.. pivot=.. verified=..
-    /// accept_pivot=.. pivot_distances=..`.
+    /// `candidates=.. shard=.. label=.. degree=.. pivot=.. branch=..
+    /// verified=.. accept_pivot=.. pivot_distances=..`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "candidates={} shard={} label={} degree={} pivot={} verified={} accept_pivot={} \
-             pivot_distances={}",
+            "candidates={} shard={} label={} degree={} pivot={} branch={} verified={} \
+             accept_pivot={} pivot_distances={}",
             self.candidates,
             self.pruned_shard,
             self.pruned_label,
             self.pruned_degree,
             self.pruned_pivot,
+            self.pruned_branch,
             self.verified,
             self.accepted_pivot,
             self.pivot_distances

@@ -1,3 +1,5 @@
+//! Admissible lower bounds for the filter tiers.
+//!
 //! The label-set GED lower bound (Eq. 22 of the paper, after [Chang et al.
 //! 2020]):
 //!
@@ -12,8 +14,39 @@
 //! by the engine's filter–verify similarity search, where the sorted
 //! multisets the bounds consume are precomputed once per stored graph
 //! instead of re-derived per pair.
+//!
+//! # The branch bound on GEDGW's objective
+//!
+//! [`branch_lower_bound`] bounds a different quantity: not GED alone, but
+//! the objective GEDGW minimizes (Eq. 17) at **every** coupling of the
+//! Birkhoff polytope, hence every estimate GEDGW can return. On GEDGW's
+//! padded pair (`n` nodes each, `M` the label-mismatch matrix with dummy
+//! rows at 1, `d1`/`d2` the node degrees with dummies at 0) and for any
+//! doubly stochastic `π`:
+//!
+//! ```text
+//! ½⟨π, L⊗π⟩ = |E1| + |E2| − Σ π_ik (A1 π A2)_ik,   (A1 π A2)_ik ≤ min(d1_i, d2_k)
+//! |E1| + |E2| = Σ π_ik (d1_i + d2_k) / 2
+//! f(π) = ⟨π, M⟩ + ½⟨π, L⊗π⟩ ≥ Σ π_ik (M_ik + ½|d1_i − d2_k|) ≥ LSAP(M + ½|d1 − d2|)
+//! ```
+//!
+//! The last step is Birkhoff's theorem (a linear function attains its
+//! minimum over the polytope at a permutation). This is the uniform-cost
+//! BRANCH bound of Blumenthal & Gamper (*Improved lower bounds for graph
+//! edit distance*, IEEE TKDE 2018); at a permutation `f` is an edit cost,
+//! so the bound is also admissible for GED itself. The plans use it as a
+//! bound on the *estimator*: a pruned candidate's refined value
+//! `max(estimate, lb)` is at least the bound, so discarding it when the
+//! bound exceeds the threshold changes no answer. That rests on the
+//! estimate being GEDGW's objective, which is why only solvers that
+//! declare [`crate::solver::GedSolver::respects_branch_bound`] prune
+//! through it: a learned or ensembled estimate can lie below it.
 
+use crate::gedgw::GedgwOptions;
+use crate::pairs::ordered;
+use crate::workspace::GedWorkspace;
 use ged_graph::{Graph, GraphSignature, Label};
+use ged_linalg::lsap_min_into;
 
 /// Surplus counts of two sorted multisets: `(|A \ B|, |B \ A|)`, via one
 /// merge pass. Shared with the allocation-free bound evaluation inside
@@ -111,6 +144,75 @@ pub fn partial_matching_lower_bound(g1: &Graph, g2: &Graph, forced: &[(usize, us
     let (only1, only2) = sorted_multiset_surplus(&rest1, &rest2);
 
     fixed_cost + only1.max(only2) + g1.num_edges().abs_diff(g2.num_edges())
+}
+
+/// The branch lower bound on GEDGW's objective (see the
+/// [module docs](self)): `LSAP(M + ½|d1 − d2|)` over GEDGW's padded pair.
+/// Symmetric in its arguments and exact: every cost is a multiple of ½,
+/// so the solve and its sum round nowhere.
+#[must_use]
+pub fn branch_lower_bound(g1: &Graph, g2: &Graph) -> f64 {
+    branch_lower_bound_in(g1, g2, &mut GedWorkspace::new())
+}
+
+/// [`branch_lower_bound`] with every buffer drawn from `ws` (the flat
+/// graph views, the cost matrix and the LSAP scratch GEDGW also uses), so
+/// a warm call allocates nothing. Same value for any (possibly dirty)
+/// workspace.
+#[must_use]
+pub fn branch_lower_bound_in(g1: &Graph, g2: &Graph, ws: &mut GedWorkspace) -> f64 {
+    let (a, b, _) = ordered(g1, g2);
+    let n = b.num_nodes();
+    let GedWorkspace {
+        ot, m, csr1, csr2, ..
+    } = ws;
+    csr1.rebuild_from(a);
+    csr2.rebuild_from(b);
+    m.resize_zeroed(n, n);
+    for i in 0..n {
+        // Dummy rows of the padded G1 carry no label and no edge.
+        let (li, di) = match csr1.labels().get(i) {
+            Some(&l) => (Some(l), csr1.degree(i as u32)),
+            None => (None, 0),
+        };
+        let row = m.row_mut(i);
+        for (k, &lk) in csr2.labels().iter().enumerate() {
+            let relabel = if li == Some(lk) { 0.0 } else { 1.0 };
+            row[k] = relabel + 0.5 * di.abs_diff(csr2.degree(k as u32)) as f64;
+        }
+    }
+    lsap_min_into(m, &mut ot.lsap)
+}
+
+/// How far below [`branch_lower_bound`] rounding alone can put a
+/// [`crate::gedgw::Gedgw`] estimate (default options) of the pair. A
+/// plan prunes only when `branch > threshold + slack`, never on equality.
+///
+/// With `n` the padded size, `K` the iteration cap, `ε` the machine
+/// epsilon and `S = n + |E1| + |E2|` (which bounds every term of the
+/// objective):
+///
+/// * *marginals* — the start `1/n` rounds each row sum by ≤ ε/2, and each
+///   Frank–Wolfe update `π + γ(s − π)` rounds each entry three times, so
+///   after `K` iterations every row and column sum of the iterate is
+///   within `δ ≤ 2Knε` of 1 (entries stay ≥ 0). Re-running the derivation
+///   with marginals `1 ± δ` loses at most `4δ(|E1| + |E2|)` in the
+///   quadratic identity and degree bound, and `δ·(Σ|u| + Σ|v|) ≤
+///   δ(n² + 2n)` in the LSAP step (optimal duals of costs in
+///   `[0, 1 + n/2]` can be taken within that range), so `δ(n² + 4S) ≤
+///   5δnS = 10Kn²εS` in all;
+/// * *evaluation* — the objective is a sum of `n²` products against
+///   `L⊗π`, itself sums of at most `n` terms, all within `S` in
+///   magnitude: at most `8n²εS`.
+///
+/// Together `(10K + 8)·n²·ε·S`: about `5·10⁻¹⁰` for a 10-node pair with
+/// 40 edges in all, far below the ½ steps the bound moves in.
+#[must_use]
+pub fn branch_slack(g1: &Graph, g2: &Graph) -> f64 {
+    let n = g1.num_nodes().max(g2.num_nodes()) as f64;
+    let k = GedgwOptions::default().max_iter as f64;
+    let s = n + (g1.num_edges() + g2.num_edges()) as f64;
+    (10.0 * k + 8.0) * n * n * f64::EPSILON * s
 }
 
 #[cfg(test)]

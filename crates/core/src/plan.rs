@@ -16,11 +16,19 @@
 //! apply them:
 //!
 //! ```text
-//!            ┌──────────┐   ┌────────────────────────────┐   ┌──────────────────┐   ┌────────┐
-//!  store ──▶ │  shard   │──▶│ label · degree · pivot_lb  │──▶│  pivot_ub_accept │──▶│ verify │
-//!            │ aggregate│   │  (commutative discards)    │   │  gedgw_ub_accept │   │        │
-//!            └──────────┘   └────────────────────────────┘   └──────────────────┘   └────────┘
+//!            ┌──────────┐   ┌────────────────────────────┐   ┌──────────────────┐   ┌────────┐   ┌────────┐
+//!  store ──▶ │  shard   │──▶│ label · degree · pivot_lb  │──▶│  pivot_ub_accept │──▶│ branch │──▶│ verify │
+//!            │ aggregate│   │  (commutative discards)    │   │  gedgw_ub_accept │   │        │   │        │
+//!            └──────────┘   └────────────────────────────┘   └──────────────────┘   └────────┘   └────────┘
 //! ```
+//!
+//! The branch tier runs only in `TopK` and `Range`, inside the shared
+//! verify step, and only for solvers that declare
+//! [`GedSolver::respects_branch_bound`]: it bounds GEDGW's *objective*
+//! over the whole Birkhoff polytope (see [`crate::lower_bound`]), so it
+//! rests on a property of the estimator, not only of GED. It compares
+//! against the threshold at the start of each verify block, so its
+//! counts do not depend on the thread count.
 //!
 //! The three middle discard tiers are *commutative*: each compares an
 //! admissible lower bound against the threshold, so a candidate survives
@@ -51,7 +59,9 @@ use crate::engine::{
     SearchStats, UndecidedCandidate, UndecidedPair,
 };
 use crate::error::GedError;
-use crate::lower_bound::{degree_sequence_lower_bound_sig, label_set_lower_bound_sig};
+use crate::lower_bound::{
+    branch_lower_bound_in, branch_slack, degree_sequence_lower_bound_sig, label_set_lower_bound_sig,
+};
 use crate::method::MethodKind;
 use crate::pairs::{structural_cmp, GedPair};
 use crate::search::{
@@ -577,28 +587,31 @@ impl GedEngine {
             while i < candidates.len() {
                 // Re-read the pruning threshold between rounds: it
                 // tightens monotonically as verified candidates
-                // accumulate.
-                if best.len() >= k {
-                    let kth = best[k - 1].ged;
-                    if (candidates[i].lb as f64) > kth {
-                        for c in &candidates[i..] {
-                            if (c.lb_label as f64) > kth {
-                                stats.pruned_label += 1;
-                            } else if (c.lb_sig as f64) > kth {
-                                stats.pruned_degree += 1;
-                            } else {
-                                stats.pruned_pivot += 1;
-                            }
+                // accumulate (+∞ until k are known).
+                let kth = if best.len() >= k {
+                    best[k - 1].ged
+                } else {
+                    f64::INFINITY
+                };
+                if (candidates[i].lb as f64) > kth {
+                    for c in &candidates[i..] {
+                        if (c.lb_label as f64) > kth {
+                            stats.pruned_label += 1;
+                        } else if (c.lb_sig as f64) > kth {
+                            stats.pruned_degree += 1;
+                        } else {
+                            stats.pruned_pivot += 1;
                         }
-                        break;
                     }
+                    break;
                 }
                 // Cooperative checkpoint between verification rounds: a
                 // top-k round is already a bounded block of solver calls.
                 deadline.check()?;
                 let hi = (i + block).min(candidates.len());
-                let verified = self.verify(method, solver, query, unit.store, &candidates[i..hi]);
-                stats.verified += verified.len();
+                let round = &candidates[i..hi];
+                let verified =
+                    self.verify(method, solver, query, unit.store, round, kth, &mut stats);
                 best.extend(verified);
                 best.sort_by(|a, b| a.ged.total_cmp(&b.ged).then(a.id.cmp(&b.id)));
                 i = hi;
@@ -692,13 +705,16 @@ impl GedEngine {
                 let mut out = Vec::with_capacity(survivors.len());
                 for chunk in survivors.chunks(self.verify_block_len()) {
                     deadline.check()?;
-                    out.extend(self.verify(method, solver, query, unit.store, chunk));
+                    let verified =
+                        self.verify(method, solver, query, unit.store, chunk, tau, &mut stats);
+                    out.extend(verified);
                 }
                 out
             } else {
-                self.verify(method, solver, query, unit.store, &survivors)
+                self.verify(
+                    method, solver, query, unit.store, &survivors, tau, &mut stats,
+                )
             };
-            stats.verified += verified.len();
             neighbors.extend(verified.into_iter().filter(|n| n.ged <= tau));
         }
         neighbors.sort_by(|a, b| a.ged.total_cmp(&b.ged).then(a.id.cmp(&b.id)));
@@ -1227,6 +1243,16 @@ impl GedEngine {
     /// solver: the clamp pins the output to `lb` for any prediction
     /// (`f64::max` ignores NaN), so the emitted neighbor is bit-identical
     /// either way.
+    ///
+    /// The branch tier: when the solver declares
+    /// [`GedSolver::respects_branch_bound`], a candidate whose branch
+    /// bound exceeds `threshold` (the k-th best at the start of the
+    /// block, or τ) by more than [`branch_slack`] is discarded unsolved.
+    /// Its refined value would be at least `branch − slack > threshold`,
+    /// so it could enter neither answer. The threshold is fixed for the
+    /// whole block, so the decision is the same at any thread count.
+    /// Counts land in `stats.pruned_branch` and `stats.verified`.
+    #[allow(clippy::too_many_arguments)]
     fn verify(
         &self,
         method: MethodKind,
@@ -1234,26 +1260,40 @@ impl GedEngine {
         query: &Graph,
         store: &GraphStore,
         candidates: &[Candidate],
+        threshold: f64,
+        stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        self.runner
+        let branch_tier = threshold < f64::INFINITY && solver.respects_branch_bound();
+        let outcomes = self
+            .runner
             .map_init(candidates, SolverScratch::new, |scratch, c| {
                 if c.ub != usize::MAX && c.lb == c.ub {
-                    return Neighbor {
+                    return Some(Neighbor {
                         id: c.id,
                         ged: c.lb as f64,
-                    };
+                    });
                 }
                 let graph = store.get(c.id).expect("candidate ids come from this store");
+                if branch_tier {
+                    let branch = branch_lower_bound_in(query, graph, &mut scratch.ged);
+                    if branch > threshold + branch_slack(query, graph) {
+                        return None;
+                    }
+                }
                 let pair = GedPair::new(query.clone(), graph.clone());
                 let prediction = self.predict_cached(method, solver, &pair, scratch);
-                Neighbor {
+                Some(Neighbor {
                     id: c.id,
                     // f64::max ignores a NaN prediction, keeping the no-panic,
                     // no-NaN contract of the ranking; lb ≤ ub always (both
                     // bound the same exact GED), so the clamp is well formed.
                     ged: prediction.max(c.lb as f64).min(c.ub as f64),
-                }
-            })
+                })
+            });
+        let verified: Vec<Neighbor> = outcomes.into_iter().flatten().collect();
+        stats.pruned_branch += candidates.len() - verified.len();
+        stats.verified += verified.len();
+        verified
     }
 }
 

@@ -132,6 +132,18 @@ pub trait GedSolver: Send + Sync {
     /// Produces a feasible edit path with search effort `k`, or `None` if
     /// this method cannot generate paths.
     fn edit_path(&self, pair: &GedPair, k: usize) -> Option<PathEstimate>;
+
+    /// Whether every [`Self::predict`] of a pair is at least
+    /// [`crate::lower_bound::branch_lower_bound`] minus
+    /// [`crate::lower_bound::branch_slack`] of that pair. The `TopK` and
+    /// `Range` plans discard a candidate on that bound only for solvers
+    /// that declare it. The default is `false`; it holds for
+    /// [`GedgwSolver`], whose estimate is its relaxation's objective at a
+    /// doubly stochastic coupling. Learned estimates (GEDIOT, GEDHOT's
+    /// minimum, the regressors) can lie below the bound.
+    fn respects_branch_bound(&self) -> bool {
+        false
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -205,6 +217,10 @@ impl GedSolver for GedgwSolver {
         let gw = Gedgw::new(&pair.g1, &pair.g2).solve();
         let path = kbest_edit_path(&pair.g1, &pair.g2, &gw.coupling, k);
         Some(PathEstimate::from_mapping(pair, path.ged, path.mapping))
+    }
+
+    fn respects_branch_bound(&self) -> bool {
+        true
     }
 }
 

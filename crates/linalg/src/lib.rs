@@ -21,8 +21,8 @@ pub mod workspace;
 
 pub use kbest::{best_matching, best_matching_in, second_best_matching, second_best_matching_in};
 pub use lsap::{
-    lsap_min, lsap_min_constrained, lsap_min_constrained_in, lsap_min_in, lsap_min_munkres,
-    lsap_min_munkres_in, Assignment,
+    lsap_min, lsap_min_constrained, lsap_min_constrained_in, lsap_min_in, lsap_min_into,
+    lsap_min_munkres, lsap_min_munkres_in, Assignment,
 };
 pub use matrix::Matrix;
 pub use workspace::{LsapWorkspace, MatchingWorkspace};

@@ -13,9 +13,10 @@
 //! supports forced and forbidden pairs, which is what the k-best matching
 //! framework needs for solution-space splitting.
 //!
-//! [`lsap_min_in`] is the linear minimization oracle of GEDGW's
+//! [`lsap_min_into`] is the linear minimization oracle of GEDGW's
 //! conditional gradient (one call per Frank–Wolfe step) and the largest
-//! kernel of a GEDGW solve. Its Dijkstra steps keep the free and used
+//! kernel of a GEDGW solve; it leaves the assignment in the workspace, so
+//! a warm call allocates nothing. Its Dijkstra steps keep the free and used
 //! columns as lists, so a step scans only the columns still free; the
 //! arithmetic and the tie-breaking (lowest column index among equal
 //! distances) are those of the textbook sweep over all columns, so
@@ -109,14 +110,26 @@ pub fn lsap_min(cost: &Matrix) -> Assignment {
 /// Panics if `rows > cols` or the matrix is empty with nonzero rows.
 #[must_use]
 pub fn lsap_min_in(cost: &Matrix, ws: &mut LsapWorkspace) -> Assignment {
+    let total = lsap_min_into(cost, ws);
+    Assignment {
+        row_to_col: ws.row_to_col.clone(),
+        cost: total,
+    }
+}
+
+/// [`lsap_min_in`] without the returned vector: the assignment is left in
+/// the workspace ([`LsapWorkspace::row_to_col`]) and the cost is
+/// returned, so a warm call allocates nothing. Same solve, same bits.
+///
+/// # Panics
+/// Panics if `rows > cols`.
+pub fn lsap_min_into(cost: &Matrix, ws: &mut LsapWorkspace) -> f64 {
     let n = cost.rows();
     let m = cost.cols();
     assert!(n <= m, "lsap_min requires rows <= cols (got {n}x{m})");
+    ws.row_to_col.clear();
     if n == 0 {
-        return Assignment {
-            row_to_col: Vec::new(),
-            cost: 0.0,
-        };
+        return 0.0;
     }
 
     // 1-indexed arrays, following the classical potentials formulation;
@@ -135,6 +148,7 @@ pub fn lsap_min_in(cost: &Matrix, ws: &mut LsapWorkspace) -> Assignment {
         minv,
         free_cols: free,
         used_cols: used,
+        row_to_col,
         ..
     } = ws;
     // Exact-length views let the optimizer drop most bounds checks.
@@ -200,22 +214,18 @@ pub fn lsap_min_in(cost: &Matrix, ws: &mut LsapWorkspace) -> Assignment {
         }
     }
 
-    let mut row_to_col = vec![usize::MAX; n];
+    row_to_col.resize(n, usize::MAX);
     for j in 1..=m {
         if p[j] > 0 {
             row_to_col[p[j] - 1] = j - 1;
         }
     }
     debug_assert!(row_to_col.iter().all(|&c| c != usize::MAX));
-    let total = row_to_col
+    row_to_col
         .iter()
         .enumerate()
         .map(|(r, &c)| cost[(r, c)])
-        .sum();
-    Assignment {
-        row_to_col,
-        cost: total,
-    }
+        .sum()
 }
 
 /// Minimum-cost assignment via the classical Munkres star/prime algorithm.

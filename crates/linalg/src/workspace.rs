@@ -35,6 +35,8 @@ pub struct LsapWorkspace {
     // search, is the first used column.
     pub(crate) free_cols: Vec<usize>,
     pub(crate) used_cols: Vec<usize>,
+    // The last Jonker–Volgenant solve's assignment (row -> column).
+    pub(crate) row_to_col: Vec<usize>,
     // Munkres: padded square cost, stars/primes, covers, alternating path.
     pub(crate) square: Matrix,
     pub(crate) starred: Vec<usize>,
@@ -50,6 +52,14 @@ impl LsapWorkspace {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The assignment of the last [`crate::lsap_min_into`] (or
+    /// [`crate::lsap_min_in`]) solve: `row_to_col()[i]` is row `i`'s
+    /// column.
+    #[must_use]
+    pub fn row_to_col(&self) -> &[usize] {
+        &self.row_to_col
     }
 }
 

@@ -20,7 +20,7 @@ use crate::gw::{gw_tensor_apply, gw_tensor_apply_into};
 use crate::workspace::OtWorkspace;
 #[cfg(test)]
 use ged_linalg::lsap_min;
-use ged_linalg::{lsap_min_in, Matrix};
+use ged_linalg::{lsap_min_into, Matrix};
 
 /// Options for the conditional-gradient solver.
 #[derive(Clone, Copy, Debug)]
@@ -59,15 +59,14 @@ pub struct CgResult {
 
 /// Result of an in-place conditional-gradient run
 /// ([`conditional_gradient_in`]); the coupling lives in the caller's
-/// matrix.
-#[derive(Clone, Debug)]
+/// matrix and the objective history in the workspace
+/// ([`OtWorkspace::cg_history`]).
+#[derive(Clone, Copy, Debug)]
 pub struct CgRun {
     /// Objective value at the final coupling.
     pub objective: f64,
     /// Iterations actually performed.
     pub iterations: usize,
-    /// Objective value after each iteration (for convergence tests/plots).
-    pub history: Vec<f64>,
 }
 
 /// Objective `⟨π, M⟩ + (q/2)⟨π, L⊗π⟩`.
@@ -89,18 +88,21 @@ pub fn conditional_gradient(
     opts: &CgOptions,
 ) -> CgResult {
     let mut pi = init;
-    let run = conditional_gradient_in(linear, c1, c2, &mut pi, opts, &mut OtWorkspace::new());
+    let mut ws = OtWorkspace::new();
+    let run = conditional_gradient_in(linear, c1, c2, &mut pi, opts, &mut ws);
     CgResult {
         coupling: pi,
         objective: run.objective,
         iterations: run.iterations,
-        history: run.history,
+        history: ws.history,
     }
 }
 
 /// [`conditional_gradient`] operating on the coupling in place, with all
-/// per-iteration buffers drawn from `ws`. Bit-identical to the allocating
-/// version for any (possibly dirty) workspace.
+/// per-iteration buffers drawn from `ws`; the objective history is left
+/// in the workspace ([`OtWorkspace::cg_history`]), so a warm run
+/// allocates nothing. Bit-identical to the allocating version for any
+/// (possibly dirty) workspace.
 ///
 /// # Panics
 /// Panics on shape mismatches between `linear`, `c1`, `c2` and `pi`.
@@ -127,6 +129,7 @@ pub fn conditional_gradient_in(
         dir,
         delta,
         ldelta,
+        history,
         ..
     } = ws;
 
@@ -135,7 +138,8 @@ pub fn conditional_gradient_in(
     gw.load(c1, c2);
     gw_tensor_apply_into(pi, lpi, gw);
     let mut obj = pi.dot(linear) + 0.5 * q * pi.dot(lpi);
-    let mut history = vec![obj];
+    history.clear();
+    history.push(obj);
     let mut iters = 0;
 
     for _ in 0..opts.max_iter {
@@ -153,9 +157,9 @@ pub fn conditional_gradient_in(
         }
 
         // Linear minimization oracle: vertex of the Birkhoff polytope.
-        let a = lsap_min_in(grad, lsap);
+        lsap_min_into(grad, lsap);
         dir.resize_zeroed(n, m);
-        for (r, &c) in a.row_to_col.iter().enumerate() {
+        for (r, &c) in lsap.row_to_col().iter().enumerate() {
             dir[(r, c)] = 1.0;
         }
 
@@ -192,7 +196,6 @@ pub fn conditional_gradient_in(
     CgRun {
         objective: obj,
         iterations: iters,
-        history,
     }
 }
 

@@ -67,6 +67,8 @@ pub struct OtWorkspace {
     pub(crate) dir: Matrix,
     pub(crate) delta: Matrix,
     pub(crate) ldelta: Matrix,
+    // The objective after each conditional-gradient iteration.
+    pub(crate) history: Vec<f64>,
 }
 
 impl OtWorkspace {
@@ -74,6 +76,13 @@ impl OtWorkspace {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The objective value at the start and after each iteration of the
+    /// last [`crate::cg::conditional_gradient_in`] run.
+    #[must_use]
+    pub fn cg_history(&self) -> &[f64] {
+        &self.history
     }
 }
 

@@ -39,8 +39,8 @@ fn main() {
     );
 
     println!(
-        "{:>5} {:>8} {:>13} {:>14} {:>9}",
-        "tau", "matches", "pruned:label", "pruned:degree", "verified"
+        "{:>5} {:>8} {:>13} {:>14} {:>14} {:>9}",
+        "tau", "matches", "pruned:label", "pruned:degree", "pruned:branch", "verified"
     );
     for tau in [12.0, 8.0, 5.0, 3.0] {
         let result = engine
@@ -53,10 +53,11 @@ fn main() {
             .into_range()
             .expect("Range yields Range");
         println!(
-            "{tau:>5} {:>8} {:>13} {:>14} {:>9}",
+            "{tau:>5} {:>8} {:>13} {:>14} {:>14} {:>9}",
             result.neighbors.len(),
             result.stats.pruned_label,
             result.stats.pruned_degree,
+            result.stats.pruned_branch,
             result.stats.verified
         );
     }

@@ -8,8 +8,12 @@
 //! discard whole partitions before any per-graph work:
 //!
 //! ```text
-//! shard tier → pivot tier → signature tier → verify
+//! shard tier → pivot tier → signature tier → branch tier → verify
 //! ```
+//!
+//! (The branch tier bounds GEDGW's objective, not only GED, so it prunes
+//! top-k and range candidates only for solvers that declare
+//! `GedSolver::respects_branch_bound`, such as GEDGW.)
 //!
 //! Run with: `cargo run --release --example sharded_search`
 

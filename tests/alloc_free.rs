@@ -7,13 +7,16 @@
 //!
 //! * `Gediot::predict_in` may allocate only the coupling it returns: its
 //!   autodiff tape draws every value buffer from the workspace's pool.
-//! * `Gedgw::solve_in` keeps to one allocation per Frank–Wolfe iteration
-//!   plus a fixed few.
+//! * `Gedgw::solve_in` may allocate only the coupling it returns: the
+//!   LSAP oracle leaves its assignment, and conditional gradient its
+//!   objective history, in the workspace.
 //! * `Gedhot::predict_in` is the two members together.
+//! * `branch_lower_bound_in` allocates nothing.
 //!
 //! A `realloc` counts as an allocation: a buffer that grows is a miss.
 
 use ot_ged::core::gediot::GediotConfig;
+use ot_ged::core::lower_bound::branch_lower_bound_in;
 use ot_ged::core::GedWorkspace;
 use ot_ged::prelude::*;
 use rand::rngs::SmallRng;
@@ -23,10 +26,8 @@ use std::cell::Cell;
 
 /// Allocations per warm `Gediot::predict_in`: the returned coupling.
 const GEDIOT_MAX: u64 = 1;
-/// Allocations per warm `Gedgw::solve_in` beyond one per Frank–Wolfe
-/// iteration (the LSAP oracle returns a fresh assignment vector each
-/// iteration, and the objective history grows by doubling).
-const GEDGW_FIXED: u64 = 8;
+/// Allocations per warm `Gedgw::solve_in`: the returned coupling.
+const GEDGW_MAX: u64 = 1;
 
 struct Counting;
 
@@ -107,14 +108,6 @@ fn warm_calls(pairs: &[(Graph, Graph)], mut call: impl FnMut(&Graph, &Graph)) ->
         .collect()
 }
 
-/// The allocation bound of a warm `Gedgw::solve_in` of each pair.
-fn gedgw_bounds(pairs: &[(Graph, Graph)]) -> Vec<u64> {
-    pairs
-        .iter()
-        .map(|(g1, g2)| Gedgw::new(g1, g2).solve().iterations as u64 + GEDGW_FIXED)
-        .collect()
-}
-
 #[test]
 fn warm_gediot_predict_in_allocates_only_the_coupling() {
     let pairs = pool();
@@ -138,11 +131,23 @@ fn warm_gedgw_solve_in_allocations_stay_bounded() {
     let counts = warm_calls(&pairs, |g1, g2| {
         let _ = Gedgw::new(g1, g2).solve_in(&mut ws);
     });
-    for (i, (&n, bound)) in counts.iter().zip(gedgw_bounds(&pairs)).enumerate() {
+    for (i, &n) in counts.iter().enumerate() {
         assert!(
-            n <= bound,
-            "pair {i}: a warm Gedgw::solve_in made {n} allocations (at most {bound})"
+            n <= GEDGW_MAX,
+            "pair {i}: a warm Gedgw::solve_in made {n} allocations (at most {GEDGW_MAX})"
         );
+    }
+}
+
+#[test]
+fn warm_branch_bound_allocates_nothing() {
+    let pairs = pool();
+    let mut ws = GedWorkspace::new();
+    let counts = warm_calls(&pairs, |g1, g2| {
+        let _ = branch_lower_bound_in(g1, g2, &mut ws);
+    });
+    for (i, &n) in counts.iter().enumerate() {
+        assert_eq!(n, 0, "pair {i}: a warm branch bound made {n} allocations");
     }
 }
 
@@ -155,8 +160,8 @@ fn warm_gedhot_predict_in_allocates_only_what_its_members_do() {
     let counts = warm_calls(&pairs, |g1, g2| {
         let _ = ens.predict_in(g1, g2, &mut ws);
     });
-    for (i, (&n, gw)) in counts.iter().zip(gedgw_bounds(&pairs)).enumerate() {
-        let bound = GEDIOT_MAX + gw;
+    let bound = GEDIOT_MAX + GEDGW_MAX;
+    for (i, &n) in counts.iter().enumerate() {
         assert!(
             n <= bound,
             "pair {i}: a warm Gedhot::predict_in made {n} allocations (at most {bound})"

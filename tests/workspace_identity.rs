@@ -173,11 +173,11 @@ fn conditional_gradient_in_is_bit_identical() {
         );
         assert_eq!(run.iterations, want.iterations, "case {case}: iterations");
         assert_eq!(
-            run.history.len(),
+            ws.cg_history().len(),
             want.history.len(),
             "case {case}: history"
         );
-        for (g, w) in run.history.iter().zip(&want.history) {
+        for (g, w) in ws.cg_history().iter().zip(&want.history) {
             assert_eq!(g.to_bits(), w.to_bits(), "case {case}: history entry");
         }
     }
