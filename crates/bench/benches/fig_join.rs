@@ -66,9 +66,7 @@ fn bench_self_join(c: &mut Criterion) {
         engine.sync_sharded_pivots(&mut sharded);
         group.bench_with_input(BenchmarkId::new("sharded", size), &size, |b, _| {
             b.iter(|| {
-                let result = engine
-                    .self_join_sharded(&sharded, TAU as f64)
-                    .expect("valid join");
+                let result = engine.self_join(&sharded, TAU as f64).expect("valid join");
                 black_box(result)
             })
         });

@@ -60,9 +60,7 @@ fn bench_sharded_top_k(c: &mut Criterion) {
             };
             group.bench_with_input(BenchmarkId::new(tag, size), &size, |b, _| {
                 b.iter(|| {
-                    let result = engine
-                        .top_k_sharded(&query, &sharded, K)
-                        .expect("valid query");
+                    let result = engine.top_k(&query, &sharded, K).expect("valid query");
                     black_box(result)
                 })
             });

@@ -20,7 +20,6 @@ use ged_core::kbest::kbest_edit_path;
 use ged_core::lower_bound::branch_lower_bound_in;
 use ged_core::method::MethodKind;
 use ged_core::pairs::GedPair;
-use ged_core::search::similarity_search;
 use ged_core::solver::{BatchRunner, GedgwSolver, SolverRegistry};
 use ged_core::GedWorkspace;
 use ged_graph::{generate, Graph, GraphDataset, ShardedStore};
@@ -396,11 +395,7 @@ fn search_suite(smoke: bool) -> Vec<Measurement> {
             format!("store={size},k=5,width=4,threads=1"),
             1,
             || {
-                black_box(
-                    engine
-                        .top_k_sharded(&query, &sharded, 5)
-                        .expect("valid query"),
-                );
+                black_box(engine.top_k(&query, &sharded, 5).expect("valid query"));
             },
         ));
         out.push(measure(
@@ -410,7 +405,7 @@ fn search_suite(smoke: bool) -> Vec<Measurement> {
             || {
                 black_box(
                     engine
-                        .range_exact_sharded(&query, &sharded, shard_tau as f64)
+                        .range_exact(&query, &sharded, shard_tau as f64)
                         .expect("valid query"),
                 );
             },
@@ -461,22 +456,6 @@ fn search_suite(smoke: bool) -> Vec<Measurement> {
                         .join(&probes, &store, join_tau as f64)
                         .expect("valid join"),
                 );
-            },
-        ));
-    }
-
-    // similarity_search: the per-pair slice form of the three-tier plan.
-    {
-        let mut rng = SmallRng::seed_from_u64(10_000 + size as u64);
-        let store = GraphDataset::aids_like(size, &mut rng).into_store();
-        let db: Vec<Graph> = store.graphs().cloned().collect();
-        let query = db[0].clone();
-        out.push(measure(
-            "similarity_search",
-            format!("db={size},tau={tau}"),
-            1,
-            || {
-                black_box(similarity_search(&db, &query, tau));
             },
         ));
     }

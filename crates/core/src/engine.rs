@@ -1,41 +1,59 @@
 //! The typed request/response query API over every GED method.
 //!
-//! [`GedEngine`] is the stable front door the harness, the examples, and
-//! any future server/CLI layer sit on. It owns a [`SolverRegistry`]
+//! [`GedEngine`] is the stable front door the harness, the examples, the
+//! daemon and the benchmarks sit on. It owns a [`SolverRegistry`]
 //! (method implementations keyed by [`MethodKind`]), a [`BatchRunner`]
 //! (so store-level queries parallelize), a default method, a default
 //! edit-path beam width, and an optional prediction cache — all chosen
 //! through [`GedEngineBuilder`].
 //!
-//! Requests are [`GedQuery`] values, answers are [`GedResponse`] values,
-//! and every failure mode (unknown method, method missing from the
-//! registry, empty graphs, zero budgets, empty stores, foreign or removed
-//! [`GraphId`]s) is a [`GedError`] — the engine never panics on bad
-//! input.
+//! # The query API
 //!
-//! | query | answer | workload |
-//! |-------|--------|----------|
-//! | [`GedQuery::Value`] | [`GedResponse::Value`] | one pair, value estimate |
-//! | [`GedQuery::Path`] | [`GedResponse::Path`] | one pair, feasible edit path |
-//! | [`GedQuery::TopK`] | [`GedResponse::TopK`] | query graph vs. store, ranked neighbors |
-//! | [`GedQuery::Range`] | [`GedResponse::Range`] | query graph vs. store, all within estimated GED ≤ τ |
-//! | [`GedQuery::RangeExact`] | [`GedResponse::RangeExact`] | query graph vs. store, all within **exact** GED ≤ τ |
-//! | [`GedQuery::Matrix`] | [`GedResponse::Matrix`] | full pairwise distance matrix |
-//! | [`GedQuery::SelfJoin`] | [`GedResponse::SelfJoin`] | all store pairs within **exact** GED ≤ τ |
-//! | [`GedQuery::Join`] | [`GedResponse::Join`] | all cross-store pairs within **exact** GED ≤ τ |
+//! Every request is a [`GedQuery`], answered by
+//! [`GedEngine::query_with`] with a [`GedResponse`] of the matching
+//! shape. Store-level shapes search a [`StoreRef`] — a borrowed flat
+//! [`GraphStore`] or [`ShardedStore`] (`store.into()` converts either),
+//! so one query form covers both store kinds and a sharded answer is
+//! bit-identical to the flat one over the same graphs. [`QueryOpts`]
+//! carries the two per-call choices: the method (`None` = the engine's
+//! default) and a cooperative [`Deadline`] (`Deadline::NONE` by
+//! default; store-level shapes check it between verification blocks).
+//!
+//! | query | answer | workload | typed shortcut |
+//! |-------|--------|----------|----------------|
+//! | [`GedQuery::Value`] | [`GedResponse::Value`] | one pair, value estimate | [`GedEngine::ged`], [`GedEngine::predict`] |
+//! | [`GedQuery::Path`] | [`GedResponse::Path`] | one pair, feasible edit path | [`GedEngine::edit_path`] |
+//! | [`GedQuery::TopK`] | [`GedResponse::TopK`] | query graph vs. store, ranked neighbors | [`GedEngine::top_k`] |
+//! | [`GedQuery::Range`] | [`GedResponse::Range`] | query graph vs. store, all within estimated GED ≤ τ | [`GedEngine::range`] |
+//! | [`GedQuery::RangeExact`] | [`GedResponse::RangeExact`] | query graph vs. store, all within **exact** GED ≤ τ | [`GedEngine::range_exact`] |
+//! | [`GedQuery::Matrix`] | [`GedResponse::Matrix`] | full pairwise distance matrix | [`GedEngine::distance_matrix`] |
+//! | [`GedQuery::SelfJoin`] | [`GedResponse::SelfJoin`] | all store pairs within **exact** GED ≤ τ | [`GedEngine::self_join`] |
+//! | [`GedQuery::Join`] | [`GedResponse::Join`] | all cross-store pairs within **exact** GED ≤ τ | [`GedEngine::join`] |
+//!
+//! The typed shortcuts and [`GedEngine::query`] run the same plans with
+//! the default method and no deadline, and take any
+//! `impl Into<StoreRef>`; another method, a deadline or a batch
+//! ([`GedEngine::query_batch`]) goes through [`QueryOpts`]. To query
+//! around a stored graph, look it up first ([`StoreRef::get`]).
+//!
+//! Every failure mode (unknown method, method missing from the registry,
+//! empty graphs, zero budgets, empty stores, NaN thresholds, an expired
+//! deadline) is a [`GedError`] — the engine never panics on bad input.
 //!
 //! # Filter–verify search
 //!
-//! `TopK` and `Range` run over a [`GraphStore`] as a two-phase
-//! *filter–verify* plan, the classic GED search architecture the paper's
-//! similarity-search application calls for. The **filter** phase reads
-//! only the store's precomputed [`ged_graph::GraphSignature`]s and the
-//! query's, feeding them to the admissible label-set and degree-sequence
-//! lower bounds: any candidate whose bound already exceeds the range
-//! threshold τ (or, for top-k, the running k-th-best distance) is
-//! discarded without ever invoking a solver. The **verify** phase runs
-//! the surviving candidates through the selected solver in parallel via
-//! the engine's [`BatchRunner`]. For a solver that declares
+//! `TopK` and `Range` run as a two-phase *filter–verify* plan, the
+//! classic GED search architecture the paper's similarity-search
+//! application calls for. The **filter** phase reads only the store's
+//! precomputed [`ged_graph::GraphSignature`]s and the query's, feeding
+//! them to the admissible label-set and degree-sequence lower bounds:
+//! any candidate whose bound already exceeds the range threshold τ (or,
+//! for top-k, the running k-th-best distance) is discarded without ever
+//! invoking a solver. A sharded store adds one tier in front: a shard
+//! whose aggregate bound exceeds the threshold is skipped wholesale
+//! ([`SearchStats::pruned_shard`]). The **verify** phase runs the
+//! surviving candidates through the selected solver in parallel via the
+//! engine's [`BatchRunner`]. For a solver that declares
 //! [`crate::solver::GedSolver::respects_branch_bound`] (GEDGW), a
 //! verify step first discards a candidate whose branch bound on GEDGW's
 //! objective ([`crate::lower_bound::branch_lower_bound`]) exceeds the
@@ -53,86 +71,51 @@
 //!
 //! # Exact range search
 //!
-//! [`GedQuery::RangeExact`] is the τ-**exact** variant of `Range`: it
-//! retrieves every stored graph whose *true* GED to the query is `≤ τ`,
-//! with exact distances, through the paper's three-tier
-//! filter–prune–verify plan (Section 2; see [`crate::search`]):
-//!
-//! 1. **filter** — the signature-fed label-set and degree-sequence lower
-//!    bounds discard candidates with `bound > τ` (no graph access at all);
-//! 2. **prune** — the feasible GEDGW best-matching-rounding upper bound
-//!    ([`crate::search::fast_upper_bound`]) *accepts* candidates with
-//!    `bound ≤ τ` without any τ-bounded search (the exact distance is then
-//!    recovered by a search bounded by the tighter feasible bound itself);
-//! 3. **verify** — survivors run the τ-bounded exact A\*
-//!    ([`crate::search::bounded_exact_ged_with_budget`]) in parallel
-//!    through the engine's [`BatchRunner`].
-//!
-//! Unlike the approximate plan, no solver is consulted: every tier is
-//! exact or admissible, so the answer is **provably** equal to running
-//! [`crate::search::bounded_exact_ged`] against every stored graph —
-//! independent of the selected method, the thread count, the order
-//! candidates are processed in, and (under an unlimited
-//! [`GedEngineBuilder::verify_budget`]) whether the pivot tier below is
-//! enabled; a finite budget decides the same candidates correctly but
-//! may split them differently between `matches` and `budget_exhausted`
-//! depending on which bound each plan searched under. Exact search can still blow up on a
-//! pathological pair, so [`GedEngineBuilder::verify_budget`] caps the
-//! node expansions any single verification may spend; candidates that
-//! exhaust the budget are reported per-id in
-//! [`RangeExactResult::budget_exhausted`] — keeping whatever membership
-//! evidence was already proven ([`UndecidedCandidate::known_match_ub`])
-//! — instead of failing or stalling the whole query.
-//! [`ExactSearchStats`] accounts every stored graph to exactly one tier.
+//! [`GedQuery::RangeExact`] is the τ-**exact** variant of `Range`: every
+//! stored graph whose *true* GED to the query is `≤ τ`, with exact
+//! distances, through the paper's three-tier filter–prune–verify plan
+//! (Section 2; [`crate::search`] describes the tiers). No solver is
+//! consulted: every tier is exact or admissible, so the answer is
+//! **provably** equal to running [`crate::search::bounded_exact_ged`]
+//! against every stored graph, whatever the method, thread count or
+//! candidate order. [`GedEngineBuilder::verify_budget`] caps the node
+//! expansions one verification may spend; candidates that exhaust it are
+//! reported per id in [`RangeExactResult::budget_exhausted`] with the
+//! membership evidence already proven
+//! ([`UndecidedCandidate::known_match_ub`]) instead of failing or
+//! stalling the whole query. [`ExactSearchStats`] accounts every stored
+//! graph to exactly one tier. The joins (`SelfJoin`, `Join`) run the same
+//! tiers over candidate pairs (see [`crate::plan`]).
 //!
 //! # The pivot tier
 //!
 //! GED is a metric, so exact distances to a few reference graphs bound
 //! every query–candidate distance through the triangle inequality:
 //! `max_i |d(q,p_i) − d(p_i,g)| ≤ GED(q,g) ≤ min_i d(q,p_i) + d(p_i,g)`.
-//! [`GedEngineBuilder::pivots`] makes the engine maintain a
-//! [`ged_graph::PivotIndex`] — `p` pivots chosen by deterministic
-//! farthest-point selection, graph-to-pivot GEDs computed by the
-//! τ-free budgeted exact search ([`crate::search::pivot_distance`],
-//! degrading to admissible `[lb, ub]` intervals when
-//! [`GedEngineBuilder::verify_budget`] bites) and kept in sync with the
-//! queried store incrementally. Each store query then spends `p`
-//! query-to-pivot distance computations per pivot block it reaches to
-//! get per-candidate metric bounds for free. Arming is lazy: a shard is
-//! armed only after the signature shard tier failed to skip it, and a
-//! query equal to a stored graph copies that graph's table row instead
-//! (zero computations; [`SearchStats::pivot_distances`] counts the rest).
-//! The bounds are wired in as:
-//!
-//! * **`TopK` / `Range`** — the pivot lower bound joins the filter phase
-//!   (prune when `lb > ` k-th best / τ; [`SearchStats::pruned_pivot`]),
-//!   and verified estimates clamp into `[lb, ub]`
-//!   (`min(max(prediction, lb), ub)`). The interval provably contains
-//!   the exact GED, so clamping only moves estimates toward it; for
-//!   `Range`, a pivot upper bound within τ additionally *certifies*
-//!   membership before the solver runs ([`SearchStats::accepted_pivot`]).
-//!   The plans stay exactly equal to a brute-force scan applying the
-//!   same two-sided refinement (the PR-3 contract, extended) — but note
-//!   the refinement means reported *estimates* can differ from (and are
-//!   never worse than) the pivot-disabled ones.
-//! * **`RangeExact`** — the pivot lower bound discards *before* the
-//!   signature bounds ([`ExactSearchStats::pruned_pivot`]) and the pivot
-//!   upper bound accepts *before* the GEDGW bound
-//!   ([`ExactSearchStats::accepted_pivot`], exact distance recovered by
-//!   a pivot-ub-bounded search). Every tier is exact or admissible, so
-//!   with an unlimited verify budget results are bit-identical to the
-//!   pivot-disabled plan — the tier only saves work. Under a finite
-//!   budget every decided answer is still correct, but the two plans
-//!   search under different bounds, so a candidate can land in
-//!   `matches` under one and in `budget_exhausted` under the other.
+//! With [`GedEngineBuilder::pivots`] set, a flat store's
+//! [`ged_graph::PivotIndex`] is built lazily and kept in sync with the
+//! queried store; a sharded store owns one block per shard, synced by
+//! [`GedEngine::sync_sharded_pivots`] (stale blocks degrade to the
+//! still-exact pivot-free plan). A query arms a block with `p`
+//! query-to-pivot distances only once the shard tier failed to skip it
+//! (a stored query copies its own table row instead;
+//! [`SearchStats::pivot_distances`] counts the rest). The pivot lower
+//! bound joins the discard tiers and its upper bound accepts early
+//! ([`crate::plan`] gives the order). `TopK` and `Range` also clamp
+//! verified estimates into `[lb, ub]`, so they can differ from (and are
+//! never worse than) the pivot-disabled ones. `RangeExact` and the joins
+//! stay bit-identical to the pivot-disabled plan under an unlimited
+//! verify budget; under a finite one a candidate can land in `matches`
+//! under one plan and in `budget_exhausted` under the other.
 //!
 //! # Example
 //!
 //! ```
-//! use ged_core::engine::{GedEngine, GedQuery, GedResponse};
+//! use ged_core::engine::{Deadline, GedEngine, GedQuery, GedResponse, QueryOpts};
 //! use ged_core::method::MethodKind;
 //! use ged_core::solver::{GedgwSolver, SolverRegistry};
-//! use ged_graph::{Graph, GraphStore, Label};
+//! use ged_graph::{Graph, GraphStore, Label, ShardedStore};
+//! use std::time::Duration;
 //!
 //! // A registry with the training-free GEDGW solver.
 //! let mut registry = SolverRegistry::new();
@@ -162,21 +145,36 @@
 //! // Similarity search over an indexed store: results carry GraphIds.
 //! let mut store = GraphStore::new();
 //! let id1 = store.insert(g1.clone());
-//! let _id2 = store.insert(g2);
+//! let _id2 = store.insert(g2.clone());
 //! let result = engine.top_k(&g1, &store, 1).unwrap();
 //! assert_eq!(result.neighbors[0].id, id1, "g1 is its own nearest neighbor");
+//!
+//! // The same shortcut over a sharded store, and the request form with
+//! // a deadline.
+//! let mut sharded = ShardedStore::new(4);
+//! let sid1 = sharded.insert(g1.clone());
+//! sharded.insert(g2);
+//! assert_eq!(engine.top_k(&g1, &sharded, 1).unwrap().neighbors[0].id, sid1);
+//! let opts = QueryOpts {
+//!     deadline: Deadline::within(Duration::from_secs(60)),
+//!     ..QueryOpts::default()
+//! };
+//! let top = GedQuery::TopK { query: &g1, store: (&sharded).into(), k: 1 };
+//! let answer = engine.query_with(top, opts).unwrap();
+//! assert_eq!(answer.into_top_k().unwrap().neighbors[0].id, sid1);
 //! ```
 
 use crate::error::GedError;
 use crate::method::MethodKind;
 use crate::pairs::GedPair;
-use crate::plan::PlanStore;
 use crate::search::{pivot_distance_in, ExactSearchStats, JoinStats};
 use crate::solver::{
     BatchRunner, GedEstimate, GedSolver, PathEstimate, SolverRegistry, SolverScratch,
 };
 use crate::workspace::GedWorkspace;
-use ged_graph::{Graph, GraphId, GraphSignature, GraphStore, PivotIndex, ShardedStore};
+use ged_graph::{
+    Graph, GraphDataset, GraphId, GraphSignature, GraphStore, PivotIndex, ShardedStore,
+};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -445,11 +443,12 @@ impl DistanceMatrix {
     }
 }
 
-/// A typed request against a [`GedEngine`].
+/// A typed request against a [`GedEngine`], answered by
+/// [`GedEngine::query_with`].
 ///
 /// Pair-level queries borrow a normalized [`GedPair`]; store-level
-/// queries borrow the [`GraphStore`], so building a query never clones
-/// graphs.
+/// queries borrow a flat or sharded store through a [`StoreRef`], so
+/// building a query never clones graphs.
 #[derive(Clone, Copy, Debug)]
 pub enum GedQuery<'a> {
     /// Estimate the GED of one pair (value only, possibly infeasible).
@@ -472,7 +471,7 @@ pub enum GedQuery<'a> {
         /// The query graph.
         query: &'a Graph,
         /// The store to search.
-        store: &'a GraphStore,
+        store: StoreRef<'a>,
         /// How many neighbors to return (must be ≥ 1).
         k: usize,
     },
@@ -483,7 +482,7 @@ pub enum GedQuery<'a> {
         /// The query graph.
         query: &'a Graph,
         /// The store to search.
-        store: &'a GraphStore,
+        store: StoreRef<'a>,
         /// The GED threshold τ (NaN is rejected; `+∞` degrades to a full
         /// scan; a negative τ simply matches nothing).
         tau: f64,
@@ -495,7 +494,7 @@ pub enum GedQuery<'a> {
         /// The query graph.
         query: &'a Graph,
         /// The store to search.
-        store: &'a GraphStore,
+        store: StoreRef<'a>,
         /// The GED threshold τ. GED is integral, so a fractional τ means
         /// `GED ≤ ⌊τ⌋`; NaN is rejected; `+∞` degrades to exact GED
         /// computation over the whole store (full scan); a negative τ
@@ -505,14 +504,14 @@ pub enum GedQuery<'a> {
     /// Compute the full pairwise distance matrix of a store.
     Matrix {
         /// The store to compare pairwise.
-        store: &'a GraphStore,
+        store: StoreRef<'a>,
     },
     /// Retrieve every pair of stored graphs whose **exact** GED is at
     /// most `tau` — the GED self-join (all `n·(n−1)/2` unordered pairs),
     /// via the shared-work join plan of [`crate::plan`].
     SelfJoin {
         /// The store to join with itself.
-        store: &'a GraphStore,
+        store: StoreRef<'a>,
         /// The GED threshold τ, with [`GedQuery::RangeExact`] semantics:
         /// fractional τ floors, NaN is rejected, `+∞` is a full join
         /// (exact GED of every pair), `0` joins isomorphism classes, a
@@ -524,9 +523,9 @@ pub enum GedQuery<'a> {
     /// all `n·m` pairs, via the shared-work join plan of [`crate::plan`].
     Join {
         /// The left store (e.g. a query batch).
-        store: &'a GraphStore,
+        store: StoreRef<'a>,
         /// The right store (e.g. the corpus).
-        other: &'a GraphStore,
+        other: StoreRef<'a>,
         /// The GED threshold τ (same semantics as [`GedQuery::SelfJoin`]).
         tau: f64,
     },
@@ -642,8 +641,8 @@ impl GedResponse {
 /// [`GedError::DeadlineExceeded`] instead of occupying the worker pool
 /// for an answer nobody is waiting on. A deadline never changes a
 /// completed answer — a query that finishes in time is bit-identical to
-/// the deadline-free one. Attach one to an engine call via
-/// [`GedEngine::with_deadline`].
+/// the deadline-free one. Attach one to a query through
+/// [`QueryOpts::deadline`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Deadline(Option<std::time::Instant>);
 
@@ -683,6 +682,108 @@ impl Deadline {
             Err(GedError::DeadlineExceeded)
         } else {
             Ok(())
+        }
+    }
+}
+
+/// Per-call options of [`GedEngine::query_with`] and
+/// [`GedEngine::query_batch`]. The default is the engine's own method and
+/// no deadline — what the typed shortcuts use.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueryOpts {
+    /// The method to answer with; `None` uses [`GedEngine::method`].
+    pub method: Option<MethodKind>,
+    /// A cooperative deadline for store-level queries (pair-level
+    /// `Value` and `Path` queries run to completion).
+    pub deadline: Deadline,
+}
+
+impl QueryOpts {
+    /// Options that answer with `method` instead of the engine's
+    /// default, without a deadline.
+    #[must_use]
+    pub fn with_method(method: MethodKind) -> Self {
+        QueryOpts {
+            method: Some(method),
+            deadline: Deadline::NONE,
+        }
+    }
+}
+
+/// A borrowed store of either kind, as store-level queries search it.
+///
+/// The plans of [`crate::plan`] run a flat [`GraphStore`] as the
+/// one-shard special case of a [`ShardedStore`], so every store-level
+/// query shape takes either: `(&store).into()` builds one, and the typed
+/// shortcuts accept `impl Into<StoreRef>` directly.
+#[derive(Clone, Copy, Debug)]
+pub enum StoreRef<'a> {
+    /// A flat store: one unit, no shard tier.
+    Flat(&'a GraphStore),
+    /// A size-bucketed sharded store: whole shards can be skipped.
+    Sharded(&'a ShardedStore),
+}
+
+impl<'a> From<&'a GraphStore> for StoreRef<'a> {
+    fn from(store: &'a GraphStore) -> Self {
+        StoreRef::Flat(store)
+    }
+}
+
+impl<'a> From<&'a ShardedStore> for StoreRef<'a> {
+    fn from(store: &'a ShardedStore) -> Self {
+        StoreRef::Sharded(store)
+    }
+}
+
+/// A dataset is searched as the flat store it wraps.
+impl<'a> From<&'a GraphDataset> for StoreRef<'a> {
+    fn from(dataset: &'a GraphDataset) -> Self {
+        StoreRef::Flat(dataset.store())
+    }
+}
+
+impl<'a> StoreRef<'a> {
+    pub(crate) fn len(self) -> usize {
+        match self {
+            StoreRef::Flat(s) => s.len(),
+            StoreRef::Sharded(s) => s.len(),
+        }
+    }
+
+    /// The graph stored under `id`, or `None` if `id` was minted by
+    /// another store or its graph has been removed.
+    #[must_use]
+    pub fn get(self, id: GraphId) -> Option<&'a Graph> {
+        match self {
+            StoreRef::Flat(s) => s.get(id),
+            StoreRef::Sharded(s) => s.get(id),
+        }
+    }
+
+    /// Every graph in globally ascending id order (the matrix kernel's
+    /// input order).
+    pub(crate) fn graphs(self) -> Vec<(GraphId, &'a Graph)> {
+        match self {
+            StoreRef::Flat(s) => s.iter().collect(),
+            StoreRef::Sharded(s) => s.iter().collect(),
+        }
+    }
+
+    /// Rejects empty stores and stores containing node-less graphs. Reads
+    /// only the precomputed signatures, so validation never touches a
+    /// graph.
+    pub(crate) fn validate(self) -> Result<(), GedError> {
+        if self.len() == 0 {
+            return Err(GedError::EmptyStore);
+        }
+        let empty = match self {
+            StoreRef::Flat(s) => s.entries().find(|(_, _, sig)| sig.num_nodes() == 0),
+            StoreRef::Sharded(s) => s.entries().find(|(_, _, sig)| sig.num_nodes() == 0),
+        };
+        match empty {
+            Some((id, _, _)) => Err(GedError::EmptyGraph(format!("store graph {id}"))),
+            None => Ok(()),
         }
     }
 }
@@ -740,7 +841,6 @@ pub struct GedEngineBuilder {
     cache_capacity: usize,
     verify_budget: usize,
     pivots: usize,
-    default_tau: Option<f64>,
 }
 
 impl GedEngineBuilder {
@@ -756,12 +856,11 @@ impl GedEngineBuilder {
             cache_capacity: 0,
             verify_budget: usize::MAX,
             pivots: 0,
-            default_tau: None,
         }
     }
 
-    /// Selects the engine's default method (used by [`GedEngine::query`]
-    /// and the typed convenience calls).
+    /// Selects the engine's default method (used by the typed shortcuts
+    /// and by queries whose [`QueryOpts::method`] is `None`).
     #[must_use]
     pub fn method(mut self, method: MethodKind) -> Self {
         self.method = Some(method);
@@ -829,22 +928,11 @@ impl GedEngineBuilder {
         self
     }
 
-    /// Sets the engine's default range threshold τ, consumed by
-    /// [`GedEngine::range_default`] and [`GedEngine::range_exact_default`]
-    /// (unset by default). Must not be NaN at [`Self::build`] time; the
-    /// other τ semantics (`+∞` full scan, negative matches nothing)
-    /// follow [`GedQuery::Range`].
-    #[must_use]
-    pub fn default_tau(mut self, tau: f64) -> Self {
-        self.default_tau = Some(tau);
-        self
-    }
-
     /// Validates the configuration and builds the engine.
     ///
     /// # Errors
-    /// * [`GedError::Config`] — the registry is empty, the beam width or
-    ///   verify budget is zero, or the default τ is NaN.
+    /// * [`GedError::Config`] — the registry is empty, or the beam width
+    ///   or verify budget is zero.
     /// * [`GedError::MethodNotRegistered`] — the selected default method
     ///   has no solver in the registry.
     pub fn build(self) -> Result<GedEngine, GedError> {
@@ -856,11 +944,6 @@ impl GedEngineBuilder {
         if self.verify_budget == 0 {
             return Err(GedError::Config(
                 "verify budget must be at least 1 (usize::MAX = unlimited)".to_string(),
-            ));
-        }
-        if self.default_tau.is_some_and(f64::is_nan) {
-            return Err(GedError::Config(
-                "default range threshold must not be NaN".to_string(),
             ));
         }
         let method = match self.method {
@@ -888,7 +971,6 @@ impl GedEngineBuilder {
             pivot_target: self.pivots,
             pivot_cache: Mutex::new(None),
             cache,
-            default_tau: self.default_tau,
         })
     }
 }
@@ -910,9 +992,6 @@ pub struct GedEngine {
     /// unchanged store hands queries an `O(1)` snapshot.
     pivot_cache: Mutex<Option<Arc<PivotIndex>>>,
     cache: Option<Mutex<PredictionCache>>,
-    /// The default range threshold of [`Self::range_default`] /
-    /// [`Self::range_exact_default`] (validated non-NaN at build time).
-    default_tau: Option<f64>,
 }
 
 impl std::fmt::Debug for GedEngine {
@@ -960,51 +1039,6 @@ impl GedEngine {
     #[must_use]
     pub fn pivot_target(&self) -> usize {
         self.pivot_target
-    }
-
-    /// The configured default range threshold
-    /// ([`GedEngineBuilder::default_tau`]), if any. Never NaN.
-    #[must_use]
-    pub fn default_tau(&self) -> Option<f64> {
-        self.default_tau
-    }
-
-    /// Range search at the engine's default threshold
-    /// ([`GedEngineBuilder::default_tau`]), with the default method.
-    ///
-    /// # Errors
-    /// [`GedError::Config`] if no default τ was configured; otherwise see
-    /// [`Self::range_as`].
-    pub fn range_default(
-        &self,
-        query: &Graph,
-        store: &GraphStore,
-    ) -> Result<SearchResult, GedError> {
-        let tau = self.require_default_tau()?;
-        self.range_as(self.method, query, store, tau)
-    }
-
-    /// Exact range search at the engine's default threshold
-    /// ([`GedEngineBuilder::default_tau`]), with the default method.
-    ///
-    /// # Errors
-    /// [`GedError::Config`] if no default τ was configured; otherwise see
-    /// [`Self::range_exact_as`].
-    pub fn range_exact_default(
-        &self,
-        query: &Graph,
-        store: &GraphStore,
-    ) -> Result<RangeExactResult, GedError> {
-        let tau = self.require_default_tau()?;
-        self.range_exact_as(self.method, query, store, tau)
-    }
-
-    fn require_default_tau(&self) -> Result<f64, GedError> {
-        self.default_tau.ok_or_else(|| {
-            GedError::Config(
-                "no default range threshold configured (GedEngineBuilder::default_tau)".to_string(),
-            )
-        })
     }
 
     /// Syncs (or lazily builds) the cached pivot index against `store`
@@ -1108,18 +1142,24 @@ impl GedEngine {
 
     // -- the request/response surface ------------------------------------
 
-    /// Answers `query` with the engine's default method.
+    /// Answers `query` with the engine's default method and no deadline
+    /// — [`Self::query_with`] under [`QueryOpts::default`].
     ///
     /// # Errors
-    /// See [`Self::query_as`].
+    /// See [`Self::query_with`].
     pub fn query(&self, query: GedQuery<'_>) -> Result<GedResponse, GedError> {
-        self.query_as(self.method, query)
+        self.query_with(query, QueryOpts::default())
     }
 
-    /// Answers `query` with an explicit method, overriding the default.
+    /// Answers `query` under `opts`: with [`QueryOpts::method`] (the
+    /// engine's default when `None`), and — for store-level shapes —
+    /// checking [`QueryOpts::deadline`] between verification blocks. A
+    /// query that finishes in time is bit-identical to the deadline-free
+    /// one, and a [`StoreRef::Sharded`] store answers bit-identically to
+    /// a flat store holding the same graphs (under the id mapping).
     ///
     /// # Errors
-    /// * [`GedError::MethodNotRegistered`] — no solver for `method`.
+    /// * [`GedError::MethodNotRegistered`] — no solver for the method.
     /// * [`GedError::EmptyGraph`] — an input graph has no nodes.
     /// * [`GedError::PathsUnsupported`] — a `Path` query against a pure
     ///   value regressor.
@@ -1127,123 +1167,73 @@ impl GedEngine {
     /// * [`GedError::EmptyStore`] — a store-level query against an
     ///   empty store.
     /// * [`GedError::Config`] — a NaN range threshold.
-    pub fn query_as(
+    /// * [`GedError::DeadlineExceeded`] — the deadline passed mid-query.
+    pub fn query_with(
         &self,
-        method: MethodKind,
         query: GedQuery<'_>,
+        opts: QueryOpts,
     ) -> Result<GedResponse, GedError> {
+        let method = opts.method.unwrap_or(self.method);
+        let deadline = opts.deadline;
         match query {
-            GedQuery::Value { pair } => self.predict_as(method, pair).map(GedResponse::Value),
-            GedQuery::Path { pair, k } => self.edit_path_as(method, pair, k).map(GedResponse::Path),
+            GedQuery::Value { pair } => self.predict_for(method, pair).map(GedResponse::Value),
+            GedQuery::Path { pair, k } => {
+                self.edit_path_for(method, pair, k).map(GedResponse::Path)
+            }
             GedQuery::TopK { query, store, k } => self
-                .top_k_as(method, query, store, k)
+                .plan_top_k(method, query, store, k, deadline)
                 .map(GedResponse::TopK),
             GedQuery::Range { query, store, tau } => self
-                .range_as(method, query, store, tau)
+                .plan_range(method, query, store, tau, deadline)
                 .map(GedResponse::Range),
             GedQuery::RangeExact { query, store, tau } => self
-                .range_exact_as(method, query, store, tau)
+                .plan_range_exact(method, query, store, tau, deadline)
                 .map(GedResponse::RangeExact),
             GedQuery::Matrix { store } => self
-                .distance_matrix_as(method, store)
+                .plan_matrix(method, store, deadline)
                 .map(GedResponse::Matrix),
             GedQuery::SelfJoin { store, tau } => self
-                .self_join_as(method, store, tau)
+                .plan_self_join(method, store, tau, deadline)
                 .map(GedResponse::SelfJoin),
             GedQuery::Join { store, other, tau } => self
-                .join_as(method, store, other, tau)
+                .plan_join(method, store, other, tau, deadline)
                 .map(GedResponse::Join),
         }
     }
 
-    /// Answers a batch of queries in parallel (input order preserved,
-    /// results bit-identical to a sequential loop), with the default
-    /// method.
+    /// Answers a batch of queries under one `opts` in parallel (input
+    /// order preserved, results bit-identical to a sequential
+    /// [`Self::query_with`] loop).
     #[must_use]
-    pub fn query_batch(&self, queries: &[GedQuery<'_>]) -> Vec<Result<GedResponse, GedError>> {
-        self.query_batch_as(self.method, queries)
-    }
-
-    /// Answers a batch of queries in parallel with an explicit method.
-    #[must_use]
-    pub fn query_batch_as(
+    pub fn query_batch(
         &self,
-        method: MethodKind,
         queries: &[GedQuery<'_>],
+        opts: QueryOpts,
     ) -> Vec<Result<GedResponse, GedError>> {
-        self.runner.map(queries, |q| self.query_as(method, *q))
+        self.runner.map(queries, |q| self.query_with(*q, opts))
     }
 
-    // -- typed conveniences (thin wrappers over the same logic) ----------
+    // -- typed shortcuts: the default method, no deadline ------------------
 
     /// Estimates the GED of two graphs with the default method.
     ///
     /// # Errors
-    /// See [`Self::query_as`].
+    /// See [`Self::query_with`].
     pub fn ged(&self, g1: &Graph, g2: &Graph) -> Result<GedEstimate, GedError> {
-        self.ged_as(self.method, g1, g2)
-    }
-
-    /// Estimates the GED of two graphs with an explicit method.
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn ged_as(
-        &self,
-        method: MethodKind,
-        g1: &Graph,
-        g2: &Graph,
-    ) -> Result<GedEstimate, GedError> {
         ensure_nonempty(g1, "g1")?;
         ensure_nonempty(g2, "g2")?;
-        self.predict_as(method, &GedPair::new(g1.clone(), g2.clone()))
-    }
-
-    /// Estimates the GED of two *stored* graphs, addressed by id, with
-    /// the default method.
-    ///
-    /// # Errors
-    /// See [`Self::ged_by_ids_as`].
-    pub fn ged_by_ids(
-        &self,
-        store: &GraphStore,
-        a: GraphId,
-        b: GraphId,
-    ) -> Result<GedEstimate, GedError> {
-        self.ged_by_ids_as(self.method, store, a, b)
-    }
-
-    /// Estimates the GED of two stored graphs, addressed by id, with an
-    /// explicit method.
-    ///
-    /// # Errors
-    /// [`GedError::UnknownGraphId`] if either id is foreign to `store` or
-    /// was removed; otherwise see [`Self::query_as`].
-    pub fn ged_by_ids_as(
-        &self,
-        method: MethodKind,
-        store: &GraphStore,
-        a: GraphId,
-        b: GraphId,
-    ) -> Result<GedEstimate, GedError> {
-        let ga = resolve(store, a)?;
-        let gb = resolve(store, b)?;
-        self.ged_as(method, ga, gb)
+        self.predict(&GedPair::new(g1.clone(), g2.clone()))
     }
 
     /// Estimates the GED of a prepared pair with the default method.
     ///
     /// # Errors
-    /// See [`Self::query_as`].
+    /// See [`Self::query_with`].
     pub fn predict(&self, pair: &GedPair) -> Result<GedEstimate, GedError> {
-        self.predict_as(self.method, pair)
+        self.predict_for(self.method, pair)
     }
 
-    /// Estimates the GED of a prepared pair with an explicit method.
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn predict_as(&self, method: MethodKind, pair: &GedPair) -> Result<GedEstimate, GedError> {
+    fn predict_for(&self, method: MethodKind, pair: &GedPair) -> Result<GedEstimate, GedError> {
         ensure_nonempty(&pair.g1, "g1")?;
         ensure_nonempty(&pair.g2, "g2")?;
         let solver = self.solver(method)?;
@@ -1257,26 +1247,22 @@ impl GedEngine {
     /// graph into its larger one; for equal node counts the caller's
     /// orientation is preserved ([`GedPair::directed`] — edit paths are
     /// direction-sensitive, so the equal-size canonicalization of
-    /// [`GedPair::new`] must not silently invert them).
+    /// [`GedPair::new`] must not silently invert them). Another beam
+    /// width goes through [`GedQuery::Path`].
     ///
     /// # Errors
-    /// See [`Self::query_as`].
+    /// See [`Self::query_with`].
     pub fn edit_path(&self, g1: &Graph, g2: &Graph) -> Result<PathEstimate, GedError> {
         ensure_nonempty(g1, "g1")?;
         ensure_nonempty(g2, "g2")?;
-        self.edit_path_as(
+        self.edit_path_for(
             self.method,
             &GedPair::directed(g1.clone(), g2.clone()),
             None,
         )
     }
 
-    /// Generates a feasible edit path for a prepared pair with an
-    /// explicit method; `k = None` uses the engine's beam width.
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn edit_path_as(
+    fn edit_path_for(
         &self,
         method: MethodKind,
         pair: &GedPair,
@@ -1294,228 +1280,124 @@ impl GedEngine {
             .ok_or(GedError::PathsUnsupported(method))
     }
 
-    /// Ranks `store` by estimated GED to `query` and returns the `k`
-    /// nearest graphs, with the default method. See [`Self::top_k_as`].
+    /// [`GedQuery::TopK`]: the `k` graphs of `store` nearest to `query`
+    /// by bound-refined estimated GED, ranked with ties broken by id
+    /// (a `k` beyond the store clamps) — exactly a brute-force scan's
+    /// answer, through the filter–verify plan of the
+    /// [module docs](self).
     ///
     /// # Errors
-    /// See [`Self::query_as`].
-    pub fn top_k(
+    /// See [`Self::query_with`].
+    pub fn top_k<'s>(
         &self,
         query: &Graph,
-        store: &GraphStore,
+        store: impl Into<StoreRef<'s>>,
         k: usize,
     ) -> Result<SearchResult, GedError> {
-        self.top_k_as(self.method, query, store, k)
+        self.plan_top_k(self.method, query, store.into(), k, Deadline::NONE)
     }
 
-    /// Ranks `store` by estimated GED to `query` with an explicit method,
-    /// through the unified filter–verify pipeline of [`crate::plan`]
-    /// (the flat store is the one-shard special case): candidates are
-    /// processed in ascending-lower-bound order, and once `k` candidates
-    /// are verified, any candidate whose lower bound exceeds the running
-    /// k-th-best distance is discarded unverified. Verification runs in
-    /// parallel through the engine's [`BatchRunner`]; the ranking sorts
-    /// by ascending (bound-refined) GED with ties broken by id, so it is
-    /// fully deterministic and exactly equal to a brute-force scan. A `k`
-    /// larger than the store is clamped (every graph is returned,
-    /// ranked).
+    /// [`GedQuery::Range`]: every graph of `store` within bound-refined
+    /// estimated GED ≤ `tau` of `query`, ranked like [`Self::top_k`].
     ///
     /// # Errors
-    /// See [`Self::query_as`].
-    pub fn top_k_as(
-        &self,
-        method: MethodKind,
-        query: &Graph,
-        store: &GraphStore,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        self.plan_top_k(method, query, PlanStore::Flat(store), k, Deadline::NONE)
-    }
-
-    /// Ranks `store` by estimated GED to the *stored* graph `id`, with
-    /// the default method.
-    ///
-    /// # Errors
-    /// See [`Self::top_k_by_id_as`].
-    pub fn top_k_by_id(
-        &self,
-        store: &GraphStore,
-        id: GraphId,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        self.top_k_by_id_as(self.method, store, id, k)
-    }
-
-    /// Ranks `store` by estimated GED to the stored graph `id` with an
-    /// explicit method. The query graph itself stays in the candidate set
-    /// (its self-distance ranks it first for any sane solver).
-    ///
-    /// # Errors
-    /// [`GedError::UnknownGraphId`] if `id` is foreign to `store` or was
-    /// removed; otherwise see [`Self::query_as`].
-    pub fn top_k_by_id_as(
-        &self,
-        method: MethodKind,
-        store: &GraphStore,
-        id: GraphId,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        let query = resolve(store, id)?;
-        self.top_k_as(method, query, store, k)
-    }
-
-    /// Retrieves every stored graph within GED ≤ `tau` of `query`, with
-    /// the default method. See [`Self::range_as`].
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn range(
+    /// See [`Self::query_with`].
+    pub fn range<'s>(
         &self,
         query: &Graph,
-        store: &GraphStore,
+        store: impl Into<StoreRef<'s>>,
         tau: f64,
     ) -> Result<SearchResult, GedError> {
-        self.range_as(self.method, query, store, tau)
+        self.plan_range(self.method, query, store.into(), tau, Deadline::NONE)
     }
 
-    /// Retrieves every stored graph within GED ≤ `tau` of `query` with an
-    /// explicit method, through the filter–verify plan of the
-    /// [module docs](self): the label-set bound discards first, the
-    /// degree-sequence bound second, and only the surviving candidates
-    /// are verified (in parallel through the engine's [`BatchRunner`]).
-    /// Results sort by ascending (bound-refined) GED with ties broken by
-    /// id, exactly equal to a brute-force scan. `tau = +∞` degrades to a
-    /// full scan — every candidate is verified and returned — matching
-    /// the τ = ∞ semantics of [`crate::search`].
+    /// [`GedQuery::RangeExact`]: every graph of `store` whose **exact**
+    /// GED to `query` is ≤ `tau`, in id order, through the three-tier
+    /// plan of the [module docs](self). No solver runs, so the answer
+    /// does not depend on the method.
     ///
     /// # Errors
-    /// [`GedError::Config`] if `tau` is NaN; otherwise see
-    /// [`Self::query_as`].
-    pub fn range_as(
-        &self,
-        method: MethodKind,
-        query: &Graph,
-        store: &GraphStore,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        self.plan_range(method, query, PlanStore::Flat(store), tau, Deadline::NONE)
-    }
-
-    /// Range search around the *stored* graph `id`, with the default
-    /// method — the `Range` counterpart of [`Self::top_k_by_id`]. The
-    /// query graph itself stays in the candidate set (its self-distance
-    /// 0 always matches for τ ≥ 0).
-    ///
-    /// # Errors
-    /// See [`Self::range_by_id_as`].
-    pub fn range_by_id(
-        &self,
-        store: &GraphStore,
-        id: GraphId,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        self.range_by_id_as(self.method, store, id, tau)
-    }
-
-    /// Range search around the stored graph `id` with an explicit method.
-    ///
-    /// # Errors
-    /// [`GedError::UnknownGraphId`] if `id` is foreign to `store` or was
-    /// removed; otherwise see [`Self::range_as`].
-    pub fn range_by_id_as(
-        &self,
-        method: MethodKind,
-        store: &GraphStore,
-        id: GraphId,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        let query = resolve(store, id)?;
-        self.range_as(method, query, store, tau)
-    }
-
-    /// Retrieves every stored graph whose **exact** GED to `query` is
-    /// ≤ `tau`, with the default method. See [`Self::range_exact_as`].
-    ///
-    /// # Errors
-    /// See [`Self::range_exact_as`].
-    pub fn range_exact(
+    /// See [`Self::query_with`].
+    pub fn range_exact<'s>(
         &self,
         query: &Graph,
-        store: &GraphStore,
+        store: impl Into<StoreRef<'s>>,
         tau: f64,
     ) -> Result<RangeExactResult, GedError> {
-        self.range_exact_as(self.method, query, store, tau)
+        self.plan_range_exact(self.method, query, store.into(), tau, Deadline::NONE)
     }
 
-    /// Retrieves every stored graph whose **exact** GED to `query` is
-    /// ≤ `tau`, through the three-tier filter–prune–verify plan of the
-    /// [module docs](self): the signature-fed lower bounds discard,
-    /// the feasible GEDGW upper bound accepts early, and survivors run
-    /// the τ-bounded exact search in parallel through the engine's
-    /// [`BatchRunner`], each capped at [`Self::verify_budget`] node
-    /// expansions.
-    ///
-    /// Every tier is exact or admissible, so — unlike every other store
-    /// query — the answer does **not** depend on `method`: the parameter
-    /// is validated for dispatch symmetry with [`Self::query_as`] but
-    /// cannot change the result. `tau` follows [`GedQuery::RangeExact`]:
-    /// fractional τ floors, `+∞` is a full exact scan, negative matches
-    /// nothing.
+    /// [`GedQuery::Matrix`]: the pairwise distance matrix of `store`.
+    /// Only the upper triangle is predicted (in parallel), then
+    /// mirrored; entries are raw solver predictions, bit-identical to
+    /// per-pair [`Self::predict`] calls.
     ///
     /// # Errors
-    /// [`GedError::Config`] if `tau` is NaN; otherwise see
-    /// [`Self::query_as`].
-    pub fn range_exact_as(
+    /// See [`Self::query_with`].
+    pub fn distance_matrix<'s>(
         &self,
-        method: MethodKind,
-        query: &Graph,
-        store: &GraphStore,
-        tau: f64,
-    ) -> Result<RangeExactResult, GedError> {
-        self.plan_range_exact(method, query, PlanStore::Flat(store), tau, Deadline::NONE)
-    }
-
-    /// Exact range search around the *stored* graph `id`, with the
-    /// default method. The query graph itself stays in the candidate set
-    /// (its self-distance 0 always matches for τ ≥ 0).
-    ///
-    /// # Errors
-    /// [`GedError::UnknownGraphId`] if `id` is foreign to `store` or was
-    /// removed; otherwise see [`Self::range_exact_as`].
-    pub fn range_exact_by_id(
-        &self,
-        store: &GraphStore,
-        id: GraphId,
-        tau: f64,
-    ) -> Result<RangeExactResult, GedError> {
-        let query = resolve(store, id)?;
-        self.range_exact_as(self.method, query, store, tau)
-    }
-
-    /// Computes the pairwise distance matrix of `store` with the
-    /// default method. See [`Self::distance_matrix_as`].
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn distance_matrix(&self, store: &GraphStore) -> Result<DistanceMatrix, GedError> {
-        self.distance_matrix_as(self.method, store)
-    }
-
-    /// Computes the pairwise distance matrix of `store` with an
-    /// explicit method. Only the upper triangle is evaluated (GED is
-    /// symmetric) — `n·(n−1)/2` predictions, parallelized through the
-    /// engine's [`BatchRunner`] — then mirrored; the diagonal is zero.
-    /// Entries are raw solver predictions (no bound refinement), matching
-    /// per-pair [`Self::predict_as`] calls bit for bit.
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn distance_matrix_as(
-        &self,
-        method: MethodKind,
-        store: &GraphStore,
+        store: impl Into<StoreRef<'s>>,
     ) -> Result<DistanceMatrix, GedError> {
-        self.plan_matrix(method, PlanStore::Flat(store), Deadline::NONE)
+        self.plan_matrix(self.method, store.into(), Deadline::NONE)
+    }
+
+    /// [`GedQuery::SelfJoin`]: every unordered pair of graphs of `store`
+    /// whose **exact** GED is ≤ `tau`, through the shared-work join plan
+    /// of [`crate::plan`] — provably a brute-force
+    /// [`crate::search::bounded_exact_ged`] nested loop's answer.
+    ///
+    /// # Errors
+    /// See [`Self::query_with`].
+    pub fn self_join<'s>(
+        &self,
+        store: impl Into<StoreRef<'s>>,
+        tau: f64,
+    ) -> Result<JoinResult, GedError> {
+        self.plan_self_join(self.method, store.into(), tau, Deadline::NONE)
+    }
+
+    /// [`GedQuery::Join`]: every pair of one graph of `left` and one of
+    /// `right` whose **exact** GED is ≤ `tau`; either side may be flat or
+    /// sharded. Answer semantics follow [`Self::self_join`].
+    ///
+    /// # Errors
+    /// See [`Self::query_with`].
+    pub fn join<'s>(
+        &self,
+        left: impl Into<StoreRef<'s>>,
+        right: impl Into<StoreRef<'s>>,
+        tau: f64,
+    ) -> Result<JoinResult, GedError> {
+        self.plan_join(self.method, left.into(), right.into(), tau, Deadline::NONE)
+    }
+
+    /// [`Self::top_k`] over a [`ShardedStore`]. Kept for `perfbench`,
+    /// which calls it by name; remove it when `perfbench` next changes.
+    ///
+    /// # Errors
+    /// See [`Self::query_with`].
+    pub fn top_k_sharded(
+        &self,
+        query: &Graph,
+        store: &ShardedStore,
+        k: usize,
+    ) -> Result<SearchResult, GedError> {
+        self.top_k(query, store, k)
+    }
+
+    /// [`Self::range_exact`] over a [`ShardedStore`]. Kept for
+    /// `perfbench`, which calls it by name; remove it when `perfbench`
+    /// next changes.
+    ///
+    /// # Errors
+    /// See [`Self::range_exact`].
+    pub fn range_exact_sharded(
+        &self,
+        query: &Graph,
+        store: &ShardedStore,
+        tau: f64,
+    ) -> Result<RangeExactResult, GedError> {
+        self.range_exact(query, store, tau)
     }
 
     /// The matrix kernel shared by the flat and sharded plans: upper
@@ -1566,26 +1448,14 @@ impl GedEngine {
         crate::plan::VERIFY_BLOCK * self.runner.threads().max(1)
     }
 
-    // -- sharded-store plans ----------------------------------------------
+    // -- sharded pivot blocks ----------------------------------------------
     //
-    // The same filter–verify plans, one tier taller: a per-shard
-    // aggregate lower bound discards whole shards before any per-graph
-    // metadata is read. Shards are visited in ascending
-    // [`Shard::signature_lower_bound`] order; a shard that bound does
-    // not skip is armed (its query-to-pivot distances computed) and
-    // tried again with [`Shard::pivot_lower_bound`] folded in. Per-shard
-    // results merge through a result set bounded at `k` (top-k) or
-    // filtered at τ (range).
-    // Every aggregate bound under-approximates the corresponding
-    // per-graph bound, so the answers are bit-identical to the flat
-    // plans over the same graphs (ged-testkit property-tests this).
-    //
-    // The pivot tier is all-or-nothing: shards own their pivot blocks
-    // (the engine cannot lazily sync a `&ShardedStore`), so plans use
-    // pivots only when [`ShardedStore::pivots_ready`] holds for the
-    // engine's target — call [`GedEngine::sync_sharded_pivots`] after
-    // mutations to keep the blocks in sync. Stale or absent blocks degrade
-    // to the (still exact) pivot-free plan, never to a wrong answer.
+    // Shards own their pivot blocks (the engine cannot lazily sync a
+    // `&ShardedStore`), so sharded plans use pivots only when
+    // [`ShardedStore::pivots_ready`] holds for the engine's target — call
+    // [`GedEngine::sync_sharded_pivots`] after mutations to keep the
+    // blocks in sync. Stale or absent blocks degrade to the (still exact)
+    // pivot-free plan, never to a wrong answer.
 
     /// Builds or incrementally syncs every shard's pivot block to this
     /// engine's [`GedEngineBuilder::pivots`] target, using the same
@@ -1625,346 +1495,6 @@ impl GedEngine {
             }
         }
         Some(out)
-    }
-
-    /// Ranks the `k` nearest stored graphs with the default method. The
-    /// sharded counterpart of [`GedEngine::top_k`]; see
-    /// [`GedEngine::top_k_sharded_as`].
-    ///
-    /// # Errors
-    /// See [`Self::top_k_sharded_as`].
-    pub fn top_k_sharded(
-        &self,
-        query: &Graph,
-        store: &ShardedStore,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        self.top_k_sharded_as(self.method, query, store, k)
-    }
-
-    /// The four-tier top-k plan over a [`ShardedStore`]: shards whose
-    /// aggregate bound exceeds the running k-th best are skipped wholesale
-    /// (`pruned_shard`); surviving shards run the flat per-graph plan and
-    /// merge into one result set bounded at `k`. Answers are bit-identical
-    /// to [`GedEngine::top_k_as`] over the same graphs.
-    ///
-    /// # Errors
-    /// See [`Self::top_k_as`].
-    pub fn top_k_sharded_as(
-        &self,
-        method: MethodKind,
-        query: &Graph,
-        store: &ShardedStore,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        self.plan_top_k(method, query, PlanStore::Sharded(store), k, Deadline::NONE)
-    }
-
-    /// Range search with the default method. The sharded counterpart of
-    /// [`GedEngine::range`]; see [`GedEngine::range_sharded_as`].
-    ///
-    /// # Errors
-    /// See [`Self::range_sharded_as`].
-    pub fn range_sharded(
-        &self,
-        query: &Graph,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        self.range_sharded_as(self.method, query, store, tau)
-    }
-
-    /// The four-tier range plan over a [`ShardedStore`]: shards whose
-    /// aggregate bound exceeds `tau` are skipped wholesale, survivors run
-    /// the flat per-graph plan. Answers are bit-identical to
-    /// [`GedEngine::range_as`] over the same graphs.
-    ///
-    /// # Errors
-    /// See [`Self::range_as`].
-    pub fn range_sharded_as(
-        &self,
-        method: MethodKind,
-        query: &Graph,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        self.plan_range(
-            method,
-            query,
-            PlanStore::Sharded(store),
-            tau,
-            Deadline::NONE,
-        )
-    }
-
-    /// Range search around the *stored* graph `id` of a [`ShardedStore`],
-    /// with the default method — the sharded counterpart of
-    /// [`Self::range_by_id`].
-    ///
-    /// # Errors
-    /// See [`Self::range_sharded_by_id_as`].
-    pub fn range_sharded_by_id(
-        &self,
-        store: &ShardedStore,
-        id: GraphId,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        self.range_sharded_by_id_as(self.method, store, id, tau)
-    }
-
-    /// Range search around the stored graph `id` of a [`ShardedStore`]
-    /// with an explicit method.
-    ///
-    /// # Errors
-    /// [`GedError::UnknownGraphId`] if `id` is foreign to `store` or was
-    /// removed; otherwise see [`Self::range_sharded_as`].
-    pub fn range_sharded_by_id_as(
-        &self,
-        method: MethodKind,
-        store: &ShardedStore,
-        id: GraphId,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        let query = resolve_sharded(store, id)?;
-        self.range_sharded_as(method, query, store, tau)
-    }
-
-    /// Exact range search with the default method. The sharded
-    /// counterpart of [`GedEngine::range_exact`]; see
-    /// [`GedEngine::range_exact_sharded_as`].
-    ///
-    /// # Errors
-    /// See [`Self::range_exact_sharded_as`].
-    pub fn range_exact_sharded(
-        &self,
-        query: &Graph,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<RangeExactResult, GedError> {
-        self.range_exact_sharded_as(self.method, query, store, tau)
-    }
-
-    /// The four-tier exact range plan over a [`ShardedStore`]: shard →
-    /// pivot → signature → verify. Shards whose aggregate bound exceeds
-    /// ⌊τ⌋ contribute their whole population to `pruned_shard`; survivors
-    /// run the flat per-graph tiers, and the cross-shard survivor set is
-    /// verified in one parallel batch in globally ascending id order —
-    /// the same order, outcomes, and matches as
-    /// [`GedEngine::range_exact_as`] over the same graphs.
-    /// [`ExactSearchStats::total`] still closes to the store size.
-    ///
-    /// # Errors
-    /// See [`Self::range_exact_as`].
-    pub fn range_exact_sharded_as(
-        &self,
-        method: MethodKind,
-        query: &Graph,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<RangeExactResult, GedError> {
-        self.plan_range_exact(
-            method,
-            query,
-            PlanStore::Sharded(store),
-            tau,
-            Deadline::NONE,
-        )
-    }
-
-    /// Pairwise distance matrix of a [`ShardedStore`] with the default
-    /// method. See [`Self::distance_matrix_sharded_as`].
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn distance_matrix_sharded(
-        &self,
-        store: &ShardedStore,
-    ) -> Result<DistanceMatrix, GedError> {
-        self.distance_matrix_sharded_as(self.method, store)
-    }
-
-    /// Pairwise distance matrix of a [`ShardedStore`]: the same kernel as
-    /// [`GedEngine::distance_matrix_as`] over the globally id-ordered
-    /// graph sequence, so the result is bit-identical to the flat matrix
-    /// of the same graphs. (No shard tier here — every pair must be
-    /// computed.)
-    ///
-    /// # Errors
-    /// See [`Self::query_as`].
-    pub fn distance_matrix_sharded_as(
-        &self,
-        method: MethodKind,
-        store: &ShardedStore,
-    ) -> Result<DistanceMatrix, GedError> {
-        self.plan_matrix(method, PlanStore::Sharded(store), Deadline::NONE)
-    }
-
-    // -- GED joins --------------------------------------------------------
-
-    /// GED self-join with the default method: every unordered pair of
-    /// stored graphs with exact GED ≤ `tau`. See [`Self::self_join_as`].
-    ///
-    /// # Errors
-    /// See [`Self::self_join_as`].
-    pub fn self_join(&self, store: &GraphStore, tau: f64) -> Result<JoinResult, GedError> {
-        self.self_join_as(self.method, store, tau)
-    }
-
-    /// GED self-join over a flat store: every unordered pair of stored
-    /// graphs (all `n·(n−1)/2`) whose **exact** GED is ≤ `tau`, through
-    /// the shared-work join plan of [`crate::plan`] — one pivot-table
-    /// arming serves every row, candidates stream in signature-sort
-    /// order so the size-difference bound prunes whole contiguous
-    /// bands, duplicate pairs verify once, and survivors run the
-    /// τ-bounded exact search in parallel under
-    /// [`Self::verify_budget`].
-    ///
-    /// Like [`Self::range_exact_as`], every tier is exact or
-    /// admissible, so the answer does not depend on `method` (validated
-    /// for dispatch symmetry only) and is provably equal to a
-    /// brute-force [`crate::search::bounded_exact_ged`] nested loop.
-    /// `tau` semantics follow [`GedQuery::SelfJoin`].
-    ///
-    /// # Errors
-    /// [`GedError::Config`] if `tau` is NaN; otherwise see
-    /// [`Self::query_as`].
-    pub fn self_join_as(
-        &self,
-        method: MethodKind,
-        store: &GraphStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        self.plan_self_join(method, PlanStore::Flat(store), tau, Deadline::NONE)
-    }
-
-    /// GED self-join of a [`ShardedStore`] with the default method. See
-    /// [`Self::self_join_sharded_as`].
-    ///
-    /// # Errors
-    /// See [`Self::self_join_sharded_as`].
-    pub fn self_join_sharded(
-        &self,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        self.self_join_sharded_as(self.method, store, tau)
-    }
-
-    /// GED self-join of a [`ShardedStore`]: shard×shard blocks whose
-    /// aggregate bound ([`ged_graph::Shard::block_lower_bound`]) exceeds
-    /// ⌊τ⌋ are discarded wholesale before any per-graph work; surviving
-    /// blocks run the same banded per-pair tiers as the flat plan (the
-    /// pivot tier serves same-shard pairs from each shard's own block
-    /// when [`ShardedStore::pivots_ready`] holds). With an unlimited
-    /// verify budget the matches are bit-identical to
-    /// [`Self::self_join_as`] over the same graphs.
-    ///
-    /// # Errors
-    /// See [`Self::self_join_as`].
-    pub fn self_join_sharded_as(
-        &self,
-        method: MethodKind,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        self.plan_self_join(method, PlanStore::Sharded(store), tau, Deadline::NONE)
-    }
-
-    /// GED cross-store join with the default method: every pair with
-    /// one graph from `left` and one from `right` and exact GED ≤
-    /// `tau`. See [`Self::join_as`].
-    ///
-    /// # Errors
-    /// See [`Self::join_as`].
-    pub fn join(
-        &self,
-        left: &GraphStore,
-        right: &GraphStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        self.join_as(self.method, left, right, tau)
-    }
-
-    /// GED cross-store join over two flat stores: every `(a, b)` pair
-    /// (`a` from `left`, `b` from `right`, all `n·m`) whose **exact**
-    /// GED is ≤ `tau`, through the shared-work join plan of
-    /// [`crate::plan`] — the right store's pivot table is built once
-    /// and armed once per left row, both sides stream in signature-sort
-    /// order so the size-difference bound prunes contiguous bands, and
-    /// structurally identical pairs (including `left == right`
-    /// symmetric duplicates, via [`GedPair`]'s canonical orientation)
-    /// verify once. Answer semantics follow [`Self::self_join_as`].
-    ///
-    /// # Errors
-    /// [`GedError::Config`] if `tau` is NaN; otherwise see
-    /// [`Self::query_as`].
-    pub fn join_as(
-        &self,
-        method: MethodKind,
-        left: &GraphStore,
-        right: &GraphStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        self.plan_join(
-            method,
-            PlanStore::Flat(left),
-            PlanStore::Flat(right),
-            tau,
-            Deadline::NONE,
-        )
-    }
-
-    /// GED join of a flat query batch against a sharded corpus, with
-    /// the default method. See [`Self::join_sharded_as`].
-    ///
-    /// # Errors
-    /// See [`Self::join_sharded_as`].
-    pub fn join_sharded(
-        &self,
-        left: &GraphStore,
-        right: &ShardedStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        self.join_sharded_as(self.method, left, right, tau)
-    }
-
-    /// GED join of a flat query batch (`left`) against a sharded corpus
-    /// (`right`): corpus shards whose aggregate block bound against the
-    /// batch exceeds ⌊τ⌋ are discarded wholesale, and each surviving
-    /// shard's pivot block serves its candidates (armed once per left
-    /// row per shard) when [`ShardedStore::pivots_ready`] holds. With
-    /// an unlimited verify budget the matches are bit-identical to
-    /// [`Self::join_as`] over the same graphs.
-    ///
-    /// # Errors
-    /// See [`Self::join_as`].
-    pub fn join_sharded_as(
-        &self,
-        method: MethodKind,
-        left: &GraphStore,
-        right: &ShardedStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        self.plan_join(
-            method,
-            PlanStore::Flat(left),
-            PlanStore::Sharded(right),
-            tau,
-            Deadline::NONE,
-        )
-    }
-
-    /// Binds a cooperative [`Deadline`] to this engine's store-level
-    /// queries: every call through the returned handle checks the
-    /// deadline between verification blocks and answers
-    /// [`GedError::DeadlineExceeded`] instead of running long past it.
-    /// `Deadline::NONE` recovers the plain methods exactly.
-    #[must_use]
-    pub fn with_deadline(&self, deadline: Deadline) -> DeadlineBound<'_> {
-        DeadlineBound {
-            engine: self,
-            deadline,
-        }
     }
 
     /// Predicts through the cache when one is configured. Predictions
@@ -2010,230 +1540,6 @@ impl GedEngine {
     }
 }
 
-/// A [`GedEngine`] handle with a cooperative [`Deadline`] bound to every
-/// store-level query (see [`GedEngine::with_deadline`]). All methods use
-/// the engine's default method and mirror the plain entry points
-/// exactly, except that execution stops with
-/// [`GedError::DeadlineExceeded`] at the first verification-block
-/// boundary past the deadline.
-#[derive(Clone, Copy)]
-pub struct DeadlineBound<'e> {
-    engine: &'e GedEngine,
-    deadline: Deadline,
-}
-
-impl DeadlineBound<'_> {
-    /// Deadline-checked [`GedEngine::top_k`].
-    ///
-    /// # Errors
-    /// [`GedError::DeadlineExceeded`] past the deadline; otherwise see
-    /// [`GedEngine::top_k_as`].
-    pub fn top_k(
-        &self,
-        query: &Graph,
-        store: &GraphStore,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        let e = self.engine;
-        e.plan_top_k(e.method, query, PlanStore::Flat(store), k, self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::top_k_sharded`].
-    ///
-    /// # Errors
-    /// See [`Self::top_k`].
-    pub fn top_k_sharded(
-        &self,
-        query: &Graph,
-        store: &ShardedStore,
-        k: usize,
-    ) -> Result<SearchResult, GedError> {
-        let e = self.engine;
-        e.plan_top_k(e.method, query, PlanStore::Sharded(store), k, self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::range`].
-    ///
-    /// # Errors
-    /// [`GedError::DeadlineExceeded`] past the deadline; otherwise see
-    /// [`GedEngine::range_as`].
-    pub fn range(
-        &self,
-        query: &Graph,
-        store: &GraphStore,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        let e = self.engine;
-        e.plan_range(e.method, query, PlanStore::Flat(store), tau, self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::range_sharded`].
-    ///
-    /// # Errors
-    /// See [`Self::range`].
-    pub fn range_sharded(
-        &self,
-        query: &Graph,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<SearchResult, GedError> {
-        let e = self.engine;
-        e.plan_range(
-            e.method,
-            query,
-            PlanStore::Sharded(store),
-            tau,
-            self.deadline,
-        )
-    }
-
-    /// Deadline-checked [`GedEngine::range_exact`].
-    ///
-    /// # Errors
-    /// [`GedError::DeadlineExceeded`] past the deadline; otherwise see
-    /// [`GedEngine::range_exact_as`].
-    pub fn range_exact(
-        &self,
-        query: &Graph,
-        store: &GraphStore,
-        tau: f64,
-    ) -> Result<RangeExactResult, GedError> {
-        let e = self.engine;
-        e.plan_range_exact(e.method, query, PlanStore::Flat(store), tau, self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::range_exact_sharded`].
-    ///
-    /// # Errors
-    /// See [`Self::range_exact`].
-    pub fn range_exact_sharded(
-        &self,
-        query: &Graph,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<RangeExactResult, GedError> {
-        let e = self.engine;
-        e.plan_range_exact(
-            e.method,
-            query,
-            PlanStore::Sharded(store),
-            tau,
-            self.deadline,
-        )
-    }
-
-    /// Deadline-checked [`GedEngine::distance_matrix`].
-    ///
-    /// # Errors
-    /// [`GedError::DeadlineExceeded`] past the deadline; otherwise see
-    /// [`GedEngine::distance_matrix_as`].
-    pub fn distance_matrix(&self, store: &GraphStore) -> Result<DistanceMatrix, GedError> {
-        let e = self.engine;
-        e.plan_matrix(e.method, PlanStore::Flat(store), self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::distance_matrix_sharded`].
-    ///
-    /// # Errors
-    /// See [`Self::distance_matrix`].
-    pub fn distance_matrix_sharded(
-        &self,
-        store: &ShardedStore,
-    ) -> Result<DistanceMatrix, GedError> {
-        let e = self.engine;
-        e.plan_matrix(e.method, PlanStore::Sharded(store), self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::self_join`].
-    ///
-    /// # Errors
-    /// [`GedError::DeadlineExceeded`] past the deadline; otherwise see
-    /// [`GedEngine::self_join_as`].
-    pub fn self_join(&self, store: &GraphStore, tau: f64) -> Result<JoinResult, GedError> {
-        let e = self.engine;
-        e.plan_self_join(e.method, PlanStore::Flat(store), tau, self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::self_join_sharded`].
-    ///
-    /// # Errors
-    /// See [`Self::self_join`].
-    pub fn self_join_sharded(
-        &self,
-        store: &ShardedStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        let e = self.engine;
-        e.plan_self_join(e.method, PlanStore::Sharded(store), tau, self.deadline)
-    }
-
-    /// Deadline-checked [`GedEngine::join`].
-    ///
-    /// # Errors
-    /// [`GedError::DeadlineExceeded`] past the deadline; otherwise see
-    /// [`GedEngine::join_as`].
-    pub fn join(
-        &self,
-        left: &GraphStore,
-        right: &GraphStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        let e = self.engine;
-        e.plan_join(
-            e.method,
-            PlanStore::Flat(left),
-            PlanStore::Flat(right),
-            tau,
-            self.deadline,
-        )
-    }
-
-    /// Deadline-checked [`GedEngine::join_sharded`].
-    ///
-    /// # Errors
-    /// See [`Self::join`].
-    pub fn join_sharded(
-        &self,
-        left: &GraphStore,
-        right: &ShardedStore,
-        tau: f64,
-    ) -> Result<JoinResult, GedError> {
-        let e = self.engine;
-        e.plan_join(
-            e.method,
-            PlanStore::Flat(left),
-            PlanStore::Sharded(right),
-            tau,
-            self.deadline,
-        )
-    }
-}
-
-/// Resolves `id` in `store`, surfacing a typed error instead of a panic.
-fn resolve(store: &GraphStore, id: GraphId) -> Result<&Graph, GedError> {
-    store.get(id).ok_or(GedError::UnknownGraphId(id))
-}
-
-/// Resolves `id` in a [`ShardedStore`] — the sharded analogue of
-/// [`resolve`].
-fn resolve_sharded(store: &ShardedStore, id: GraphId) -> Result<&Graph, GedError> {
-    store.get(id).ok_or(GedError::UnknownGraphId(id))
-}
-
-/// Rejects empty stores and stores containing node-less graphs. Reads
-/// only the precomputed signatures, so validation never touches a graph.
-pub(crate) fn ensure_store_valid(store: &GraphStore) -> Result<(), GedError> {
-    if store.is_empty() {
-        return Err(GedError::EmptyStore);
-    }
-    for (id, _, sig) in store.entries() {
-        if sig.num_nodes() == 0 {
-            return Err(GedError::EmptyGraph(format!("store graph {id}")));
-        }
-    }
-    Ok(())
-}
-
 /// Rejects node-less graphs with a [`GedError::EmptyGraph`] naming the
 /// offending input.
 pub(crate) fn ensure_nonempty(g: &Graph, which: &str) -> Result<(), GedError> {
@@ -2243,26 +1549,11 @@ pub(crate) fn ensure_nonempty(g: &Graph, which: &str) -> Result<(), GedError> {
     Ok(())
 }
 
-/// Rejects empty sharded stores and stores containing node-less graphs —
-/// the same contract (and error messages) as [`ensure_store_valid`].
-pub(crate) fn ensure_sharded_store_valid(store: &ShardedStore) -> Result<(), GedError> {
-    if store.is_empty() {
-        return Err(GedError::EmptyStore);
-    }
-    for (id, _, sig) in store.entries() {
-        if sig.num_nodes() == 0 {
-            return Err(GedError::EmptyGraph(format!("store graph {id}")));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lower_bound::{degree_sequence_lower_bound, label_set_lower_bound};
     use crate::solver::GedgwSolver;
-    use ged_graph::GraphDataset;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -2345,17 +1636,6 @@ mod tests {
             GedError::Config(
                 "verify budget must be at least 1 (usize::MAX = unlimited)".to_string()
             )
-        );
-
-        let mut registry = SolverRegistry::new();
-        registry.register(MethodKind::Gedgw, Box::new(GedgwSolver));
-        let err = GedEngine::builder(registry)
-            .default_tau(f64::NAN)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            GedError::Config("default range threshold must not be NaN".to_string())
         );
     }
 
@@ -2505,7 +1785,7 @@ mod tests {
         let result = engine
             .query(GedQuery::Range {
                 query: &query,
-                store: &ds,
+                store: (&ds).into(),
                 tau,
             })
             .unwrap()
@@ -2576,7 +1856,7 @@ mod tests {
             let result = engine
                 .query(GedQuery::RangeExact {
                     query: &query,
-                    store: &ds,
+                    store: (&ds).into(),
                     tau,
                 })
                 .unwrap()
@@ -2617,7 +1897,7 @@ mod tests {
     }
 
     #[test]
-    fn range_exact_is_method_independent_and_resolves_ids() {
+    fn range_exact_is_method_independent() {
         use crate::gediot::{Gediot, GediotConfig};
         use crate::solver::GedhotSolver;
         use std::sync::Arc;
@@ -2633,27 +1913,25 @@ mod tests {
         let ids = ds.ids();
         let query = ds[ids[0]].clone();
 
+        let exact_as = |method| {
+            let q = GedQuery::RangeExact {
+                query: &query,
+                store: (&ds).into(),
+                tau: 4.0,
+            };
+            let opts = QueryOpts::with_method(method);
+            engine
+                .query_with(q, opts)
+                .map(|r| r.into_range_exact().unwrap())
+        };
         // Exact search consults no solver: every method gives the answer.
-        let a = engine
-            .range_exact_as(MethodKind::Gedgw, &query, &ds, 4.0)
-            .unwrap();
-        let b = engine
-            .range_exact_as(MethodKind::Gedhot, &query, &ds, 4.0)
-            .unwrap();
+        let a = exact_as(MethodKind::Gedgw).unwrap();
+        let b = exact_as(MethodKind::Gedhot).unwrap();
         assert_eq!(a, b, "exact answers cannot depend on the method");
+        assert!(a.matches.iter().any(|m| m.id == ids[0] && m.ged == 0));
         // ... but an unregistered method still errors, like every query.
-        let err = engine
-            .range_exact_as(MethodKind::Classic, &query, &ds, 4.0)
-            .unwrap_err();
+        let err = exact_as(MethodKind::Classic).unwrap_err();
         assert_eq!(err, GedError::MethodNotRegistered(MethodKind::Classic));
-
-        let by_id = engine.range_exact_by_id(&ds, ids[0], 4.0).unwrap();
-        assert_eq!(by_id, a, "by-id resolves to the same query");
-        assert!(by_id.matches.iter().any(|m| m.id == ids[0] && m.ged == 0));
-
-        let foreign = small_dataset(1, 59).ids()[0];
-        let err = engine.range_exact_by_id(&ds, foreign, 4.0).unwrap_err();
-        assert_eq!(err, GedError::UnknownGraphId(foreign));
     }
 
     #[test]
@@ -2830,33 +2108,6 @@ mod tests {
     }
 
     #[test]
-    fn by_id_queries_resolve_and_error() {
-        let engine = gedgw_engine();
-        let ds = small_dataset(6, 5);
-        let ids = ds.ids();
-
-        let direct = engine.ged(&ds[ids[0]], &ds[ids[1]]).unwrap();
-        let by_id = engine.ged_by_ids(&ds, ids[0], ids[1]).unwrap();
-        assert_eq!(direct, by_id);
-
-        let result = engine.top_k_by_id(&ds, ids[2], 3).unwrap();
-        assert_eq!(result.neighbors[0].id, ids[2], "self-distance ranks first");
-
-        // A foreign id comes from another store entirely.
-        let foreign = small_dataset(2, 6).ids()[0];
-        let err = engine.ged_by_ids(&ds, foreign, ids[1]).unwrap_err();
-        assert_eq!(err, GedError::UnknownGraphId(foreign));
-        let err = engine.top_k_by_id(&ds, foreign, 2).unwrap_err();
-        assert_eq!(err, GedError::UnknownGraphId(foreign));
-
-        // A removed id stops resolving.
-        let mut ds = ds;
-        ds.remove(ids[3]);
-        let err = engine.top_k_by_id(&ds, ids[3], 2).unwrap_err();
-        assert_eq!(err, GedError::UnknownGraphId(ids[3]));
-    }
-
-    #[test]
     fn matrix_is_symmetric_with_zero_diagonal() {
         let engine = gedgw_engine();
         let ds = small_dataset(6, 11);
@@ -2909,7 +2160,7 @@ mod tests {
             .collect();
         let queries: Vec<GedQuery<'_>> =
             pairs.iter().map(|pair| GedQuery::Value { pair }).collect();
-        let batch = engine.query_batch(&queries);
+        let batch = engine.query_batch(&queries, QueryOpts::default());
         assert_eq!(batch.len(), pairs.len());
         for (res, pair) in batch.into_iter().zip(&pairs) {
             let got = res.unwrap().into_value().unwrap();

@@ -4,11 +4,11 @@
 //! configuration plumbing feeding it) returns [`GedError`] instead of
 //! panicking: unknown method names, methods missing from a registry,
 //! structurally invalid inputs (empty graphs, zero search budgets, empty
-//! stores, foreign or removed [`GraphId`]s) and malformed environment
-//! configuration all surface as matchable variants.
+//! stores), expired deadlines and malformed environment configuration
+//! all surface as matchable variants.
 
 use crate::method::MethodKind;
-use ged_graph::{GraphId, ParseError};
+use ged_graph::ParseError;
 use std::fmt;
 
 /// Everything that can go wrong answering a GED query.
@@ -37,9 +37,6 @@ pub enum GedError {
     /// A store-level query (`TopK` / `Range` / `Matrix`) was issued
     /// against an empty [`ged_graph::GraphStore`].
     EmptyStore,
-    /// A [`GraphId`] did not resolve in the queried store — it was minted
-    /// by a different store or its graph has been removed.
-    UnknownGraphId(GraphId),
     /// Malformed configuration (e.g. an unparsable `GED_THREADS` value,
     /// or a NaN range-search threshold — note `τ = +∞` is *valid* and
     /// means a full scan).
@@ -78,10 +75,6 @@ impl fmt::Display for GedError {
             GedError::EmptyGraph(which) => write!(f, "graph {which} has no nodes"),
             GedError::InvalidK { what } => write!(f, "{what} must be at least 1, got 0"),
             GedError::EmptyStore => write!(f, "store-level query against an empty store"),
-            GedError::UnknownGraphId(id) => write!(
-                f,
-                "graph id {id} does not resolve in this store (foreign or removed)"
-            ),
             GedError::Config(msg) => write!(f, "configuration error: {msg}"),
             GedError::Parse(e) => write!(f, "{e}"),
             GedError::DeadlineExceeded => {
@@ -99,10 +92,7 @@ mod tests {
 
     #[test]
     fn displays_are_informative() {
-        let mut store = ged_graph::GraphStore::new();
-        let id = store.insert(ged_graph::Graph::unlabeled_from_edges(1, &[]));
         let cases: Vec<(GedError, &str)> = vec![
-            (GedError::UnknownGraphId(id), "does not resolve"),
             (GedError::UnknownMethod("GEDX".into()), "GEDX"),
             (GedError::MethodNotRegistered(MethodKind::Gediot), "GEDIOT"),
             (GedError::PathsUnsupported(MethodKind::TaGSim), "TaGSim"),

@@ -1,14 +1,13 @@
 //! The unified tiered query pipeline.
 //!
 //! Every store-level plan of [`GedEngine`] — top-k, range, exact range,
-//! and matrix, over flat [`GraphStore`]s and [`ShardedStore`]s alike —
-//! runs through the **one** candidate pipeline of this module. A flat
-//! store is simply the one-shard special case: both store kinds are
-//! decomposed into `ShardUnit`s (a flat store yields a single unit with
-//! aggregate lower bound 0, so its shard tier can never fire), and from
-//! there the per-shape plan bodies are shared verbatim. The previous
-//! eight hand-rolled plan implementations in `engine.rs` collapse into
-//! the four `plan_*` functions here.
+//! and matrix, over flat [`GraphStore`]s and
+//! [`ShardedStore`](ged_graph::ShardedStore)s alike, each passed as a
+//! [`StoreRef`] — runs through the **one** candidate pipeline of this
+//! module. A flat store is simply the one-shard special case: both store
+//! kinds are decomposed into `ShardUnit`s (a flat store yields a single
+//! unit with aggregate lower bound 0, so its shard tier can never fire),
+//! and from there the per-shape plan bodies are shared verbatim.
 //!
 //! # Filter tiers
 //!
@@ -54,9 +53,9 @@
 //! [`GedEngineBuilder::verify_budget`]: crate::engine::GedEngineBuilder::verify_budget
 
 use crate::engine::{
-    ensure_nonempty, ensure_sharded_store_valid, ensure_store_valid, Deadline, DistanceMatrix,
-    ExactNeighbor, GedEngine, JoinPair, JoinResult, Neighbor, RangeExactResult, SearchResult,
-    SearchStats, UndecidedCandidate, UndecidedPair,
+    ensure_nonempty, Deadline, DistanceMatrix, ExactNeighbor, GedEngine, JoinPair, JoinResult,
+    Neighbor, RangeExactResult, SearchResult, SearchStats, StoreRef, UndecidedCandidate,
+    UndecidedPair,
 };
 use crate::error::GedError;
 use crate::lower_bound::{
@@ -71,7 +70,6 @@ use crate::solver::{GedSolver, SolverScratch};
 use crate::workspace::GedWorkspace;
 use ged_graph::{
     range_distance, Graph, GraphId, GraphSignature, GraphStore, PivotDistance, PivotIndex, Shard,
-    ShardedStore,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -297,46 +295,6 @@ fn filter_self_block<'s>(
     }
 }
 
-/// Either store kind, as the plans see it. Flat stores become the
-/// one-shard special case of sharded ones in [`GedEngine::shard_units`].
-#[derive(Clone, Copy)]
-pub(crate) enum PlanStore<'a> {
-    Flat(&'a GraphStore),
-    Sharded(&'a ShardedStore),
-}
-
-impl<'a> PlanStore<'a> {
-    fn len(self) -> usize {
-        match self {
-            PlanStore::Flat(s) => s.len(),
-            PlanStore::Sharded(s) => s.len(),
-        }
-    }
-
-    fn graph(self, id: GraphId) -> Option<&'a Graph> {
-        match self {
-            PlanStore::Flat(s) => s.get(id),
-            PlanStore::Sharded(s) => s.get(id),
-        }
-    }
-
-    fn validate(self) -> Result<(), GedError> {
-        match self {
-            PlanStore::Flat(s) => ensure_store_valid(s),
-            PlanStore::Sharded(s) => ensure_sharded_store_valid(s),
-        }
-    }
-
-    /// Every graph in globally ascending id order (the matrix kernel's
-    /// input order).
-    fn graphs(self) -> Vec<(GraphId, &'a Graph)> {
-        match self {
-            PlanStore::Flat(s) => s.iter().collect(),
-            PlanStore::Sharded(s) => s.iter().collect(),
-        }
-    }
-}
-
 /// One shard of the unified plan: the backing [`GraphStore`], the
 /// aggregate lower bound the shard tier compares against the threshold
 /// (0 for the flat one-shard case, so it can never fire there), and the
@@ -413,9 +371,9 @@ impl GedEngine {
     /// promising units are visited first. A flat store is one unit with
     /// bound 0 — its shard tier can never fire and `pruned_shard` stays
     /// 0, exactly the legacy flat plans.
-    fn shard_units<'s>(&self, qsig: &GraphSignature, store: PlanStore<'s>) -> Vec<ShardUnit<'s>> {
+    fn shard_units<'s>(&self, qsig: &GraphSignature, store: StoreRef<'s>) -> Vec<ShardUnit<'s>> {
         match store {
-            PlanStore::Flat(flat) => {
+            StoreRef::Flat(flat) => {
                 vec![ShardUnit {
                     store: flat,
                     lb: 0,
@@ -424,7 +382,7 @@ impl GedEngine {
                     qdists: None,
                 }]
             }
-            PlanStore::Sharded(sharded) => {
+            StoreRef::Sharded(sharded) => {
                 let pivots_on = sharded.pivots_ready(self.pivot_target);
                 let mut units: Vec<ShardUnit<'s>> = sharded
                     .shards()
@@ -489,11 +447,11 @@ impl GedEngine {
     /// `index` (synced with `store`), in column order, plus how many the
     /// oracle had to compute. A member equal to the query — equal
     /// signature, then `Graph ==` — already holds them as its table row,
-    /// so a stored query (inline or `*_by_id`) copies that row with zero
-    /// oracle calls. The row was filled by the same oracle on the same
-    /// graph pair, so it is bit-for-bit what the oracle would return
-    /// whenever the block was synced under this engine's verify budget
-    /// (and an admissible interval of the same distance otherwise).
+    /// so a stored query copies that row with zero oracle calls. The row
+    /// was filled by the same oracle on the same graph pair, so it is
+    /// bit-for-bit what the oracle would return whenever the block was
+    /// synced under this engine's verify budget (and an admissible
+    /// interval of the same distance otherwise).
     ///
     /// Every pivot-tier consumer arms through here — the plans, the
     /// cross-join probes, [`GedEngine::pivot_bounds`] and
@@ -528,7 +486,7 @@ impl GedEngine {
         &self,
         method: MethodKind,
         query: &Graph,
-        store: PlanStore<'_>,
+        store: StoreRef<'_>,
         k: usize,
         deadline: Deadline,
     ) -> Result<SearchResult, GedError> {
@@ -633,7 +591,7 @@ impl GedEngine {
         &self,
         method: MethodKind,
         query: &Graph,
-        store: PlanStore<'_>,
+        store: StoreRef<'_>,
         tau: f64,
         deadline: Deadline,
     ) -> Result<SearchResult, GedError> {
@@ -729,7 +687,7 @@ impl GedEngine {
         &self,
         method: MethodKind,
         query: &Graph,
-        store: PlanStore<'_>,
+        store: StoreRef<'_>,
         tau: f64,
         deadline: Deadline,
     ) -> Result<RangeExactResult, GedError> {
@@ -739,7 +697,7 @@ impl GedEngine {
             ));
         }
         // Exact search never consults the solver; validate the method
-        // anyway so `query_as(method, ..)` behaves uniformly.
+        // anyway so a `QueryOpts::method` override behaves uniformly.
         let _ = self.solver(method)?;
         ensure_nonempty(query, "query")?;
         store.validate()?;
@@ -814,9 +772,7 @@ impl GedEngine {
             if let Some(ged) = s.collapsed_ged {
                 return CandidateOutcome::AcceptedByPivot { ged };
             }
-            let cand = store
-                .graph(s.id)
-                .expect("survivor ids come from this store");
+            let cand = store.get(s.id).expect("survivor ids come from this store");
             prune_or_verify_with_pivot_in(query, cand, tau, self.verify_budget, s.certificate, ws)
         };
         let outcomes = if deadline.is_set() {
@@ -868,7 +824,7 @@ impl GedEngine {
     pub(crate) fn plan_matrix(
         &self,
         method: MethodKind,
-        store: PlanStore<'_>,
+        store: StoreRef<'_>,
         deadline: Deadline,
     ) -> Result<DistanceMatrix, GedError> {
         let solver = self.solver(method)?;
@@ -883,9 +839,9 @@ impl GedEngine {
     /// with the shard's maintained aggregates. `arm_pivots: false` (the
     /// left side of a cross-store join) disables the pivot tier entirely:
     /// no index syncing, no member/query bounds.
-    fn join_units<'s>(&self, store: PlanStore<'s>, arm_pivots: bool) -> Vec<JoinUnit<'s>> {
+    fn join_units<'s>(&self, store: StoreRef<'s>, arm_pivots: bool) -> Vec<JoinUnit<'s>> {
         match store {
-            PlanStore::Flat(flat) => {
+            StoreRef::Flat(flat) => {
                 let entries = flat.entries_by_size();
                 let mut nodes = (usize::MAX, 0);
                 let mut edges = (usize::MAX, 0);
@@ -901,7 +857,7 @@ impl GedEngine {
                     entries,
                 }]
             }
-            PlanStore::Sharded(sharded) => {
+            StoreRef::Sharded(sharded) => {
                 let pivots_on = arm_pivots && sharded.pivots_ready(self.pivot_target);
                 sharded
                     .shards()
@@ -989,7 +945,7 @@ impl GedEngine {
     pub(crate) fn plan_self_join(
         &self,
         method: MethodKind,
-        store: PlanStore<'_>,
+        store: StoreRef<'_>,
         tau: f64,
         deadline: Deadline,
     ) -> Result<JoinResult, GedError> {
@@ -999,7 +955,7 @@ impl GedEngine {
             ));
         }
         // Joins never consult the solver; validate the method anyway so
-        // `query_as(method, ..)` behaves uniformly.
+        // a `QueryOpts::method` override behaves uniformly.
         let _ = self.solver(method)?;
         store.validate()?;
         let n = store.len();
@@ -1061,8 +1017,8 @@ impl GedEngine {
     pub(crate) fn plan_join<'s>(
         &self,
         method: MethodKind,
-        left: PlanStore<'s>,
-        right: PlanStore<'s>,
+        left: StoreRef<'s>,
+        right: StoreRef<'s>,
         tau: f64,
         deadline: Deadline,
     ) -> Result<JoinResult, GedError> {

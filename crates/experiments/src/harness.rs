@@ -10,7 +10,7 @@ use ged_baselines::gedgnn::{Gedgnn, GedgnnConfig};
 use ged_baselines::simgnn::{Simgnn, SimgnnConfig, SimgnnVariant};
 use ged_baselines::solvers::{ClassicSolver, GedgnnSolver, NoahSolver, SimgnnSolver, TagsimSolver};
 use ged_baselines::tagsim::{TagSim, TagSimConfig};
-use ged_core::engine::{GedEngine, GedQuery};
+use ged_core::engine::{GedEngine, GedQuery, QueryOpts};
 use ged_core::error::GedError;
 use ged_core::gediot::{Gediot, GediotConfig};
 use ged_core::pairs::GedPair;
@@ -362,7 +362,7 @@ pub fn eval_value(
     let flat: Vec<&GedPair> = prep.test_groups.iter().flatten().collect();
     let queries: Vec<GedQuery<'_>> = flat.iter().map(|p| GedQuery::Value { pair: p }).collect();
     let start = Instant::now();
-    let responses = engine.query_batch_as(method, &queries);
+    let responses = engine.query_batch(&queries, QueryOpts::with_method(method));
     let elapsed = start.elapsed().as_secs_f64();
     let count = flat.len();
     let mut all_preds = Vec::with_capacity(count);
@@ -427,7 +427,7 @@ pub fn eval_path(
         })
         .collect();
     let start = Instant::now();
-    let responses = engine.query_batch_as(method, &queries);
+    let responses = engine.query_batch(&queries, QueryOpts::with_method(method));
     let elapsed = start.elapsed().as_secs_f64();
     let count = flat.len();
     let mut all_paths = Vec::with_capacity(count);
@@ -615,7 +615,8 @@ mod tests {
         // And the path-capable subset is exactly Table 4.
         let pair = &prep.test_groups[0][0];
         for m in MethodKind::table3() {
-            let has_path = engine.edit_path_as(m, pair, Some(4)).is_ok();
+            let path = GedQuery::Path { pair, k: Some(4) };
+            let has_path = engine.query_with(path, QueryOpts::with_method(m)).is_ok();
             assert_eq!(has_path, MethodKind::table4().contains(&m), "{m:?}");
         }
     }

@@ -47,7 +47,7 @@ use crate::protocol::{
     WireJoinPair, WireJoinUndecided, WireNeighbor, WireUndecided, MAX_LINE_BYTES,
 };
 use ged_baselines::solvers::ClassicSolver;
-use ged_core::engine::{Deadline, GedEngine};
+use ged_core::engine::{Deadline, GedEngine, GedQuery, GedResponse, QueryOpts};
 use ged_core::method::MethodKind;
 use ged_core::pairs::GedPair;
 use ged_core::solver::{GedgwSolver, SolverRegistry};
@@ -156,6 +156,23 @@ pub struct Server {
     shared: Arc<Shared>,
 }
 
+/// Runs a store-level query with the engine's own method under the
+/// request's deadline.
+fn run(
+    engine: &GedEngine,
+    query: GedQuery<'_>,
+    deadline: Deadline,
+) -> Result<GedResponse, (ErrorCode, String)> {
+    let opts = QueryOpts {
+        deadline,
+        ..QueryOpts::default()
+    };
+    engine.query_with(query, opts).map_err(|e| engine_error(&e))
+}
+
+/// Every query is answered in its own shape.
+const SHAPE: &str = "a query answers in its own shape";
+
 fn engine_error(e: &GedError) -> (ErrorCode, String) {
     let code = match e {
         GedError::UnknownMethod(_) | GedError::MethodNotRegistered(_) | GedError::Config(_) => {
@@ -165,7 +182,6 @@ fn engine_error(e: &GedError) -> (ErrorCode, String) {
         GedError::EmptyGraph(_) => ErrorCode::EmptyGraph,
         GedError::InvalidK { .. } => ErrorCode::InvalidK,
         GedError::EmptyStore => ErrorCode::EmptyStore,
-        GedError::UnknownGraphId(_) => ErrorCode::UnknownGraph,
         GedError::Parse(_) => ErrorCode::Parse,
         GedError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
     };
@@ -494,11 +510,12 @@ impl Server {
             let b = resolve(state, g2)?;
             let path = match k {
                 None => engine.edit_path(a, b),
-                Some(k) => engine.edit_path_as(
-                    engine.method(),
-                    &GedPair::directed(a.clone(), b.clone()),
-                    Some(usize::try_from(k).unwrap_or(usize::MAX)),
-                ),
+                Some(k) => engine
+                    .query(GedQuery::Path {
+                        pair: &GedPair::directed(a.clone(), b.clone()),
+                        k: Some(usize::try_from(k).unwrap_or(usize::MAX)),
+                    })
+                    .map(|r| r.into_path().expect(SHAPE)),
             }
             .map_err(|e| engine_error(&e))?;
             Ok(ResponseBody::Path {
@@ -512,10 +529,10 @@ impl Server {
     fn top_k(&self, query: &GraphRef, k: u64, deadline: Deadline) -> OpResult {
         self.with_read(|state, engine| {
             let q = resolve(state, query)?;
-            let result = engine
-                .with_deadline(deadline)
-                .top_k_sharded(q, &state.store, usize::try_from(k).unwrap_or(usize::MAX))
-                .map_err(|e| engine_error(&e))?;
+            let k = usize::try_from(k).unwrap_or(usize::MAX);
+            let store = (&state.store).into();
+            let top_k = GedQuery::TopK { query: q, store, k };
+            let result = run(engine, top_k, deadline)?.into_top_k().expect(SHAPE);
             Ok(ResponseBody::Neighbors {
                 neighbors: named_neighbors(state, result.neighbors.iter().map(|n| (n.id, n.ged))),
             })
@@ -524,12 +541,13 @@ impl Server {
 
     fn range(&self, query: &GraphRef, tau: f64, exact: bool, deadline: Deadline) -> OpResult {
         self.with_read(|state, engine| {
-            let q = resolve(state, query)?;
+            let query = resolve(state, query)?;
+            let store = (&state.store).into();
             if exact {
-                let result = engine
-                    .with_deadline(deadline)
-                    .range_exact_sharded(q, &state.store, tau)
-                    .map_err(|e| engine_error(&e))?;
+                let range = GedQuery::RangeExact { query, store, tau };
+                let result = run(engine, range, deadline)?
+                    .into_range_exact()
+                    .expect(SHAPE);
                 Ok(ResponseBody::ExactMatches {
                     matches: result
                         .matches
@@ -549,10 +567,8 @@ impl Server {
                         .collect(),
                 })
             } else {
-                let result = engine
-                    .with_deadline(deadline)
-                    .range_sharded(q, &state.store, tau)
-                    .map_err(|e| engine_error(&e))?;
+                let range = GedQuery::Range { query, store, tau };
+                let result = run(engine, range, deadline)?.into_range().expect(SHAPE);
                 Ok(ResponseBody::Neighbors {
                     neighbors: named_neighbors(
                         state,
@@ -565,10 +581,9 @@ impl Server {
 
     fn matrix(&self, deadline: Deadline) -> OpResult {
         self.with_read(|state, engine| {
-            let m = engine
-                .with_deadline(deadline)
-                .distance_matrix_sharded(&state.store)
-                .map_err(|e| engine_error(&e))?;
+            let store = (&state.store).into();
+            let matrix = GedQuery::Matrix { store };
+            let m = run(engine, matrix, deadline)?.into_matrix().expect(SHAPE);
             let names: Vec<String> = m.ids().iter().map(|id| state.ids[id].clone()).collect();
             let rows: Vec<Vec<f64>> = (0..m.size()).map(|i| m.row(i).to_vec()).collect();
             Ok(ResponseBody::Matrix { names, rows })
@@ -577,10 +592,9 @@ impl Server {
 
     fn self_join(&self, tau: f64, deadline: Deadline) -> OpResult {
         self.with_read(|state, engine| {
-            let result = engine
-                .with_deadline(deadline)
-                .self_join_sharded(&state.store, tau)
-                .map_err(|e| engine_error(&e))?;
+            let store = (&state.store).into();
+            let join = GedQuery::SelfJoin { store, tau };
+            let result = run(engine, join, deadline)?.into_self_join().expect(SHAPE);
             Ok(ResponseBody::SelfJoin {
                 pairs: result
                     .pairs
@@ -626,10 +640,12 @@ impl Server {
                 .enumerate()
                 .map(|(i, id)| (id, i))
                 .collect();
-            let result = engine
-                .with_deadline(deadline)
-                .join_sharded(&left, &state.store, tau)
-                .map_err(|e| engine_error(&e))?;
+            let join = GedQuery::Join {
+                store: (&left).into(),
+                other: (&state.store).into(),
+                tau,
+            };
+            let result = run(engine, join, deadline)?.into_join().expect(SHAPE);
             Ok(ResponseBody::Join {
                 pairs: result
                     .pairs

@@ -423,7 +423,7 @@ pub fn brute_force_refined_sharded(
 }
 
 /// [`brute_force_refined_sharded`] truncated to the `k` nearest —
-/// the `top_k_sharded` ground truth.
+/// the sharded-store `top_k` ground truth.
 #[must_use]
 pub fn brute_top_k_sharded(
     store: &ShardedStore,
@@ -438,7 +438,7 @@ pub fn brute_top_k_sharded(
 }
 
 /// [`brute_force_refined_sharded`] thresholded at `tau` — the
-/// `range_sharded` ground truth.
+/// sharded-store `range` ground truth.
 #[must_use]
 pub fn brute_range_sharded(
     store: &ShardedStore,
@@ -454,7 +454,7 @@ pub fn brute_range_sharded(
 }
 
 /// The τ-bounded exact scan over a [`ShardedStore`] in globally
-/// ascending id order — the `range_exact_sharded` ground truth (for any
+/// ascending id order — the sharded-store `range_exact` ground truth (for any
 /// bucket width, pivot configuration, and thread count).
 #[must_use]
 pub fn brute_range_exact_sharded(

@@ -100,9 +100,7 @@ fn main() {
     }
     e.sync_sharded_pivots(&mut sharded);
     let wide_flat = e.self_join(&wide, tau as f64).expect("valid join");
-    let shrd = e
-        .self_join_sharded(&sharded, tau as f64)
-        .expect("valid join");
+    let shrd = e.self_join(&sharded, tau as f64).expect("valid join");
     assert_eq!(shrd.pairs.len(), wide_flat.pairs.len());
     for (f, s) in wide_flat.pairs.iter().zip(&shrd.pairs) {
         assert_eq!((twin[&f.a], twin[&f.b], f.ged), (s.a, s.b, s.ged));

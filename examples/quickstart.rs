@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use ot_ged::baselines::solvers::ClassicSolver;
+use ot_ged::core::pairs::GedPair;
 use ot_ged::prelude::*;
 
 fn main() {
@@ -62,14 +63,25 @@ fn main() {
     println!("\nPath verified: applying it to G1 yields a graph isomorphic to G2.");
 
     // 4. Method selection: the classical baseline through the same engine.
+    let pair = GedPair::new(g1.clone(), g2.clone());
     let classic = engine
-        .ged_as(MethodKind::Classic, &g1, &g2)
-        .expect("Classic is registered");
+        .query_with(
+            GedQuery::Value { pair: &pair },
+            QueryOpts::with_method(MethodKind::Classic),
+        )
+        .expect("Classic is registered")
+        .into_value()
+        .expect("a Value query answers Value");
     println!("\nClassic (Hungarian/VJ): {classic}");
 
     // 5. Errors are typed, not panics: an unregistered method and an
     //    empty input graph both come back as `GedError`.
-    let err = engine.ged_as(MethodKind::Gediot, &g1, &g2).unwrap_err();
+    let err = engine
+        .query_with(
+            GedQuery::Value { pair: &pair },
+            QueryOpts::with_method(MethodKind::Gediot),
+        )
+        .unwrap_err();
     println!("\nquerying an unregistered method: {err}");
     let err = engine.ged(&Graph::new(), &g2).unwrap_err();
     println!("querying an empty graph:        {err}");

@@ -46,7 +46,7 @@ fn main() {
         let result = engine
             .query(GedQuery::Range {
                 query: &query,
-                store: &store,
+                store: (&store).into(),
                 tau,
             })
             .expect("valid query")
@@ -77,8 +77,12 @@ fn main() {
     );
 
     // Misuse is a typed error, never a panic.
-    let err = engine.top_k_by_id(&store, best.id, 3).unwrap_err();
-    println!("querying by the removed id: {err}");
+    assert!(
+        store.get(best.id).is_none(),
+        "the removed id no longer resolves"
+    );
+    let err = engine.top_k(&query, &store, 0).unwrap_err();
+    println!("a top-0 query:              {err}");
     let err = engine.range(&query, &GraphStore::new(), 5.0).unwrap_err();
     println!("range over an empty store:  {err}");
 }

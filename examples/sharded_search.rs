@@ -1,6 +1,6 @@
 //! The sharded store tier: one `ShardedStore` partitioned by graph-size
-//! bucket, searched with the `*_sharded` engine plans, persisted to disk
-//! and restored — answers stay bit-identical to the flat plans
+//! bucket, searched with the same engine calls as a flat store, persisted
+//! to disk and restored — answers stay bit-identical to the flat plans
 //! throughout.
 //!
 //! Shards group graphs of similar size, so a single admissible bound per
@@ -21,12 +21,19 @@ use ot_ged::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn engine(pivots: usize) -> GedEngine {
+/// Node expansions one exact pivot distance may spend. IMDB-like graphs
+/// reach dozens of nodes, where an unlimited exact GED per pivot pair
+/// runs for minutes; a capped one degrades to an admissible `[lb, ub]`
+/// interval instead (see `GedEngineBuilder::pivots`).
+const PIVOT_BUDGET: usize = 20_000;
+
+fn engine(pivots: usize, verify_budget: usize) -> GedEngine {
     let mut registry = SolverRegistry::new();
     registry.register(MethodKind::Gedgw, Box::new(GedgwSolver));
     GedEngine::builder(registry)
         .threads(2)
         .pivots(pivots)
+        .verify_budget(verify_budget)
         .build()
         .expect("GEDGW is registered")
 }
@@ -63,11 +70,11 @@ fn main() {
         query.num_nodes()
     );
 
-    let e = engine(0);
+    let e = engine(0, usize::MAX);
 
     // Top-k: same neighbors (modulo the id mint), whole shards skipped.
     let flat_k = e.top_k(&query, &flat, 5).expect("valid");
-    let shrd_k = e.top_k_sharded(&query, &sharded, 5).expect("valid");
+    let shrd_k = e.top_k(&query, &sharded, 5).expect("valid");
     assert_eq!(flat_k.neighbors.len(), shrd_k.neighbors.len());
     for (f, s) in flat_k.neighbors.iter().zip(&shrd_k.neighbors) {
         assert_eq!(twin[&f.id], s.id, "same neighbor under the id mapping");
@@ -91,7 +98,7 @@ fn main() {
 
     // Exact range search under the same contract.
     let flat_x = e.range_exact(&query, &flat, 2.0).expect("valid");
-    let shrd_x = e.range_exact_sharded(&query, &sharded, 2.0).expect("valid");
+    let shrd_x = e.range_exact(&query, &sharded, 2.0).expect("valid");
     assert_eq!(flat_x.matches.len(), shrd_x.matches.len());
     for (f, s) in flat_x.matches.iter().zip(&shrd_x.matches) {
         assert_eq!(twin[&f.id], s.id);
@@ -103,7 +110,7 @@ fn main() {
     assert_eq!(shrd_x.stats.total(), sharded.len(), "accounting closes");
 
     // Persistence: save, reload, re-arm pivots, same answers.
-    let e = engine(3);
+    let e = engine(3, PIVOT_BUDGET);
     e.sync_sharded_pivots(&mut sharded);
     let dir = std::env::temp_dir().join("ot_ged_sharded_search_example");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -114,8 +121,8 @@ fn main() {
     e.sync_sharded_pivots(&mut restored); // O(1): revisions carried over
     assert!(restored.pivots_ready(3), "pivot tables restored in-sync");
 
-    let before = e.top_k_sharded(&query, &sharded, 5).expect("valid");
-    let after = e.top_k_sharded(&query, &restored, 5).expect("valid");
+    let before = e.top_k(&query, &sharded, 5).expect("valid");
+    let after = e.top_k(&query, &restored, 5).expect("valid");
     assert_eq!(
         before.neighbors, after.neighbors,
         "answers survive the disk"

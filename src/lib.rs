@@ -57,9 +57,9 @@ pub mod prelude {
     pub use ged_baselines::astar::{astar_beam, astar_exact};
     pub use ged_baselines::classic::{classic_ged, hungarian_ged, vj_ged};
     pub use ged_core::engine::{
-        Deadline, DeadlineBound, DistanceMatrix, ExactNeighbor, GedEngine, GedEngineBuilder,
-        GedQuery, GedResponse, JoinPair, JoinResult, Neighbor, RangeExactResult, SearchResult,
-        SearchStats, UndecidedCandidate, UndecidedPair,
+        Deadline, DistanceMatrix, ExactNeighbor, GedEngine, GedEngineBuilder, GedQuery,
+        GedResponse, JoinPair, JoinResult, Neighbor, QueryOpts, RangeExactResult, SearchResult,
+        SearchStats, StoreRef, UndecidedCandidate, UndecidedPair,
     };
     pub use ged_core::ensemble::Gedhot;
     pub use ged_core::error::GedError;

@@ -180,7 +180,7 @@ fn plans_with_the_branch_tier_equal_the_oracles_at_any_thread_count() {
                         .iter()
                         .map(|e| {
                             let f = e.top_k(query, &store, k).expect("top-k");
-                            let s = e.top_k_sharded(query, &sharded, k).expect("top-k");
+                            let s = e.top_k(query, &sharded, k).expect("top-k");
                             assert_same(&f.neighbors, &flat[..k], &format!("{ctx}/flat"));
                             assert_same(&s.neighbors, &shrd[..k], &format!("{ctx}/sharded"));
                             (f.stats, s.stats)
@@ -200,7 +200,7 @@ fn plans_with_the_branch_tier_equal_the_oracles_at_any_thread_count() {
                         .iter()
                         .map(|e| {
                             let f = e.range(query, &store, tau).expect("range");
-                            let s = e.range_sharded(query, &sharded, tau).expect("range");
+                            let s = e.range(query, &sharded, tau).expect("range");
                             assert_same(&f.neighbors, &want, &format!("{ctx}/flat"));
                             assert_same(&s.neighbors, &want_s, &format!("{ctx}/sharded"));
                             (f.stats, s.stats)

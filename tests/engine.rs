@@ -42,7 +42,7 @@ fn top_k_matches_brute_force_ranking_on_50_graph_store() {
         let response = engine
             .query(GedQuery::TopK {
                 query: &query,
-                store: &dataset,
+                store: (&dataset).into(),
                 k,
             })
             .expect("valid top-k query");
@@ -80,7 +80,9 @@ fn distance_matrix_agrees_with_per_pair_evaluation() {
     let dataset = GraphDataset::linux_like(8, &mut rng);
     let engine = engine();
     let m = engine
-        .query(GedQuery::Matrix { store: &dataset })
+        .query(GedQuery::Matrix {
+            store: (&dataset).into(),
+        })
         .unwrap()
         .into_matrix()
         .unwrap();
@@ -113,8 +115,9 @@ fn unregistered_method_is_a_typed_error() {
     let ds = GraphDataset::aids_like(2, &mut rng);
     let gs: Vec<&Graph> = ds.graphs().collect();
     let pair = GedPair::new(gs[0].clone(), gs[1].clone());
+    let opts = QueryOpts::with_method(MethodKind::Gediot);
     let err = engine
-        .query_as(MethodKind::Gediot, GedQuery::Value { pair: &pair })
+        .query_with(GedQuery::Value { pair: &pair }, opts)
         .unwrap_err();
     assert_eq!(err, GedError::MethodNotRegistered(MethodKind::Gediot));
 }
@@ -132,7 +135,7 @@ fn empty_graph_queries_error_instead_of_panicking() {
     let err = engine
         .query(GedQuery::TopK {
             query: &empty,
-            store: &ds,
+            store: (&ds).into(),
             k: 2,
         })
         .unwrap_err();
@@ -159,7 +162,7 @@ fn zero_k_and_empty_stores_are_typed_errors() {
     let err = engine
         .query(GedQuery::TopK {
             query: &query,
-            store: &ds,
+            store: (&ds).into(),
             k: 0,
         })
         .unwrap_err();
@@ -177,7 +180,7 @@ fn zero_k_and_empty_stores_are_typed_errors() {
     let err = engine
         .query(GedQuery::TopK {
             query: &query,
-            store: &empty,
+            store: (&empty).into(),
             k: 3,
         })
         .unwrap_err();
@@ -185,19 +188,21 @@ fn zero_k_and_empty_stores_are_typed_errors() {
     let err = engine
         .query(GedQuery::Range {
             query: &query,
-            store: &empty,
+            store: (&empty).into(),
             tau: 3.0,
         })
         .unwrap_err();
     assert_eq!(err, GedError::EmptyStore);
     let err = engine
-        .query(GedQuery::Matrix { store: &empty })
+        .query(GedQuery::Matrix {
+            store: (&empty).into(),
+        })
         .unwrap_err();
     assert_eq!(err, GedError::EmptyStore);
 }
 
 #[test]
-fn foreign_and_removed_ids_are_typed_errors() {
+fn foreign_and_removed_ids_do_not_resolve() {
     let engine = engine();
     let mut rng = SmallRng::seed_from_u64(8);
     let mut ds = GraphDataset::aids_like(4, &mut rng);
@@ -206,23 +211,13 @@ fn foreign_and_removed_ids_are_typed_errors() {
 
     // Foreign id: minted by a different store.
     let foreign = other.ids()[0];
-    assert_eq!(
-        engine.top_k_by_id(&ds, foreign, 2).unwrap_err(),
-        GedError::UnknownGraphId(foreign)
-    );
-    assert_eq!(
-        engine.ged_by_ids(&ds, ids[0], foreign).unwrap_err(),
-        GedError::UnknownGraphId(foreign)
-    );
+    assert!(StoreRef::from(&ds).get(foreign).is_none());
 
     // Removed id: was valid, is not anymore.
     ds.remove(ids[1]);
-    assert_eq!(
-        engine.top_k_by_id(&ds, ids[1], 2).unwrap_err(),
-        GedError::UnknownGraphId(ids[1])
-    );
+    assert!(StoreRef::from(&ds).get(ids[1]).is_none());
     // And the removed graph no longer appears in results.
-    let result = engine.top_k_by_id(&ds, ids[0], 10).unwrap();
+    let result = engine.top_k(&ds[ids[0]], &ds, 10).unwrap();
     assert!(result.neighbors.iter().all(|n| n.id != ids[1]));
     assert_eq!(result.neighbors.len(), ds.len());
 }
@@ -233,7 +228,7 @@ fn top_k_larger_than_store_returns_all_graphs_ranked() {
     let mut rng = SmallRng::seed_from_u64(6);
     let ds = GraphDataset::aids_like(7, &mut rng);
     let first = ds.ids()[0];
-    let result = engine.top_k_by_id(&ds, first, 1000).expect("clamped");
+    let result = engine.top_k(&ds[first], &ds, 1000).expect("clamped");
     assert_eq!(
         result.neighbors.len(),
         ds.len(),

@@ -142,9 +142,7 @@ fn sharded_self_join_is_bit_identical_to_flat() {
                     e.sync_sharded_pivots(&mut sharded);
                     assert!(sharded.pivots_ready(pivots), "{ctx}: shards synced");
                 }
-                let got = e
-                    .self_join_sharded(&sharded, tau as f64)
-                    .expect("valid join");
+                let got = e.self_join(&sharded, tau as f64).expect("valid join");
                 assert_join(&got, &want, total, &ctx);
             }
         }
@@ -172,7 +170,7 @@ fn cross_join_matches_nested_loop_oracle() {
                     e.sync_sharded_pivots(&mut sharded);
                 }
                 let shrd = e
-                    .join_sharded(&left, &sharded, tau as f64)
+                    .join(&left, &sharded, tau as f64)
                     .expect("valid sharded join");
                 assert_join(
                     &shrd,
@@ -377,22 +375,31 @@ fn a_zero_deadline_aborts_the_join_mid_execution() {
     let e = engine(2, 0);
     // Sanity: the same join succeeds without a deadline.
     assert!(e.self_join(&store, 2.0).is_ok());
-    let bound = e.with_deadline(Deadline::within(Duration::ZERO));
+    let expired = QueryOpts {
+        deadline: Deadline::within(Duration::ZERO),
+        ..QueryOpts::default()
+    };
+    let other = aids_store(10, 9082).into_store();
+    let (store, other) = (StoreRef::from(&store), StoreRef::from(&other));
+    let tau = 2.0;
     assert!(
         matches!(
-            bound.self_join(&store, 2.0),
+            e.query_with(GedQuery::SelfJoin { store, tau }, expired),
             Err(GedError::DeadlineExceeded)
         ),
         "an already-expired deadline must abort before the answer"
     );
-    let other = aids_store(10, 9082).into_store();
+    let join = GedQuery::Join { store, other, tau };
     assert!(matches!(
-        bound.join(&store, &other, 2.0),
+        e.query_with(join, expired),
         Err(GedError::DeadlineExceeded)
     ));
-    // `Deadline::NONE` through the same bound API never expires.
+    // `Deadline::NONE` through the same request form never expires.
+    let none = QueryOpts {
+        deadline: Deadline::NONE,
+        ..QueryOpts::default()
+    };
     assert!(e
-        .with_deadline(Deadline::NONE)
-        .self_join(&store, 1.0)
+        .query_with(GedQuery::SelfJoin { store, tau: 1.0 }, none)
         .is_ok());
 }

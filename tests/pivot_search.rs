@@ -90,9 +90,14 @@ fn top_k_and_range_with_pivots_equal_brute_force_across_methods() {
 
             for k in [1usize, 5, store.len()] {
                 let ctx = format!("{tag}/{method}/k={k}");
-                let result = engine
-                    .top_k_as(method, &query, &store, k)
-                    .expect("valid query");
+                let (q, s, opts) = (&query, (&store).into(), QueryOpts::with_method(method));
+                let top_k = GedQuery::TopK {
+                    query: q,
+                    store: s,
+                    k,
+                };
+                let result = engine.query_with(top_k, opts).expect("valid query");
+                let result = result.into_top_k().unwrap();
                 let want = brute_top_k(&store, &query, solver.as_ref(), k, Some(&bounds));
                 assert_same(&result.neighbors, &want, &ctx);
                 assert_eq!(
@@ -106,9 +111,14 @@ fn top_k_and_range_with_pivots_equal_brute_force_across_methods() {
             let taus = [brute[2].ged, brute[brute.len() / 4].ged];
             for tau in taus {
                 let ctx = format!("{tag}/{method}/tau={tau:.3}");
-                let result = engine
-                    .range_as(method, &query, &store, tau)
-                    .expect("valid query");
+                let (q, s, opts) = (&query, (&store).into(), QueryOpts::with_method(method));
+                let range = GedQuery::Range {
+                    query: q,
+                    store: s,
+                    tau,
+                };
+                let result = engine.query_with(range, opts).expect("valid query");
+                let result = result.into_range().unwrap();
                 let want = brute_range(&store, &query, solver.as_ref(), tau, Some(&bounds));
                 assert_same(&result.neighbors, &want, &ctx);
                 assert!(!result.neighbors.is_empty(), "{ctx}: τ chosen non-trivial");
@@ -371,8 +381,6 @@ fn stored_queries_arm_from_their_own_table_row() {
         let ctx = format!("stored {id}");
         let inline = engine.range_exact(query, &store, 2.0).unwrap();
         assert_eq!(inline.stats.pivot_distances, 0, "{ctx}: row reused");
-        let by_id = engine.range_exact_by_id(&store, id, 2.0).unwrap();
-        assert_eq!(by_id, inline, "{ctx}: by-id is the same plan");
         let top = engine.top_k(query, &store, 4).unwrap();
         assert_eq!(top.stats.pivot_distances, 0, "{ctx}: top-k");
         let range = engine.range(query, &store, 2.0).unwrap();
@@ -396,11 +404,11 @@ fn stored_queries_arm_from_their_own_table_row() {
 fn a_permuted_copy_falls_back_to_the_oracle_with_identical_answers() {
     let store = aids_store(24, 981);
     let engine = pivoted_engine(3);
-    let (id, stored, copy) = store
-        .iter()
-        .find_map(|(id, g)| {
+    let (stored, copy) = store
+        .graphs()
+        .find_map(|g| {
             let copy = reversed(g);
-            (copy != *g).then_some((id, g, copy))
+            (copy != *g).then_some((g, copy))
         })
         .expect("some graph is not reversal-symmetric");
     assert!(
@@ -416,7 +424,7 @@ fn a_permuted_copy_falls_back_to_the_oracle_with_identical_answers() {
         engine.pivot_bounds(stored, &store),
         "same pivot bounds"
     );
-    let want = engine.range_exact_by_id(&store, id, 2.0).unwrap();
+    let want = engine.range_exact(stored, &store, 2.0).unwrap();
     let got = engine.range_exact(&copy, &store, 2.0).unwrap();
     assert_eq!(want.stats.pivot_distances, 0, "the stored query reuses");
     assert_eq!(got.stats.pivot_distances, 3, "the copy computes");

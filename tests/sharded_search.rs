@@ -1,5 +1,5 @@
 //! Property-style integration tests for the sharded search tier
-//! (`ged_graph::ShardedStore` + the `*_sharded` engine plans):
+//! (`ged_graph::ShardedStore` searched through `StoreRef::Sharded`):
 //!
 //! * pivot-free `TopK` / `Range` / `RangeExact` over a sharded store are
 //!   bit-identical to the flat plans over the same graphs, across bucket
@@ -83,7 +83,7 @@ fn pivot_free_sharded_plans_equal_flat_plans() {
                 let ctx = format!("{tag}/width={width}/threads={threads}");
 
                 let flat = e.top_k(&query, &store, 7).expect("flat top-k");
-                let shrd = e.top_k_sharded(&query, &sharded, 7).expect("sharded top-k");
+                let shrd = e.top_k(&query, &sharded, 7).expect("sharded top-k");
                 assert_same(
                     &shrd.neighbors,
                     &translate(&flat.neighbors, &map),
@@ -97,9 +97,7 @@ fn pivot_free_sharded_plans_equal_flat_plans() {
 
                 let tau = flat.neighbors.last().expect("k results").ged;
                 let flat_r = e.range(&query, &store, tau).expect("flat range");
-                let shrd_r = e
-                    .range_sharded(&query, &sharded, tau)
-                    .expect("sharded range");
+                let shrd_r = e.range(&query, &sharded, tau).expect("sharded range");
                 assert_same(
                     &shrd_r.neighbors,
                     &translate(&flat_r.neighbors, &map),
@@ -107,9 +105,7 @@ fn pivot_free_sharded_plans_equal_flat_plans() {
                 );
 
                 let flat_x = e.range_exact(&query, &store, 8.0).expect("flat exact");
-                let shrd_x = e
-                    .range_exact_sharded(&query, &sharded, 8.0)
-                    .expect("sharded exact");
+                let shrd_x = e.range_exact(&query, &sharded, 8.0).expect("sharded exact");
                 assert_same_exact(
                     &shrd_x.matches,
                     &translate_exact(&flat_x.matches, &map),
@@ -135,9 +131,7 @@ fn sharded_range_exact_with_pivots_equals_flat_exact_scan() {
     assert!(sharded.pivots_ready(3), "every shard synced at the target");
 
     let flat = e.range_exact(&query, &store, 7.0).expect("flat exact");
-    let shrd = e
-        .range_exact_sharded(&query, &sharded, 7.0)
-        .expect("sharded exact");
+    let shrd = e.range_exact(&query, &sharded, 7.0).expect("sharded exact");
     assert_same_exact(
         &shrd.matches,
         &translate_exact(&flat.matches, &map),
@@ -164,12 +158,12 @@ fn pivoted_sharded_plans_equal_the_sharded_oracle() {
             .expect("pivots are synced");
         assert_eq!(bounds.len(), sharded.len(), "one bound per graph");
 
-        let topk = e.top_k_sharded(&query, &sharded, 6).expect("top-k");
+        let topk = e.top_k(&query, &sharded, 6).expect("top-k");
         let want = brute_top_k_sharded(&sharded, &query, &solver, 6, Some(&bounds));
         assert_same(&topk.neighbors, &want, &format!("threads={threads}/top-k"));
 
         let tau = want.last().expect("6 results").ged;
-        let range = e.range_sharded(&query, &sharded, tau).expect("range");
+        let range = e.range(&query, &sharded, tau).expect("range");
         let want_r = brute_range_sharded(&sharded, &query, &solver, tau, Some(&bounds));
         assert_same(
             &range.neighbors,
@@ -197,7 +191,7 @@ fn shard_tier_prunes_on_size_heterogeneous_stores() {
         .clone();
     let e = engine(1, 0);
 
-    let topk = e.top_k_sharded(&query, &sharded, 3).expect("top-k");
+    let topk = e.top_k(&query, &sharded, 3).expect("top-k");
     assert!(
         topk.stats.pruned_shard > 0,
         "top-k skips whole shards: {}",
@@ -209,14 +203,14 @@ fn shard_tier_prunes_on_size_heterogeneous_stores() {
         "top-k accounting closes"
     );
 
-    let range = e.range_sharded(&query, &sharded, 2.0).expect("range");
+    let range = e.range(&query, &sharded, 2.0).expect("range");
     assert!(
         range.stats.pruned_shard > 0,
         "range skips whole shards: {}",
         range.stats
     );
 
-    let exact = e.range_exact_sharded(&query, &sharded, 2.0).expect("exact");
+    let exact = e.range_exact(&query, &sharded, 2.0).expect("exact");
     assert!(
         exact.stats.pruned_shard > 0,
         "exact range skips whole shards: {}",
@@ -251,12 +245,10 @@ fn interleaved_mutations_keep_sharded_equal_to_flat_mirror() {
                  map: &BTreeMap<GraphId, GraphId>,
                  step: &str| {
         let f = e.top_k(&query, flat, 5).expect("flat top-k");
-        let s = e.top_k_sharded(&query, sharded, 5).expect("sharded top-k");
+        let s = e.top_k(&query, sharded, 5).expect("sharded top-k");
         assert_same(&s.neighbors, &translate(&f.neighbors, map), step);
         let fx = e.range_exact(&query, flat, 6.0).expect("flat exact");
-        let sx = e
-            .range_exact_sharded(&query, sharded, 6.0)
-            .expect("sharded exact");
+        let sx = e.range_exact(&query, sharded, 6.0).expect("sharded exact");
         assert_same_exact(&sx.matches, &translate_exact(&fx.matches, map), step);
     };
     check(&flat, &sharded, &map, "initial");
@@ -307,15 +299,11 @@ fn snapshot_roundtrip_preserves_answers_and_pivot_sync() {
     e.sync_sharded_pivots(&mut loaded);
     assert_eq!(before, loaded.to_json(), "sync after load is a no-op");
 
-    let want = e.top_k_sharded(&query, &sharded, 6).expect("pre-save");
-    let got = e.top_k_sharded(&query, &loaded, 6).expect("post-load");
+    let want = e.top_k(&query, &sharded, 6).expect("pre-save");
+    let got = e.top_k(&query, &loaded, 6).expect("post-load");
     assert_same(&got.neighbors, &want.neighbors, "top-k across round-trip");
-    let want_x = e
-        .range_exact_sharded(&query, &sharded, 6.0)
-        .expect("pre-save");
-    let got_x = e
-        .range_exact_sharded(&query, &loaded, 6.0)
-        .expect("post-load");
+    let want_x = e.range_exact(&query, &sharded, 6.0).expect("pre-save");
+    let got_x = e.range_exact(&query, &loaded, 6.0).expect("post-load");
     assert_same_exact(&got_x.matches, &want_x.matches, "exact across round-trip");
 
     // Fresh inserts never alias restored ids.
@@ -363,13 +351,13 @@ fn stored_queries_arm_their_own_shard_for_free() {
         far_pruned += usize::from(want == 0);
         let ctx = format!("stored {id}");
 
-        let inline = e.range_exact_sharded(query, &sharded, 2.0).unwrap();
+        let inline = e.range_exact(query, &sharded, 2.0).unwrap();
         assert_eq!(inline.stats.pivot_distances, want, "{ctx}: exact");
         let brute = brute_range_exact_sharded(&sharded, query, 2);
         assert_same_exact(&inline.matches, &brute, &ctx);
 
-        let by_id = e.range_sharded_by_id(&sharded, id, 2.0).unwrap();
-        let range = e.range_sharded(query, &sharded, 2.0).unwrap();
+        let by_id = e.range(sharded.get(id).unwrap(), &sharded, 2.0).unwrap();
+        let range = e.range(query, &sharded, 2.0).unwrap();
         assert_eq!(by_id, range, "{ctx}: by-id is the same plan");
         assert_eq!(range.stats.pivot_distances, want, "{ctx}: range");
     }
@@ -401,7 +389,7 @@ fn range_exact_below_the_far_shard_bound_arms_only_the_near_shard() {
         "the query is foreign"
     );
 
-    let got = e.range_exact_sharded(&query, &sharded, tau as f64).unwrap();
+    let got = e.range_exact(&query, &sharded, tau as f64).unwrap();
     assert_eq!(
         got.stats.pivot_distances,
         near.pivot_query_cost(),

@@ -39,9 +39,10 @@ fn top_k_equals_brute_force_across_methods_and_stores() {
             let mut pruned_somewhere = false;
             for k in [1usize, 5, 13, ds.len()] {
                 let ctx = format!("{}/{}/k={}", ds.kind.name(), method, k);
-                let result = engine
-                    .top_k_as(method, &query, &ds, k)
-                    .expect("valid query");
+                let (q, store, opts) = (&query, (&ds).into(), QueryOpts::with_method(method));
+                let top_k = GedQuery::TopK { query: q, store, k };
+                let result = engine.query_with(top_k, opts).expect("valid query");
+                let result = result.into_top_k().unwrap();
                 assert_same(&result.neighbors, &brute[..k.min(brute.len())], &ctx);
                 assert_eq!(result.stats.candidates, ds.len(), "{ctx}");
                 assert_eq!(
@@ -84,9 +85,14 @@ fn range_equals_brute_force_across_methods_and_stores() {
             let mut pruned_somewhere = false;
             for tau in taus {
                 let ctx = format!("{}/{}/tau={:.3}", ds.kind.name(), method, tau);
-                let result = engine
-                    .range_as(method, &query, &ds, tau)
-                    .expect("valid query");
+                let (q, store, opts) = (&query, (&ds).into(), QueryOpts::with_method(method));
+                let range = GedQuery::Range {
+                    query: q,
+                    store,
+                    tau,
+                };
+                let result = engine.query_with(range, opts).expect("valid query");
+                let result = result.into_range().unwrap();
                 let want: Vec<Neighbor> = brute.iter().copied().filter(|n| n.ged <= tau).collect();
                 assert_same(&result.neighbors, &want, &ctx);
                 assert!(!result.neighbors.is_empty(), "{ctx}: τ chosen non-trivial");
@@ -158,7 +164,7 @@ fn range_exact_equals_brute_force_with_every_tier_firing() {
             let result = engine
                 .query(GedQuery::RangeExact {
                     query: &query,
-                    store: &ds,
+                    store: (&ds).into(),
                     tau: tau as f64,
                 })
                 .expect("valid query")
@@ -293,42 +299,39 @@ fn parallel_verification_is_bit_identical_to_sequential() {
 }
 
 #[test]
-fn range_by_id_resolves_stored_ids_and_rejects_foreign_ones() {
+fn stored_and_foreign_ids_resolve_through_store_ref() {
     let store = aids_store(12, 9801);
     let (sharded, map) = sharded_copy(&store, 4);
     let engine = engine_builder(&[MethodKind::Gedgw])
         .build()
         .expect("valid configuration");
 
+    // A stored graph, looked up by id, is its own match at distance 0 on
+    // both store kinds, and the two answers agree under the id twin.
     let (id, query) = store.iter().next().expect("nonempty store");
-    let by_id = engine.range_by_id(&store, id, 5.0).expect("stored id");
-    let direct = engine.range(query, &store, 5.0).expect("direct query");
-    assert_same(&by_id.neighbors, &direct.neighbors, "flat by-id");
+    let flat = engine.range(query, &store, 5.0).expect("direct query");
     assert!(
-        by_id.neighbors.iter().any(|n| n.id == id && n.ged == 0.0),
+        flat.neighbors.iter().any(|n| n.id == id && n.ged == 0.0),
         "the query graph matches itself at distance 0"
     );
-
     let sid = map[&id];
-    let by_id = engine
-        .range_sharded_by_id(&sharded, sid, 5.0)
-        .expect("stored id");
-    let direct = engine
-        .range_sharded(query, &sharded, 5.0)
-        .expect("direct query");
-    assert_same(&by_id.neighbors, &direct.neighbors, "sharded by-id");
+    let stored = StoreRef::from(&sharded).get(sid).expect("stored id");
+    assert_eq!(stored, query, "the id twin holds the same graph");
+    let shard = engine.range(stored, &sharded, 5.0).expect("stored id");
+    let twins: Vec<Neighbor> = flat
+        .neighbors
+        .iter()
+        .map(|n| Neighbor {
+            id: map[&n.id],
+            ged: n.ged,
+        })
+        .collect();
+    assert_same(&shard.neighbors, &twins, "sharded vs flat");
 
+    // An id minted by another store resolves in neither.
     let foreign = external_query(9803);
     let mut scratch = GraphStore::new();
     let foreign_id = scratch.insert(foreign);
-    assert_eq!(
-        engine.range_by_id(&store, foreign_id, 5.0).unwrap_err(),
-        GedError::UnknownGraphId(foreign_id)
-    );
-    assert_eq!(
-        engine
-            .range_sharded_by_id(&sharded, foreign_id, 5.0)
-            .unwrap_err(),
-        GedError::UnknownGraphId(foreign_id)
-    );
+    assert!(StoreRef::from(&store).get(foreign_id).is_none());
+    assert!(StoreRef::from(&sharded).get(foreign_id).is_none());
 }
