@@ -1,11 +1,12 @@
 //! Nested-loop vs. the shared-work join plan on growing stores. The
 //! nested loop runs the τ-bounded exact search on every unordered pair
 //! independently — `n·(n−1)/2` calls with no shared state. The join
-//! plan arms one pivot index for the whole matrix, generates candidates
-//! in signature-sort order so a single size-gap comparison discards a
-//! contiguous band, and (sharded) drops whole shard×shard blocks on one
-//! aggregate bound. Both produce bit-identical pair sets; the gap is
-//! pure filter-tier savings, so it widens quadratically with the store.
+//! plan generates candidates in signature-sort order so a single
+//! size-gap comparison discards a contiguous band, and (sharded) drops
+//! whole shard×shard blocks on one aggregate bound and reads each
+//! shard's synced pivot block. All produce bit-identical pair sets; the
+//! gap is pure filter-tier savings, so it widens quadratically with the
+//! store.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ged_core::engine::GedEngine;

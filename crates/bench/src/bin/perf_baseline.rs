@@ -1,7 +1,7 @@
 //! Committed performance baseline for the hot kernels and search plans.
 //!
 //! Runs deterministic quick-mode versions of the `kernels`, `fig_search`,
-//! `fig_exact_search`, and `fig_pivot` workloads and writes
+//! `fig_exact_search`, `fig_shard` and `fig_join` workloads and writes
 //! `BENCH_kernels.json` / `BENCH_search.json` (median ns per op, workload
 //! params, git rev) to the current directory — the repo root when invoked
 //! as `cargo run -p ged-bench --bin perf_baseline --release`.
@@ -92,12 +92,11 @@ fn aids_label_weights() -> Vec<f64> {
     (0..29).map(|i| 1.0 / (1.0 + i as f64).powf(1.4)).collect()
 }
 
-fn gedgw_engine(pivots: usize) -> GedEngine {
+fn gedgw_engine() -> GedEngine {
     let mut registry = SolverRegistry::new();
     registry.register(MethodKind::Gedgw, Box::new(GedgwSolver));
     GedEngine::builder(registry)
         .threads(1) // isolate plan cost from parallel speedup
-        .pivots(pivots)
         .build()
         .expect("GEDGW is registered")
 }
@@ -302,7 +301,7 @@ fn search_suite(smoke: bool) -> Vec<Measurement> {
         let mut rng = SmallRng::seed_from_u64(7_000 + size as u64);
         let store = GraphDataset::aids_like(size, &mut rng).into_store();
         let query = store.graphs().next().expect("non-empty").clone();
-        let engine = gedgw_engine(0);
+        let engine = gedgw_engine();
         out.push(measure(
             "fig_search_topk",
             format!("store={size},k=5,threads=1"),
@@ -330,36 +329,10 @@ fn search_suite(smoke: bool) -> Vec<Measurement> {
         let mut rng = SmallRng::seed_from_u64(8_000 + size as u64);
         let store = GraphDataset::aids_like(size, &mut rng).into_store();
         let query = store.graphs().next().expect("non-empty").clone();
-        let engine = gedgw_engine(0);
+        let engine = gedgw_engine();
         out.push(measure(
             "fig_exact_search_range",
             format!("store={size},tau={tau},threads=1"),
-            1,
-            || {
-                black_box(
-                    engine
-                        .range_exact(&query, &store, tau as f64)
-                        .expect("valid query"),
-                );
-            },
-        ));
-    }
-
-    // fig_pivot: exact range search through the pivot index (warmed).
-    {
-        let pivots = if smoke { 2 } else { 4 };
-        let mut rng = SmallRng::seed_from_u64(9_000 + size as u64);
-        let store = GraphDataset::aids_like(size, &mut rng).into_store();
-        let query = store.graphs().next().expect("non-empty").clone();
-        let engine = gedgw_engine(pivots);
-        // Build + sync the pivot table outside the timed region.
-        let warm = engine
-            .range_exact(&query, &store, tau as f64)
-            .expect("valid query");
-        assert_eq!(warm.stats.total(), store.len());
-        out.push(measure(
-            "fig_pivot_range_exact",
-            format!("store={size},tau={tau},pivots={pivots},threads=1"),
             1,
             || {
                 black_box(
@@ -389,7 +362,7 @@ fn search_suite(smoke: bool) -> Vec<Measurement> {
             .min_by_key(|g| g.num_nodes())
             .expect("non-empty")
             .clone();
-        let engine = gedgw_engine(0);
+        let engine = gedgw_engine();
         out.push(measure(
             "sharded_topk",
             format!("store={size},k=5,width=4,threads=1"),
@@ -412,25 +385,24 @@ fn search_suite(smoke: bool) -> Vec<Measurement> {
         ));
     }
 
-    // fig_join: the shared-work join plans — one pivot arming and one
-    // signature sort amortized over the whole candidate matrix, instead
-    // of n·(n−1)/2 (resp. n·m) independent bounded searches.
+    // fig_join: the shared-work join plans — one signature sort
+    // amortized over the whole candidate matrix, instead of n·(n−1)/2
+    // (resp. n·m) independent bounded searches. Flat stores run
+    // pivot-free.
     {
         let join_tau = 2usize;
-        let pivots = if smoke { 2 } else { 3 };
         let probes_n = if smoke { 4 } else { 20 };
         let mut rng = SmallRng::seed_from_u64(13_000 + size as u64);
         let store = GraphDataset::aids_like(size, &mut rng).into_store();
         let probes = GraphDataset::aids_like(probes_n, &mut rng).into_store();
-        let engine = gedgw_engine(pivots);
-        // Arm the pivot index outside the timed region.
+        let engine = gedgw_engine();
         let warm = engine
             .self_join(&store, join_tau as f64)
             .expect("valid join");
         assert_eq!(warm.stats.total(), store.len() * (store.len() - 1) / 2);
         out.push(measure(
             "self_join",
-            format!("store={size},tau={join_tau},pivots={pivots},threads=1"),
+            format!("store={size},tau={join_tau},pivots=0,threads=1"),
             1,
             || {
                 black_box(
@@ -440,12 +412,6 @@ fn search_suite(smoke: bool) -> Vec<Measurement> {
                 );
             },
         ));
-        // Cross-join without pivots: the left store is not in the
-        // pivot table, so arming it costs one unbounded exact search
-        // per probe×pivot every call — on cheap-verify AIDS workloads
-        // that dwarfs the τ-bounded verifications it saves. The
-        // band/signature tiers are the cross-join's paying filters.
-        let engine = gedgw_engine(0);
         out.push(measure(
             "cross_join",
             format!("left={probes_n},right={size},tau={join_tau},pivots=0,threads=1"),

@@ -21,6 +21,14 @@
 //!            └──────────┘   └────────────────────────────┘   └──────────────────┘   └────────┘   └────────┘
 //! ```
 //!
+//! The pivot tiers (`pivot_lb`, `pivot_ub_accept`) read the pivot block
+//! each shard of a [`ShardedStore`](ged_graph::ShardedStore) owns, synced
+//! by [`GedEngine::sync_sharded_pivots`]; a unit without a synced block —
+//! every flat unit, and every shard while
+//! [`ShardedStore::pivots_ready`](ged_graph::ShardedStore::pivots_ready)
+//! fails for the engine's target — gets the vacuous `[0, ∞)` interval, so
+//! those tiers never fire there.
+//!
 //! The branch tier runs only in `TopK` and `Range`, inside the shared
 //! verify step, and only for solvers that declare
 //! [`GedSolver::respects_branch_bound`]: it bounds GEDGW's *objective*
@@ -68,11 +76,8 @@ use crate::search::{
 };
 use crate::solver::{GedSolver, SolverScratch};
 use crate::workspace::GedWorkspace;
-use ged_graph::{
-    range_distance, Graph, GraphId, GraphSignature, GraphStore, PivotDistance, PivotIndex, Shard,
-};
+use ged_graph::{range_distance, Graph, GraphId, GraphSignature, GraphStore, PivotDistance, Shard};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// One filter-phase survivor: a candidate id plus its per-tier lower
 /// bounds (label-set, combined signature, combined-with-pivot) and the
@@ -119,7 +124,6 @@ struct ExactSurvivor {
 /// compares and its entries pre-sorted in signature band order (the
 /// band tier's input).
 struct JoinUnit<'s> {
-    store: &'s GraphStore,
     nodes: (usize, usize),
     edges: (usize, usize),
     pivot: PivotBlock<'s>,
@@ -128,33 +132,14 @@ struct JoinUnit<'s> {
     entries: Vec<(GraphId, &'s Graph, &'s GraphSignature)>,
 }
 
-/// Where a plan unit's pivot tier reads from (`None` = tier vacuous).
-enum PivotBlock<'s> {
-    None,
-    /// The engine's flat-store index, already synced — its
-    /// [`PivotIndex::member_bounds`] rows serve every same-unit join pair
-    /// with zero per-row arming (the build *is* the arming).
-    Flat(Arc<PivotIndex>),
-    /// A shard's own pivot block (its [`Shard::pivot_index`] is built).
-    Shard(&'s Shard),
-}
+/// Where a plan unit's pivot tier reads from: a shard whose
+/// [`Shard::pivot_index`] is built and in sync, or `None` (tier vacuous —
+/// flat units, shards of unsynced stores, and plans with the tier off).
+type PivotBlock<'s> = Option<&'s Shard>;
 
-impl<'s> PivotBlock<'s> {
-    /// A shard's block when the tier is on for this plan, else `None`.
-    fn of_shard(shard: &'s Shard, pivots_on: bool) -> Self {
-        match shard.pivot_index() {
-            Some(_) if pivots_on => PivotBlock::Shard(shard),
-            _ => PivotBlock::None,
-        }
-    }
-
-    fn index(&self) -> Option<&PivotIndex> {
-        match self {
-            PivotBlock::None => None,
-            PivotBlock::Flat(ix) => Some(ix),
-            PivotBlock::Shard(shard) => shard.pivot_index(),
-        }
-    }
+/// A shard's block when the tier is on for this plan, else `None`.
+fn pivot_block(shard: &Shard, pivots_on: bool) -> PivotBlock<'_> {
+    (pivots_on && shard.pivot_index().is_some()).then_some(shard)
 }
 
 impl JoinUnit<'_> {
@@ -250,8 +235,8 @@ fn join_pair_fingerprint(qa: &Graph, qb: &Graph) -> u64 {
 
 /// Filters one unit's *diagonal* self-join block: all unordered
 /// same-unit pairs, streamed in band order. The pivot tier reads the
-/// unit's own index rows via [`PivotIndex::member_bounds`] — no per-row
-/// distance computations at all.
+/// shard's own table rows via [`ged_graph::PivotIndex::member_bounds`] —
+/// no per-row distance computations at all.
 fn filter_self_block<'s>(
     unit: &JoinUnit<'s>,
     tau: usize,
@@ -273,8 +258,7 @@ fn filter_self_block<'s>(
             }
             let pivot = unit
                 .pivot
-                .index()
-                .and_then(|ix| ix.member_bounds(ia, ib))
+                .and_then(|shard| shard.pivot_index()?.member_bounds(ia, ib))
                 .unwrap_or((0, usize::MAX));
             if discards.exact_discards(pivot.0, sa, sb, tau) {
                 continue;
@@ -298,8 +282,8 @@ fn filter_self_block<'s>(
 /// One shard of the unified plan: the backing [`GraphStore`], the
 /// aggregate lower bound the shard tier compares against the threshold
 /// (0 for the flat one-shard case, so it can never fire there), and the
-/// pivot block per-candidate bounds are read from, armed lazily by
-/// [`GedEngine::shard_tier_prunes`].
+/// shard's pivot block per-candidate bounds are read from (none for the
+/// flat case), armed lazily by [`GedEngine::shard_tier_prunes`].
 pub(crate) struct ShardUnit<'s> {
     store: &'s GraphStore,
     /// The signature aggregate bound, raised by the shard's pivot
@@ -321,7 +305,7 @@ impl<'s> ShardUnit<'s> {
     /// store kinds so every plan treats bounds as unconditionally
     /// present. Read only from armed units.
     fn pivot_bounds_for(&self, id: GraphId) -> (usize, usize) {
-        match (self.pivot.index(), &self.qdists) {
+        match (self.pivot.and_then(Shard::pivot_index), &self.qdists) {
             (Some(index), Some(qdists)) => index
                 .bounds(qdists, id)
                 .expect("index is synced with the unit store"),
@@ -369,8 +353,8 @@ impl GedEngine {
     /// [`ShardUnit`]s, un-armed, sorted ascending by signature aggregate
     /// bound (bucket as the deterministic tie-break) so the most
     /// promising units are visited first. A flat store is one unit with
-    /// bound 0 — its shard tier can never fire and `pruned_shard` stays
-    /// 0, exactly the legacy flat plans.
+    /// bound 0 and no pivot block — its shard and pivot tiers can never
+    /// fire.
     fn shard_units<'s>(&self, qsig: &GraphSignature, store: StoreRef<'s>) -> Vec<ShardUnit<'s>> {
         match store {
             StoreRef::Flat(flat) => {
@@ -378,7 +362,7 @@ impl GedEngine {
                     store: flat,
                     lb: 0,
                     bucket: 0,
-                    pivot: self.flat_pivot_block(flat, true),
+                    pivot: None,
                     qdists: None,
                 }]
             }
@@ -390,7 +374,7 @@ impl GedEngine {
                         store: shard.store(),
                         lb: shard.signature_lower_bound(qsig),
                         bucket: shard.bucket(),
-                        pivot: PivotBlock::of_shard(shard, pivots_on),
+                        pivot: pivot_block(shard, pivots_on),
                         qdists: None,
                     })
                     .collect();
@@ -398,18 +382,6 @@ impl GedEngine {
                 units
             }
         }
-    }
-
-    /// A flat store's pivot block: the engine's index, synced to `flat`
-    /// (built on first use), when the tier is on for this plan.
-    /// With the tier off nothing is synced.
-    fn flat_pivot_block(&self, flat: &GraphStore, arm_pivots: bool) -> PivotBlock<'static> {
-        let index = if arm_pivots {
-            self.synced_pivot_index(flat)
-        } else {
-            None
-        };
-        index.map_or(PivotBlock::None, PivotBlock::Flat)
     }
 
     /// The shard tier with lazy pivot arming: whether `over` holds for
@@ -432,20 +404,18 @@ impl GedEngine {
         if over(unit.lb) {
             return true;
         }
-        if let Some(index) = unit.pivot.index() {
-            let (qdists, computed) = self.arm_pivot_block(index, unit.store, query, qsig, ws);
+        if let Some(shard) = unit.pivot {
+            let (qdists, computed) = self.arm_pivot_block(shard, query, qsig, ws);
             *pivot_distances += computed;
-            if let PivotBlock::Shard(shard) = unit.pivot {
-                unit.lb = unit.lb.max(shard.pivot_lower_bound(&qdists));
-            }
+            unit.lb = unit.lb.max(shard.pivot_lower_bound(&qdists));
             unit.qdists = Some(qdists);
         }
         over(unit.lb)
     }
 
-    /// Arms one pivot block for `query`: its distances to every pivot of
-    /// `index` (synced with `store`), in column order, plus how many the
-    /// oracle had to compute. A member equal to the query — equal
+    /// Arms one shard's pivot block for `query`: its distances to every
+    /// pivot of the block, in column order, plus how many the oracle had
+    /// to compute. A member equal to the query — equal
     /// signature, then `Graph ==` — already holds them as its table row,
     /// so a stored query copies that row with zero oracle calls. The row
     /// was filled by the same oracle on the same graph pair, so it is
@@ -454,17 +424,20 @@ impl GedEngine {
     /// interval of the same distance otherwise).
     ///
     /// Every pivot-tier consumer arms through here — the plans, the
-    /// cross-join probes, [`GedEngine::pivot_bounds`] and
-    /// [`GedEngine::sharded_pivot_bounds`] — so the testkit oracles see
-    /// exactly the bounds a plan used.
+    /// cross-join probes and [`GedEngine::sharded_pivot_bounds`] — so the
+    /// testkit oracles see exactly the bounds a plan used.
+    ///
+    /// # Panics
+    /// If `shard` has no pivot block (callers check
+    /// [`Shard::pivot_index`] first).
     pub(crate) fn arm_pivot_block(
         &self,
-        index: &PivotIndex,
-        store: &GraphStore,
+        shard: &Shard,
         query: &Graph,
         qsig: &GraphSignature,
         ws: &mut GedWorkspace,
     ) -> (Vec<PivotDistance>, usize) {
+        let (store, index) = (shard.store(), shard.pivot_index().expect("a synced block"));
         let row = store
             .entries()
             .find(|&(_, g, sig)| sig == qsig && g == query)
@@ -829,16 +802,16 @@ impl GedEngine {
     ) -> Result<DistanceMatrix, GedError> {
         let solver = self.solver(method)?;
         store.validate()?;
-        self.matrix_of(method, solver, store.graphs(), deadline)
+        self.matrix_of(method, solver, store.iter().collect(), deadline)
     }
 
     /// Decomposes either store kind into the join plan's band-ordered
     /// [`JoinUnit`]s. A flat store is one unit whose aggregate ranges
     /// come from an O(n) signature sweep (its block tier can only fire
     /// against *other* units); a sharded store yields one unit per shard
-    /// with the shard's maintained aggregates. `arm_pivots: false` (the
-    /// left side of a cross-store join) disables the pivot tier entirely:
-    /// no index syncing, no member/query bounds.
+    /// with the shard's maintained aggregates. Flat units carry no pivot
+    /// block; `arm_pivots: false` (the left side of a cross-store join)
+    /// leaves shards without one too.
     fn join_units<'s>(&self, store: StoreRef<'s>, arm_pivots: bool) -> Vec<JoinUnit<'s>> {
         match store {
             StoreRef::Flat(flat) => {
@@ -850,10 +823,9 @@ impl GedEngine {
                     edges = (edges.0.min(sig.num_edges()), edges.1.max(sig.num_edges()));
                 }
                 vec![JoinUnit {
-                    store: flat,
                     nodes,
                     edges,
-                    pivot: self.flat_pivot_block(flat, arm_pivots),
+                    pivot: None,
                     entries,
                 }]
             }
@@ -862,10 +834,9 @@ impl GedEngine {
                 sharded
                     .shards()
                     .map(|shard| JoinUnit {
-                        store: shard.store(),
                         nodes: (shard.min_nodes(), shard.max_nodes()),
                         edges: (shard.min_edges(), shard.max_edges()),
-                        pivot: PivotBlock::of_shard(shard, pivots_on),
+                        pivot: pivot_block(shard, pivots_on),
                         entries: shard.store().entries_by_size(),
                     })
                     .collect()
@@ -904,11 +875,11 @@ impl GedEngine {
             stats.pruned_band += right.entries.len() - (hi - lo);
             let mut qdists: Option<Vec<PivotDistance>> = None;
             for &(ib, gb, sb) in &right.entries[lo..hi] {
-                let pivot = match (kind, right.pivot.index()) {
-                    (CrossKind::TwoStores, Some(ix)) => {
-                        let qd = qdists.get_or_insert_with(|| {
-                            self.arm_pivot_block(ix, right.store, ga, sa, &mut ws).0
-                        });
+                let pivot = match (kind, right.pivot) {
+                    (CrossKind::TwoStores, Some(shard)) => {
+                        let qd = qdists
+                            .get_or_insert_with(|| self.arm_pivot_block(shard, ga, sa, &mut ws).0);
+                        let ix = shard.pivot_index().expect("a synced block");
                         ix.bounds(qd, ib)
                             .expect("index is synced with its unit store")
                     }

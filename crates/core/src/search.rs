@@ -56,17 +56,20 @@ pub struct ExactSearchStats {
     /// per-graph metadata was touched. Always zero for flat-store plans
     /// (see [`ged_graph::shard::ShardedStore`]).
     pub pruned_shard: usize,
-    /// Candidates discarded by the pivot-table lower bound
-    /// (`|d(q,p) − d(p,g)| > τ` for some pivot `p`) before the signature
-    /// bounds were even consulted. Always zero when the engine has no
-    /// pivot index ([`crate::engine::GedEngineBuilder::pivots`]).
+    /// Candidates discarded by the lower bound of their shard's pivot
+    /// block (`|d(q,p) − d(p,g)| > τ` for some pivot `p`) before the
+    /// signature bounds were even consulted. Always zero for flat stores
+    /// and for sharded stores whose blocks
+    /// [`crate::engine::GedEngine::sync_sharded_pivots`] has not synced
+    /// at the engine's target.
     pub pruned_pivot: usize,
     /// Candidates discarded by the signature lower bounds.
     pub filtered: usize,
-    /// Candidates whose membership the pivot-table upper bound
+    /// Candidates whose membership their shard's pivot-block upper bound
     /// (`d(q,p) + d(p,g) ≤ τ`) certified before the GEDGW upper bound ran
     /// (the exact distance is then recovered by a search bounded by that
-    /// pivot bound). Always zero without a pivot index.
+    /// pivot bound). Always zero wherever
+    /// [`ExactSearchStats::pruned_pivot`] is.
     pub accepted_pivot: usize,
     /// Candidates accepted by the GEDGW upper bound.
     pub accepted_early: usize,
@@ -77,11 +80,11 @@ pub struct ExactSearchStats {
     /// [`crate::engine::GedEngineBuilder::verify_budget`]). Always zero
     /// when the budget is unlimited.
     pub budget_exceeded: usize,
-    /// Query-to-pivot distances the oracle computed to arm the pivot
-    /// tier: a block's pivot count per armed unit, 0 for a unit whose
-    /// table row a stored query reused, and 0 for units the shard tier
-    /// skipped before arming them. An overlay count of work, **not** an
-    /// accounting tier (outside [`ExactSearchStats::total`]).
+    /// Query-to-pivot distances the oracle computed to arm the shards'
+    /// pivot blocks: a block's pivot count per armed shard, 0 for a shard
+    /// whose table row a stored query reused, and 0 for shards the shard
+    /// tier skipped before arming them. An overlay count of work, **not**
+    /// an accounting tier (outside [`ExactSearchStats::total`]).
     pub pivot_distances: usize,
 }
 
@@ -158,17 +161,19 @@ pub struct JoinStats {
     /// (label multiset, degree sequence). Negative-`τ` joins account
     /// every pair here (nothing can match).
     pub filtered: usize,
-    /// Pairs discarded by the pivot-table triangle lower bound. Always
-    /// zero without a pivot index.
+    /// Pairs discarded by the triangle lower bound of a synced shard's
+    /// pivot block (same-shard pairs, and cross-store pairs against a
+    /// sharded right store). Always zero for flat stores.
     pub pruned_pivot: usize,
     /// Pairs answered from an already-verified structurally identical
     /// pair: symmetric/duplicate pairs canonicalize to the same
     /// representative (same orientation the prediction cache keys on),
     /// which is verified once and its outcome shared.
     pub cache_hits: usize,
-    /// Pairs whose membership the pivot-table upper bound certified
+    /// Pairs whose membership a shard's pivot-block upper bound certified
     /// before exact verification (the exact distance is then recovered
-    /// by a search bounded by that certificate).
+    /// by a search bounded by that certificate). Always zero wherever
+    /// [`JoinStats::pruned_pivot`] is.
     pub accepted_pivot: usize,
     /// Pairs accepted by the GEDGW feasible upper bound.
     pub accepted_early: usize,

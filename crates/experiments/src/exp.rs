@@ -867,70 +867,6 @@ pub fn run_exact_search(cfg: &ExpConfig) -> String {
     out
 }
 
-/// Pivot-table pruning at store scale: the exact range plan with
-/// `p ∈ {0, 2, 4, 8}` pivots over one AIDS-like store — per-p tier
-/// statistics, the isolated table-build cost, and the per-query serving
-/// wall clock (a serving store amortizes the former over the latter).
-#[must_use]
-pub fn run_pivot_search(cfg: &ExpConfig) -> String {
-    use ged_core::solver::{GedgwSolver, SolverRegistry};
-
-    let mut rng = cfg.rng();
-    let store = GraphDataset::aids_like(cfg.dataset_size, &mut rng).into_store();
-    let query = store.graphs().next().expect("non-empty store").clone();
-    let tau = 4.0;
-
-    let mut out = String::from("== Pivot index: triangle-inequality pruning ==\n");
-    let _ = writeln!(
-        out,
-        "store: {} AIDS-like graphs; query: member; tau = {tau}",
-        store.len()
-    );
-    let _ = writeln!(
-        out,
-        "{:>3} {:>8} {:>8} {:>9} {:>7} {:>15} {:>9} {:>10} {:>9}",
-        "p",
-        "matches",
-        "pr-piv",
-        "filtered",
-        "ac-piv",
-        "accepted-early",
-        "verified",
-        "build-ms",
-        "query-ms"
-    );
-    for pivots in [0usize, 2, 4, 8] {
-        let mut registry = SolverRegistry::new();
-        registry.register(MethodKind::Gedgw, Box::new(GedgwSolver));
-        let engine = GedEngine::builder(registry)
-            .pivots(pivots)
-            .build()
-            .expect("GEDGW is registered");
-        // `pivot_ids` forces the table build in isolation (a no-op for
-        // p = 0), so build-ms is pure index construction and query-ms is
-        // pure serving.
-        let start = Instant::now();
-        let _ = engine.pivot_ids(&store);
-        let build_ms = start.elapsed().as_secs_f64() * 1e3;
-        let start = Instant::now();
-        let result = engine.range_exact(&query, &store, tau).expect("valid");
-        let query_ms = start.elapsed().as_secs_f64() * 1e3;
-        let _ = writeln!(
-            out,
-            "{pivots:>3} {:>8} {:>8} {:>9} {:>7} {:>15} {:>9} {:>10.2} {:>9.2}",
-            result.matches.len(),
-            result.stats.pruned_pivot,
-            result.stats.filtered,
-            result.stats.accepted_pivot,
-            result.stats.accepted_early,
-            result.stats.verified,
-            build_ms,
-            query_ms
-        );
-    }
-    out
-}
-
 /// One experiment section: name + runner.
 type Section = (&'static str, fn(&ExpConfig) -> String);
 
@@ -955,7 +891,6 @@ pub fn run_all(cfg: &ExpConfig) -> String {
         ("fig20", run_fig20),
         ("fig21", run_fig21),
         ("exact_search", run_exact_search),
-        ("pivot_search", run_pivot_search),
     ];
     let mut out = String::new();
     for (name, f) in sections {

@@ -287,7 +287,7 @@ impl TrainedModels {
         GedEngine::builder(self.registry(k))
             .method(MethodKind::Gedhot)
             .beam_width(k.max(1))
-            .runner(BatchRunner::from_env())
+            .threads(BatchRunner::from_env().threads())
             .build()
             .expect("the full Table-3 registry always builds")
     }

@@ -4,7 +4,7 @@
 //! filter–verify search plan must reproduce exactly.
 //!
 //! The integration suites (`tests/engine.rs`, `tests/store_search.rs`,
-//! `tests/pivot_search.rs`) had accreted copy-pasted store builders and
+//! `tests/sharded_search.rs`) had accreted copy-pasted store builders and
 //! per-file brute-force scans; this crate is their single home. Every
 //! fixture is seeded, so each helper returns bit-identical data on every
 //! call, in every test binary, at any thread count.
@@ -21,16 +21,16 @@
 //!   (`GedQuery::RangeExact` ground truth): every stored graph searched
 //!   directly, ascending id order.
 //!
-//! The approximate oracles take the engine's pivot bounds
-//! ([`ged_core::engine::GedEngine::pivot_bounds`]) as an `Option` so one
-//! oracle covers both the signature-only plan (`None` — the classic
-//! `max(prediction, lb)` refinement) and the pivot plan (`Some` — the
+//! Each oracle takes either store kind (`impl Into<StoreRef>`), exactly
+//! like the engine's shortcuts. The approximate oracles take the
+//! engine's pivot bounds
+//! ([`ged_core::engine::GedEngine::sharded_pivot_bounds`]) as an `Option`
+//! so one oracle covers both the pivot-free plan (`None` — the classic
+//! `max(prediction, lb)` refinement; every flat store, and sharded stores
+//! without synced pivot blocks) and the pivot plan (`Some` — the
 //! two-sided `min(max(prediction, lb), ub)` refinement).
-//!
-//! Every oracle has a `_sharded` twin over [`ged_graph::ShardedStore`]
-//! (taking [`ged_core::engine::GedEngine::sharded_pivot_bounds`] for the
-//! pivot plans), and [`sharded_copy`] builds a sharded replica of a flat
-//! store together with the id translation the comparisons need.
+//! [`sharded_copy`] builds a sharded replica of a flat store together
+//! with the id translation the comparisons need.
 
 #![warn(missing_docs)]
 
@@ -38,7 +38,7 @@ pub mod served;
 pub mod wire;
 
 use ged_baselines::solvers::ClassicSolver;
-use ged_core::engine::{ExactNeighbor, GedEngine, GedEngineBuilder, JoinPair, Neighbor};
+use ged_core::engine::{ExactNeighbor, GedEngine, GedEngineBuilder, JoinPair, Neighbor, StoreRef};
 use ged_core::lower_bound::{degree_sequence_lower_bound, label_set_lower_bound};
 use ged_core::method::MethodKind;
 use ged_core::pairs::GedPair;
@@ -57,7 +57,7 @@ use std::sync::Arc;
 pub const PROPERTY_SEED: u64 = 20_270_101;
 
 /// The engine's per-candidate pivot bounds, as returned by
-/// [`ged_core::engine::GedEngine::pivot_bounds`].
+/// [`ged_core::engine::GedEngine::sharded_pivot_bounds`].
 pub type PivotBounds = BTreeMap<GraphId, (usize, usize)>;
 
 /// 64-bit FNV-1a, the hash the golden-digest tests (`tests/gedgw_golden.rs`,
@@ -266,13 +266,14 @@ pub fn gedgw_classic_engine() -> GedEngine {
 /// clamped into the pivot `[lb, ub]` interval when `pivot` carries one —
 /// and sort by `(ged, id)`.
 #[must_use]
-pub fn brute_force_refined(
-    store: &GraphStore,
+pub fn brute_force_refined<'s>(
+    store: impl Into<StoreRef<'s>>,
     query: &Graph,
     solver: &dyn GedSolver,
     pivot: Option<&PivotBounds>,
 ) -> Vec<Neighbor> {
     let mut all: Vec<Neighbor> = store
+        .into()
         .iter()
         .map(|(id, g)| {
             let pair = GedPair::new(query.clone(), g.clone());
@@ -295,8 +296,8 @@ pub fn brute_force_refined(
 /// [`brute_force_refined`] truncated to the `k` nearest neighbors —
 /// exactly what `GedQuery::TopK` promises (`k` beyond the store clamps).
 #[must_use]
-pub fn brute_top_k(
-    store: &GraphStore,
+pub fn brute_top_k<'s>(
+    store: impl Into<StoreRef<'s>>,
     query: &Graph,
     solver: &dyn GedSolver,
     k: usize,
@@ -310,8 +311,8 @@ pub fn brute_top_k(
 /// [`brute_force_refined`] thresholded at `tau` — exactly what
 /// `GedQuery::Range` promises.
 #[must_use]
-pub fn brute_range(
-    store: &GraphStore,
+pub fn brute_range<'s>(
+    store: impl Into<StoreRef<'s>>,
     query: &Graph,
     solver: &dyn GedSolver,
     tau: f64,
@@ -325,11 +326,16 @@ pub fn brute_range(
 
 /// The brute-force reference for exact range search: the τ-bounded exact
 /// search run against every stored graph, in ascending id order —
-/// exactly what `GedQuery::RangeExact` promises (for any pivot
-/// configuration and any thread count).
+/// exactly what `GedQuery::RangeExact` promises (for any store kind,
+/// bucket width, pivot configuration and thread count).
 #[must_use]
-pub fn brute_range_exact(store: &GraphStore, query: &Graph, tau: usize) -> Vec<ExactNeighbor> {
+pub fn brute_range_exact<'s>(
+    store: impl Into<StoreRef<'s>>,
+    query: &Graph,
+    tau: usize,
+) -> Vec<ExactNeighbor> {
     store
+        .into()
         .iter()
         .filter_map(|(id, g)| bounded_exact_ged(query, g, tau).map(|ged| ExactNeighbor { id, ged }))
         .collect()
@@ -390,40 +396,8 @@ pub fn sharded_copy(
     (sharded, map)
 }
 
-/// [`brute_force_refined`] over a [`ShardedStore`]: identical refinement
-/// (clamp into signature bounds, then into the per-id pivot interval when
-/// `pivot` carries one — pass
-/// [`ged_core::engine::GedEngine::sharded_pivot_bounds`]), identical
-/// `(ged, id)` order. The sharded plans must reproduce this bit for bit.
-#[must_use]
-pub fn brute_force_refined_sharded(
-    store: &ShardedStore,
-    query: &Graph,
-    solver: &dyn GedSolver,
-    pivot: Option<&PivotBounds>,
-) -> Vec<Neighbor> {
-    let mut all: Vec<Neighbor> = store
-        .iter()
-        .map(|(id, g)| {
-            let pair = GedPair::new(query.clone(), g.clone());
-            let mut lb = label_set_lower_bound(query, g).max(degree_sequence_lower_bound(query, g));
-            let mut ub = usize::MAX;
-            if let Some((plb, pub_)) = pivot.and_then(|m| m.get(&id).copied()) {
-                lb = lb.max(plb);
-                ub = pub_;
-            }
-            Neighbor {
-                id,
-                ged: solver.predict(&pair).ged.max(lb as f64).min(ub as f64),
-            }
-        })
-        .collect();
-    all.sort_by(|a, b| a.ged.total_cmp(&b.ged).then(a.id.cmp(&b.id)));
-    all
-}
-
-/// [`brute_force_refined_sharded`] truncated to the `k` nearest —
-/// the sharded-store `top_k` ground truth.
+/// [`brute_top_k`] over a [`ShardedStore`], under the name `perfbench`
+/// calls.
 #[must_use]
 pub fn brute_top_k_sharded(
     store: &ShardedStore,
@@ -432,40 +406,18 @@ pub fn brute_top_k_sharded(
     k: usize,
     pivot: Option<&PivotBounds>,
 ) -> Vec<Neighbor> {
-    let mut all = brute_force_refined_sharded(store, query, solver, pivot);
-    all.truncate(k);
-    all
+    brute_top_k(store, query, solver, k, pivot)
 }
 
-/// [`brute_force_refined_sharded`] thresholded at `tau` — the
-/// sharded-store `range` ground truth.
-#[must_use]
-pub fn brute_range_sharded(
-    store: &ShardedStore,
-    query: &Graph,
-    solver: &dyn GedSolver,
-    tau: f64,
-    pivot: Option<&PivotBounds>,
-) -> Vec<Neighbor> {
-    brute_force_refined_sharded(store, query, solver, pivot)
-        .into_iter()
-        .filter(|n| n.ged <= tau)
-        .collect()
-}
-
-/// The τ-bounded exact scan over a [`ShardedStore`] in globally
-/// ascending id order — the sharded-store `range_exact` ground truth (for any
-/// bucket width, pivot configuration, and thread count).
+/// [`brute_range_exact`] over a [`ShardedStore`], under the name
+/// `perfbench` calls.
 #[must_use]
 pub fn brute_range_exact_sharded(
     store: &ShardedStore,
     query: &Graph,
     tau: usize,
 ) -> Vec<ExactNeighbor> {
-    store
-        .iter()
-        .filter_map(|(id, g)| bounded_exact_ged(query, g, tau).map(|ged| ExactNeighbor { id, ged }))
-        .collect()
+    brute_range_exact(store, query, tau)
 }
 
 /// Asserts two neighbor lists are bit-identical (ids, order, and the
@@ -593,7 +545,7 @@ mod tests {
         }
         // The sharded oracle is the flat oracle under id translation.
         let flat = brute_force_refined(&ds, &query, &GedgwSolver, None);
-        let shard = brute_force_refined_sharded(&sharded, &query, &GedgwSolver, None);
+        let shard = brute_force_refined(&sharded, &query, &GedgwSolver, None);
         let translated: Vec<Neighbor> = flat
             .iter()
             .map(|n| Neighbor {
@@ -605,7 +557,7 @@ mod tests {
         // insertion-ordered), so the (ged, id) sort is unchanged.
         assert_same_neighbors(&shard, &translated, "sharded oracle");
         let exact_flat = brute_range_exact(&ds, &query, 6);
-        let exact_shard = brute_range_exact_sharded(&sharded, &query, 6);
+        let exact_shard = brute_range_exact(&sharded, &query, 6);
         assert_eq!(exact_flat.len(), exact_shard.len());
         for (f, s) in exact_flat.iter().zip(&exact_shard) {
             assert_eq!(map[&f.id], s.id);

@@ -11,6 +11,11 @@
 //!       → upper-bound accepts → τ-bounded exact verification
 //! ```
 //!
+//! The pivot tier reads the pivot blocks of a sharded store synced by
+//! `GedEngine::sync_sharded_pivots`; this example runs pivot-free (the
+//! block, band, signature and dedup tiers do the work here), and
+//! `tests/join.rs` covers the sharded joins with pivots.
+//!
 //! Every tier is exact or admissible, so this example asserts the
 //! contract end-to-end: answers bit-identical to the brute-force nested
 //! loop, strictly fewer verifications than the nested loop performs,
@@ -25,12 +30,11 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 
-fn engine(pivots: usize) -> GedEngine {
+fn engine() -> GedEngine {
     let mut registry = SolverRegistry::new();
     registry.register(MethodKind::Gedgw, Box::new(GedgwSolver));
     GedEngine::builder(registry)
         .threads(2)
-        .pivots(pivots)
         .build()
         .expect("GEDGW is registered")
 }
@@ -72,7 +76,7 @@ fn main() {
 
     // The flat self-join plan: identical answer, closed accounting,
     // strictly fewer verifications than the nested loop's `n·(n−1)/2`.
-    let e = engine(3);
+    let e = engine();
     let flat = e.self_join(&store, tau as f64).expect("valid join");
     assert_eq!(flat.pairs, oracle, "bit-identical to the nested loop");
     assert!(
@@ -98,7 +102,6 @@ fn main() {
     for (flat_id, graph) in wide.iter() {
         twin.insert(flat_id, sharded.insert(graph.clone()));
     }
-    e.sync_sharded_pivots(&mut sharded);
     let wide_flat = e.self_join(&wide, tau as f64).expect("valid join");
     let shrd = e.self_join(&sharded, tau as f64).expect("valid join");
     assert_eq!(shrd.pairs.len(), wide_flat.pairs.len());

@@ -5,15 +5,15 @@
 //!   most GEDGW's estimate plus `branch_slack`, at most GEDGW's objective
 //!   at its uniform start, and symmetric in its arguments;
 //! * plans: `TopK` and `Range` with the tier equal the brute-force
-//!   oracles bit for bit (flat and sharded, 1 and 4 threads, with and
-//!   without pivots), their stats do not depend on the thread count, and
-//!   the tier only moves candidates from `verified` to `pruned_branch`;
+//!   oracles bit for bit (flat and sharded, 1 and 4 threads, and on the
+//!   sharded store with and without pivots), their stats do not depend on
+//!   the thread count, and the tier only moves candidates from `verified`
+//!   to `pruned_branch`;
 //! * only solvers that declare `respects_branch_bound` prune through it.
 
 use ged_testkit::{
-    aids_store, assert_same_neighbors as assert_same, brute_force_refined,
-    brute_force_refined_sharded, counting_engine_builder, engine_builder, external_query,
-    linux_store, rng, sharded_copy,
+    aids_store, assert_same_neighbors as assert_same, brute_force_refined, counting_engine_builder,
+    engine_builder, external_query, linux_store, rng, sharded_copy,
 };
 use ot_ged::core::lower_bound::{branch_lower_bound, branch_lower_bound_in, branch_slack};
 use ot_ged::core::solver::GediotSolver;
@@ -165,49 +165,46 @@ fn plans_with_the_branch_tier_equal_the_oracles_at_any_thread_count() {
             let mut sharded = sharded.clone();
             engines[0].sync_sharded_pivots(&mut sharded);
             for (qi, query) in queries(&store, 0xB0A3).iter().enumerate() {
-                let flat_bounds = engines[0].pivot_bounds(query, &store);
-                let shard_bounds = engines[0].sharded_pivot_bounds(query, &sharded);
-                let flat = brute_force_refined(&store, query, &GedgwSolver, flat_bounds.as_ref());
-                let shrd = brute_force_refined_sharded(
-                    &sharded,
-                    query,
-                    &GedgwSolver,
-                    shard_bounds.as_ref(),
-                );
-                for k in [1usize, 5, 13] {
-                    let ctx = format!("{tag}/pivots={pivots}/q{qi}/k={k}");
-                    let got: Vec<_> = engines
-                        .iter()
-                        .map(|e| {
-                            let f = e.top_k(query, &store, k).expect("top-k");
-                            let s = e.top_k(query, &sharded, k).expect("top-k");
-                            assert_same(&f.neighbors, &flat[..k], &format!("{ctx}/flat"));
-                            assert_same(&s.neighbors, &shrd[..k], &format!("{ctx}/sharded"));
-                            (f.stats, s.stats)
-                        })
-                        .collect();
-                    assert_eq!(got[0], got[1], "{ctx}: stats at 1 and 4 threads");
-                    for st in [got[0].0, got[0].1] {
+                // Flat stores run pivot-free, so they join the sweep only
+                // at pivots = 0; the sharded copy runs both.
+                let mut targets: Vec<(StoreRef<'_>, _, &str)> = vec![(
+                    (&sharded).into(),
+                    engines[0].sharded_pivot_bounds(query, &sharded),
+                    "sharded",
+                )];
+                if pivots == 0 {
+                    targets.push(((&store).into(), None, "flat"));
+                }
+                for (target, bounds, kind) in targets {
+                    let brute = brute_force_refined(target, query, &GedgwSolver, bounds.as_ref());
+                    for k in [1usize, 5, 13] {
+                        let ctx = format!("{tag}/{kind}/pivots={pivots}/q{qi}/k={k}");
+                        let stats: Vec<SearchStats> = engines
+                            .iter()
+                            .map(|e| {
+                                let got = e.top_k(query, target, k).expect("top-k");
+                                assert_same(&got.neighbors, &brute[..k], &ctx);
+                                got.stats
+                            })
+                            .collect();
+                        assert_eq!(stats[0], stats[1], "{ctx}: stats at 1 and 4 threads");
+                        let st = stats[0];
                         assert_eq!(st.pruned() + st.verified, st.candidates, "{ctx}");
                         fired += st.pruned_branch;
                     }
-                }
-                for tau in [flat[2].ged, flat[flat.len() / 4].ged] {
-                    let ctx = format!("{tag}/pivots={pivots}/q{qi}/tau={tau}");
-                    let want: Vec<_> = flat.iter().copied().filter(|n| n.ged <= tau).collect();
-                    let want_s: Vec<_> = shrd.iter().copied().filter(|n| n.ged <= tau).collect();
-                    let got: Vec<_> = engines
-                        .iter()
-                        .map(|e| {
-                            let f = e.range(query, &store, tau).expect("range");
-                            let s = e.range(query, &sharded, tau).expect("range");
-                            assert_same(&f.neighbors, &want, &format!("{ctx}/flat"));
-                            assert_same(&s.neighbors, &want_s, &format!("{ctx}/sharded"));
-                            (f.stats, s.stats)
-                        })
-                        .collect();
-                    assert_eq!(got[0], got[1], "{ctx}: stats at 1 and 4 threads");
-                    for st in [got[0].0, got[0].1] {
+                    for tau in [brute[2].ged, brute[brute.len() / 4].ged] {
+                        let ctx = format!("{tag}/{kind}/pivots={pivots}/q{qi}/tau={tau}");
+                        let want: Vec<_> = brute.iter().copied().filter(|n| n.ged <= tau).collect();
+                        let stats: Vec<SearchStats> = engines
+                            .iter()
+                            .map(|e| {
+                                let got = e.range(query, target, tau).expect("range");
+                                assert_same(&got.neighbors, &want, &ctx);
+                                got.stats
+                            })
+                            .collect();
+                        assert_eq!(stats[0], stats[1], "{ctx}: stats at 1 and 4 threads");
+                        let st = stats[0];
                         assert_eq!(st.pruned() + st.verified, st.candidates, "{ctx}");
                         fired += st.pruned_branch;
                     }

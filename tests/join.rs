@@ -2,7 +2,9 @@
 //! must reproduce a brute-force nested loop over
 //! [`bounded_exact_ged`] bit for bit, for every store kind, pivot
 //! configuration, and thread count — the join tiers are
-//! all exact or admissible, so no knob may change the answer.
+//! all exact or admissible, so no knob may change the answer. Pivots
+//! live in the shards of a sharded store, so the pivot axes run on
+//! [`ged_testkit::sharded_copy`] stores; flat stores run pivot-free.
 //!
 //! * self-join ≡ [`ged_testkit::brute_self_join`] and cross-store join
 //!   ≡ [`ged_testkit::brute_join`] on the AIDS-like and LINUX-like
@@ -107,15 +109,10 @@ fn self_join_matches_brute_force_all_pairs() {
         for tau in TAUS {
             let oracle = brute_self_join(store, tau);
             for threads in [1, 4] {
-                for pivots in [0, 3] {
-                    let ctx = format!(
-                        "{}/tau={tau}/threads={threads}/pivots={pivots}",
-                        dataset.kind.name()
-                    );
-                    let e = engine(threads, pivots);
-                    let got = e.self_join(store, tau as f64).expect("valid join");
-                    assert_join(&got, &oracle, total, &ctx);
-                }
+                let ctx = format!("{}/tau={tau}/threads={threads}", dataset.kind.name());
+                let e = engine(threads, 0);
+                let got = e.self_join(store, tau as f64).expect("valid join");
+                assert_join(&got, &oracle, total, &ctx);
             }
         }
     }
@@ -157,14 +154,16 @@ fn cross_join_matches_nested_loop_oracle() {
     for tau in TAUS {
         let oracle = brute_join(&left, &right, tau);
         for threads in [1, 4] {
+            let ctx = format!("cross/tau={tau}/threads={threads}");
+            let got = engine(threads, 0)
+                .join(&left, &right, tau as f64)
+                .expect("valid join");
+            assert_join(&got, &oracle, total, &ctx);
             for pivots in [0, 3] {
-                let ctx = format!("cross/tau={tau}/threads={threads}/pivots={pivots}");
-                let e = engine(threads, pivots);
-                let got = e.join(&left, &right, tau as f64).expect("valid join");
-                assert_join(&got, &oracle, total, &ctx);
-
                 // The flat query batch against a sharded corpus answers
-                // identically, modulo the copy's fresh ids.
+                // identically, modulo the copy's fresh ids, with and
+                // without the corpus shards' pivot blocks.
+                let e = engine(threads, pivots);
                 let (mut sharded, map) = sharded_copy(&right, 4);
                 if pivots > 0 {
                     e.sync_sharded_pivots(&mut sharded);
@@ -176,7 +175,7 @@ fn cross_join_matches_nested_loop_oracle() {
                     &shrd,
                     &translate_right(&oracle, &map),
                     total,
-                    &format!("{ctx}/sharded"),
+                    &format!("{ctx}/sharded/pivots={pivots}"),
                 );
             }
         }
@@ -238,16 +237,23 @@ fn infinite_tau_degrades_to_the_full_join_with_exact_distances() {
         n * (n - 1) / 2,
         "τ = +∞ keeps every pair, each with its exact distance"
     );
-    for pivots in [0, 3] {
-        let e = engine(2, pivots);
-        let got = e.self_join(&store, f64::INFINITY).expect("valid join");
-        assert_join(
-            &got,
-            &oracle,
-            n * (n - 1) / 2,
-            &format!("inf/pivots={pivots}"),
-        );
-    }
+    let got = engine(2, 0)
+        .self_join(&store, f64::INFINITY)
+        .expect("valid join");
+    assert_join(&got, &oracle, n * (n - 1) / 2, "inf/flat");
+
+    // The pivot tables are finite, so at τ = ∞ their upper bounds
+    // certify every pair — through real bounds, never the vacuous one.
+    let (mut sharded, map) = sharded_copy(&store, 4);
+    let e = engine(2, 3);
+    e.sync_sharded_pivots(&mut sharded);
+    let got = e.self_join(&sharded, f64::INFINITY).expect("valid join");
+    assert_join(
+        &got,
+        &translate(&oracle, &map),
+        n * (n - 1) / 2,
+        "inf/sharded/pivots=3",
+    );
 }
 
 #[test]
@@ -326,7 +332,23 @@ fn stats_close_and_matches_stay_sound_under_a_strangled_budget() {
                 .verify_budget(budget)
                 .build()
                 .expect("valid configuration");
-            let got = e.self_join(&store, tau as f64).expect("valid join");
+            // Flat stores run pivot-free; the pivoted run goes over a
+            // sharded copy, answering in the flat ids through `back`.
+            let got = if pivots == 0 {
+                e.self_join(&store, tau as f64).expect("valid join")
+            } else {
+                let (mut sharded, map) = sharded_copy(&store, 4);
+                e.sync_sharded_pivots(&mut sharded);
+                let back: BTreeMap<GraphId, GraphId> = map.iter().map(|(&f, &s)| (s, f)).collect();
+                let mut got = e.self_join(&sharded, tau as f64).expect("valid join");
+                for p in &mut got.pairs {
+                    (p.a, p.b) = (back[&p.a], back[&p.b]);
+                }
+                for u in &mut got.budget_exhausted {
+                    (u.a, u.b) = (back[&u.a], back[&u.b]);
+                }
+                got
+            };
 
             // Accounting closes whatever the budget strangles.
             assert_eq!(
