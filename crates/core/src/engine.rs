@@ -1903,7 +1903,7 @@ mod tests {
         // saturates to usize::MAX — accepted_pivot stayed "certifying"
         // the whole store and the exact-distance recovery ran bounded by
         // usize::MAX instead of the tight GEDGW upper bound. The pivoted
-        // half lives in `tests/sharded_search.rs`.
+        // half lives in `tests/pivot_search.rs`.
         let engine = gedgw_engine();
         let ds = small_dataset(12, 64);
         let query = ds.graphs().next().unwrap().clone();

@@ -46,7 +46,7 @@ use ged_core::search::bounded_exact_ged;
 use ged_core::solver::{
     GedEstimate, GedSolver, GedgwSolver, PathEstimate, SolverRegistry, SolverScratch,
 };
-use ged_graph::{Graph, GraphDataset, GraphId, GraphStore, ShardedStore};
+use ged_graph::{Graph, GraphDataset, GraphId, GraphSignature, GraphStore, Shard, ShardedStore};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -394,6 +394,26 @@ pub fn sharded_copy(
         .map(|(flat_id, g)| (flat_id, sharded.insert(g.clone())))
         .collect();
     (sharded, map)
+}
+
+/// The query-to-pivot distances a sharded plan at threshold `tau` must
+/// compute: a shard costs its pivot count when its signature bound
+/// leaves it standing, nothing when that bound alone prunes it or when
+/// `own` (the bucket of the shard holding a graph equal to the query)
+/// reuses its row.
+#[must_use]
+pub fn expected_pivot_distances(
+    sharded: &ShardedStore,
+    query: &Graph,
+    tau: usize,
+    own: Option<usize>,
+) -> usize {
+    let qsig = GraphSignature::of(query);
+    sharded
+        .shards()
+        .filter(|s| Some(s.bucket()) != own && s.signature_lower_bound(&qsig) <= tau)
+        .map(Shard::pivot_query_cost)
+        .sum()
 }
 
 /// [`brute_top_k`] over a [`ShardedStore`], under the name `perfbench`
