@@ -20,6 +20,7 @@ use ged_core::kbest::kbest_edit_path;
 use ged_core::lower_bound::branch_lower_bound_in;
 use ged_core::method::MethodKind;
 use ged_core::pairs::GedPair;
+use ged_core::search::pivot_distance_in;
 use ged_core::solver::{BatchRunner, GedgwSolver, SolverRegistry};
 use ged_core::GedWorkspace;
 use ged_graph::{generate, Graph, GraphDataset, ShardedStore};
@@ -206,6 +207,22 @@ fn kernels_suite(smoke: bool) -> Vec<Measurement> {
             let p = &pairs[next % pairs.len()];
             next += 1;
             black_box(branch_lower_bound_in(&p.g1, &p.g2, &mut ws));
+        },
+    ));
+
+    // The pivot-table oracle on the same pairs, per pair, through one
+    // workspace as a pivot sync runs it: the GEDGW upper bound, then the
+    // exact A* bounded by it (unlimited budget).
+    let mut ws = GedWorkspace::new();
+    let mut next = 0;
+    out.push(measure(
+        "pivot_distance",
+        format!("pairs={pairs_n},dataset=aids_like,budget=unlimited,workspace"),
+        pairs_n,
+        || {
+            let p = &pairs[next % pairs.len()];
+            next += 1;
+            black_box(pivot_distance_in(&p.g1, &p.g2, usize::MAX, &mut ws));
         },
     ));
 

@@ -73,8 +73,9 @@
 //!
 //! [`GedQuery::RangeExact`] is the τ-**exact** variant of `Range`: every
 //! stored graph whose *true* GED to the query is `≤ τ`, with exact
-//! distances, through the paper's three-tier filter–prune–verify plan
-//! (Section 2; [`crate::search`] describes the tiers). No solver is
+//! distances, through the paper's filter–prune–verify plan (Section 2)
+//! with a branch tier between filter and prune ([`crate::search`]
+//! describes the tiers and the exact search's bound). No solver is
 //! consulted: every tier is exact or admissible, so the answer is
 //! **provably** equal to running [`crate::search::bounded_exact_ged`]
 //! against every stored graph, whatever the method, thread count or
@@ -902,6 +903,12 @@ impl GedEngineBuilder {
     /// budget surface per-id in [`RangeExactResult::budget_exhausted`]
     /// instead of failing the query. The default (`usize::MAX`) is
     /// unlimited; must be ≥ 1 at [`Self::build`] time.
+    ///
+    /// The cap counts the states the A\* expands (see
+    /// [`crate::search::bounded_exact_ged_with_budget`]). Its anchored
+    /// LSAP bound makes a search expand far fewer states than a weaker
+    /// bound would, so a given cap decides more candidates; a decided
+    /// answer is exact at any cap, so no decided answer depends on it.
     #[must_use]
     pub fn verify_budget(mut self, budget: usize) -> Self {
         self.verify_budget = budget;

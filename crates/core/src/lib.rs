@@ -63,8 +63,9 @@ pub use gedgw::{Gedgw, GedgwOptions, GedgwResult};
 pub use gediot::{Gediot, GediotConfig, GediotPrediction};
 pub use kbest::{kbest_edit_path, kbest_edit_path_in, KBestResult};
 pub use lower_bound::{
-    branch_lower_bound, branch_lower_bound_in, branch_slack, degree_sequence_lower_bound,
-    degree_sequence_lower_bound_sig, label_set_lower_bound, label_set_lower_bound_sig,
+    branch_lower_bound, branch_lower_bound_in, branch_slack, completion_lower_bound,
+    degree_sequence_lower_bound, degree_sequence_lower_bound_sig, label_set_lower_bound,
+    label_set_lower_bound_sig,
 };
 pub use method::MethodKind;
 pub use pairs::{ordered, GedPair};

@@ -41,12 +41,16 @@
 //! estimate being GEDGW's objective, which is why only solvers that
 //! declare [`crate::solver::GedSolver::respects_branch_bound`] prune
 //! through it: a learned or ensembled estimate can lie below it.
+//!
+//! As a bound on GED it is the root case of [`completion_lower_bound`],
+//! the exact search's bound on completing a partial node mapping
+//! ([`crate::search`] gives the admissibility argument).
 
 use crate::gedgw::GedgwOptions;
 use crate::pairs::ordered;
-use crate::workspace::GedWorkspace;
-use ged_graph::{Graph, GraphSignature, Label};
-use ged_linalg::lsap_min_into;
+use crate::workspace::{reset, GedWorkspace};
+use ged_graph::{CsrView, Graph, GraphSignature, Label};
+use ged_linalg::{lsap_min_into, LsapWorkspace, Matrix};
 
 /// Surplus counts of two sorted multisets: `(|A \ B|, |B \ A|)`, via one
 /// merge pass. Shared with the allocation-free bound evaluation inside
@@ -162,26 +166,176 @@ pub fn branch_lower_bound(g1: &Graph, g2: &Graph) -> f64 {
 #[must_use]
 pub fn branch_lower_bound_in(g1: &Graph, g2: &Graph, ws: &mut GedWorkspace) -> f64 {
     let (a, b, _) = ordered(g1, g2);
-    let n = b.num_nodes();
     let GedWorkspace {
-        ot, m, csr1, csr2, ..
+        ot,
+        m,
+        csr1,
+        csr2,
+        anchored,
+        ..
     } = ws;
     csr1.rebuild_from(a);
     csr2.rebuild_from(b);
-    m.resize_zeroed(n, n);
-    for i in 0..n {
-        // Dummy rows of the padded G1 carry no label and no edge.
-        let (li, di) = match csr1.labels().get(i) {
-            Some(&l) => (Some(l), csr1.degree(i as u32)),
-            None => (None, 0),
+    anchored_lower_bound(csr1, csr2, &[], anchored, m, &mut ot.lsap)
+}
+
+/// The exact search's bound at one of its states (see [`crate::search`]):
+/// a lower bound on what completing `mapping` can still cost, where
+/// `mapping[w]` is the `g2` node `g1`'s node `w` maps to, for `g1`'s first
+/// `mapping.len()` nodes. The cost already incurred among mapped nodes
+/// is not included. With an empty mapping this is
+/// [`branch_lower_bound`] of the (ordered) pair.
+///
+/// # Panics
+/// If `g1` has more nodes than `g2`, or `mapping` is longer than `g1`,
+/// repeats a node or names one `g2` does not have.
+#[must_use]
+pub fn completion_lower_bound(g1: &Graph, g2: &Graph, mapping: &[u32]) -> f64 {
+    let (n1, n2) = (g1.num_nodes(), g2.num_nodes());
+    assert!(
+        n1 <= n2 && mapping.len() <= n1,
+        "needs |V1| ≤ |V2| and a prefix of V1"
+    );
+    let mut seen = vec![false; n2];
+    for &v in mapping {
+        assert!(
+            !std::mem::replace(&mut seen[v as usize], true),
+            "mapping repeats {v}"
+        );
+    }
+    let mut ws = GedWorkspace::new();
+    let GedWorkspace {
+        ot,
+        m,
+        csr1,
+        csr2,
+        anchored,
+        ..
+    } = &mut ws;
+    csr1.rebuild_from(g1);
+    csr2.rebuild_from(g2);
+    anchored_lower_bound(csr1, csr2, mapping, anchored, m, &mut ot.lsap)
+}
+
+/// Scratch of [`anchored_lower_bound`], indexed by `G2` node (`col`,
+/// `mapped`) or by cost-matrix column (the rest).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct AnchoredScratch {
+    /// Whether a `G2` node is an image of the partial mapping.
+    mapped: Vec<bool>,
+    /// The column of an unmapped `G2` node.
+    col: Vec<u32>,
+    /// The label of each column's node (the unmapped `G2` nodes,
+    /// ascending).
+    labels2: Vec<Label>,
+    /// Edges from a column's node to mapped images.
+    anchored2: Vec<usize>,
+    /// Edges from a column's node to other unmapped nodes.
+    rest2: Vec<usize>,
+    /// Per row: mapped `G1` neighbors of the row's node whose images are
+    /// `G2` neighbors of the column's node.
+    common: Vec<usize>,
+}
+
+/// The anchored LSAP bound on the cost of completing a partial node
+/// mapping (see [`crate::search`] for the admissibility argument): `G1`
+/// (the smaller graph, read through `csr1`) has its first `d =
+/// mapping.len()` nodes mapped, node `w` to `mapping[w]`. Fills `m` with
+/// the square cost matrix over (unmapped `G1` nodes, then dummy rows) ×
+/// (unmapped `G2` nodes, ascending),
+///
+/// ```text
+/// c(u, v)     = [l(u) ≠ l(v)] + Σ_{w<d} [A1(u, w) ≠ A2(v, mapping[w])] + ½|r1(u) − r2(v)|
+/// c(dummy, v) = 1 + #edges(v, mapped images) + ½ r2(v)
+/// ```
+///
+/// (`r` counts edges to unmapped nodes), and returns its LSAP optimum.
+/// Every entry is a multiple of ½, so the value is exact. At `d = 0` this
+/// is [`branch_lower_bound`]'s matrix, entry for entry.
+pub(crate) fn anchored_lower_bound(
+    csr1: &CsrView,
+    csr2: &CsrView,
+    mapping: &[u32],
+    s: &mut AnchoredScratch,
+    m: &mut Matrix,
+    lsap: &mut LsapWorkspace,
+) -> f64 {
+    let (n1, n2, d) = (csr1.num_nodes(), csr2.num_nodes(), mapping.len());
+    debug_assert!(d <= n1 && n1 <= n2);
+    reset(&mut s.mapped, n2, false);
+    for &v in mapping {
+        s.mapped[v as usize] = true;
+    }
+    reset(&mut s.col, n2, u32::MAX);
+    s.labels2.clear();
+    s.anchored2.clear();
+    s.rest2.clear();
+    for v in 0..n2 as u32 {
+        if s.mapped[v as usize] {
+            continue;
+        }
+        s.col[v as usize] = s.labels2.len() as u32;
+        s.labels2.push(csr2.label(v));
+        let to_mapped = if d == 0 {
+            0
+        } else {
+            (csr2.neighbors(v).iter())
+                .filter(|&&x| s.mapped[x as usize])
+                .count()
         };
+        s.anchored2.push(to_mapped);
+        s.rest2.push(csr2.degree(v) - to_mapped);
+    }
+    let c = n2 - d;
+    m.resize_zeroed(c, c);
+    for (i, u) in (d as u32..n1 as u32).enumerate() {
+        // Neighbor lists are sorted, so the mapped ones (`w < d`) lead.
+        let neighbors = csr1.neighbors(u);
+        let anchored1 = neighbors.partition_point(|&w| (w as usize) < d);
+        let rest1 = neighbors.len() - anchored1;
+        let lu = csr1.label(u);
         let row = m.row_mut(i);
-        for (k, &lk) in csr2.labels().iter().enumerate() {
-            let relabel = if li == Some(lk) { 0.0 } else { 1.0 };
-            row[k] = relabel + 0.5 * di.abs_diff(csr2.degree(k as u32)) as f64;
+        if anchored1 == 0 {
+            // No edge to a mapped node on this side: every anchored edge
+            // of the column's node is a mismatch. (Every row at the root;
+            // the shortcut keeps the branch tier's bound as cheap as a
+            // plain fill.)
+            for (j, &l2) in s.labels2.iter().enumerate() {
+                let fixed = usize::from(lu != l2) + s.anchored2[j];
+                row[j] = fixed as f64 + 0.5 * rest1.abs_diff(s.rest2[j]) as f64;
+            }
+            continue;
+        }
+        reset(&mut s.common, c, 0);
+        for &w in &neighbors[..anchored1] {
+            for &x in csr2.neighbors(mapping[w as usize]) {
+                let j = s.col[x as usize];
+                if j != u32::MAX {
+                    s.common[j as usize] += 1;
+                }
+            }
+        }
+        for (j, &l2) in s.labels2.iter().enumerate() {
+            // Anchored mismatches: edges to mapped nodes on either side,
+            // minus the ones both sides keep.
+            let fixed = usize::from(lu != l2) + anchored1 + s.anchored2[j] - 2 * s.common[j];
+            row[j] = fixed as f64 + 0.5 * rest1.abs_diff(s.rest2[j]) as f64;
         }
     }
-    lsap_min_into(m, &mut ot.lsap)
+    for i in (n1 - d)..c {
+        // Dummy rows: the column's node is inserted with all its edges.
+        let inserted = s.anchored2.iter().zip(&s.rest2);
+        for (x, (&anchored2, &rest2)) in m.row_mut(i).iter_mut().zip(inserted) {
+            *x = (1 + anchored2) as f64 + 0.5 * rest2 as f64;
+        }
+    }
+    lsap_min_into(m, lsap)
+}
+
+/// [`anchored_lower_bound`] as a bound on an integral cost: its ceiling,
+/// with a margin far below the ½ steps the value moves in.
+pub(crate) fn ceil_bound(lsap: f64) -> usize {
+    (lsap - 1e-9).ceil() as usize
 }
 
 /// How far below [`branch_lower_bound`] rounding alone can put a

@@ -769,7 +769,8 @@ impl GedEngine {
                 | crate::search::CandidateOutcome::Verified { ged } => {
                     matches.push(ExactNeighbor { id: s.id, ged });
                 }
-                crate::search::CandidateOutcome::Rejected => {}
+                crate::search::CandidateOutcome::PrunedByBranch
+                | crate::search::CandidateOutcome::Rejected => {}
                 crate::search::CandidateOutcome::BudgetExhausted { accepted_ub } => {
                     budget_exhausted.push(UndecidedCandidate {
                         id: s.id,
@@ -1133,7 +1134,7 @@ impl GedEngine {
                         ged,
                     });
                 }
-                CandidateOutcome::Rejected => {}
+                CandidateOutcome::PrunedByBranch | CandidateOutcome::Rejected => {}
                 CandidateOutcome::BudgetExhausted { accepted_ub } => {
                     budget_exhausted.push(UndecidedPair {
                         a: s.a,

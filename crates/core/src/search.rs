@@ -7,9 +7,12 @@
 //!
 //! 1. **filter** — cheap lower bounds (label-set, degree-sequence) discard
 //!    candidates whose bound already exceeds `τ`;
-//! 2. **prune** — a fast feasible upper bound (best-matching rounding of a
+//! 2. **branch** — the exact search's own root bound (one LSAP, below)
+//!    discards candidates whose bound exceeds `τ` before any upper bound
+//!    is computed;
+//! 3. **prune** — a fast feasible upper bound (best-matching rounding of a
 //!    GEDGW coupling) *accepts* candidates whose upper bound is `≤ τ`;
-//! 3. **verify** — the surviving candidates run a τ-bounded exact A\*
+//! 4. **verify** — the surviving candidates run a τ-bounded exact A\*
 //!    that aborts as soon as the optimum provably exceeds `τ`.
 //!
 //! Setting `τ = ∞` degrades to exact GED computation, exactly as the paper
@@ -28,19 +31,64 @@
 //! τ-bounded search, then recovers the exact distance with a search
 //! bounded by the (tighter) feasible bound itself.
 //!
+//! # The exact search and its bound
+//!
+//! [`bounded_exact_ged`] is A\* over node maps of the smaller graph `G1`
+//! into `G2`. Under uniform costs with `|V1| ≤ |V2|` some optimal edit
+//! path deletes no `G1` node, so every `G1` node is substituted. A state
+//! maps `G1`'s first `d` nodes by `φ`; its cost `g` counts their relabels
+//! and the edge mismatches among them. A complete map adds the insertion
+//! of every unmapped `G2` node and of every `G2` edge touching one.
+//!
+//! The bound on the rest is the anchored LSAP bound
+//! ([`crate::lower_bound::completion_lower_bound`]). Let `U1` and `U2` be
+//! the unmapped nodes, `r1(u)` and `r2(v)` a node's edges into them, and
+//! pad `U1` with dummy rows up to `|U2|`. A completion is a bijection `ψ`
+//! of the padded `U1` onto `U2` (a dummy row's node is inserted). For each
+//! `u ↦ v` it pays:
+//!
+//! * the relabel `[l(u) ≠ l(v)]`; a dummy row pays the insertion, 1;
+//! * the edges to mapped nodes, which `φ` already fixes:
+//!   `Σ_{w<d} [A1(u, w) ≠ A2(v, φ(w))]`; a dummy row pays every edge
+//!   from `v` to a mapped image;
+//! * a share of the edges among unmapped nodes. Those cost
+//!   `|E(U1)| + |E(U2)| − 2·kept`, with `Σ r1 = 2|E(U1)|`,
+//!   `Σ r2 = 2|E(U2)|`, and `u ↦ v` keeping at most `min(r1(u), r2(v))`
+//!   of its edges, so they cost at least
+//!   `Σ ½(r1(u) + r2(v)) − min(r1(u), r2(v)) = Σ ½|r1(u) − r2(v)|`; a
+//!   dummy row pays `½ r2(v)`.
+//!
+//! So every completion costs at least the sum of these pair costs over
+//! its assignment, hence at least their LSAP optimum: the bound never
+//! overestimates. Every pair cost is a multiple of ½, so the LSAP is exact
+//! and its ceiling still bounds the integral cost. At `d = 0` it is the
+//! branch bound ([`crate::lower_bound::branch_lower_bound`]); at
+//! `d = |V1|` it is the exact closing cost. With an admissible bound, A\*
+//! pops a complete map only at the optimum, and a state whose
+//! `g + bound` exceeds `τ` has no completion within `τ`, so dropping it
+//! loses no answer.
+//!
+//! The LSAP bound dominates the label-multiset and edge-count bounds (its
+//! node part is at least the label surplus, its edge part at least the
+//! edge-count gap); those stay as free pre-filters. A child enters the
+//! open list under its parent's bound, which every completion of the
+//! child also respects, and gets its own LSAP bound only when it reaches
+//! the front; if that raises its key, it goes back. The search thus
+//! solves one LSAP per state it reaches, not per state it generates.
+//!
 //! [`label_set_lower_bound`]: crate::lower_bound::label_set_lower_bound
 //! [`degree_sequence_lower_bound`]: crate::lower_bound::degree_sequence_lower_bound
 
 use crate::gedgw::Gedgw;
 use crate::lower_bound::{
-    degree_sequence_lower_bound, label_set_lower_bound, sorted_multiset_surplus,
+    anchored_lower_bound, branch_lower_bound_in, ceil_bound, degree_sequence_lower_bound,
+    label_set_lower_bound, sorted_multiset_surplus,
 };
 use crate::pairs::ordered;
 use crate::workspace::{reset, GedWorkspace};
 use ged_graph::{CsrView, Graph, NodeMapping, PivotDistance};
 use ged_linalg::lsap_min_in;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Statistics of the τ-exact filter–prune–verify pipeline (how much work
@@ -65,6 +113,10 @@ pub struct ExactSearchStats {
     pub pruned_pivot: usize,
     /// Candidates discarded by the signature lower bounds.
     pub filtered: usize,
+    /// Candidates discarded by the branch bound (the exact search's root
+    /// bound, [`crate::lower_bound::branch_lower_bound`]) before their
+    /// GEDGW upper bound was computed.
+    pub pruned_branch: usize,
     /// Candidates whose membership their shard's pivot-block upper bound
     /// (`d(q,p) + d(p,g) ≤ τ`) certified before the GEDGW upper bound ran
     /// (the exact distance is then recovered by a search bounded by that
@@ -97,6 +149,7 @@ impl ExactSearchStats {
         self.pruned_shard
             + self.pruned_pivot
             + self.filtered
+            + self.pruned_branch
             + self.accepted_pivot
             + self.accepted_early
             + self.verified
@@ -109,6 +162,7 @@ impl ExactSearchStats {
     /// as `verified`: the candidate consumed a bounded exact search.)
     pub fn record(&mut self, outcome: &CandidateOutcome) {
         match outcome {
+            CandidateOutcome::PrunedByBranch => self.pruned_branch += 1,
             CandidateOutcome::AcceptedByPivot { .. } => self.accepted_pivot += 1,
             CandidateOutcome::AcceptedEarly { .. } => self.accepted_early += 1,
             CandidateOutcome::Verified { .. } | CandidateOutcome::Rejected => self.verified += 1,
@@ -119,17 +173,18 @@ impl ExactSearchStats {
 
 impl fmt::Display for ExactSearchStats {
     /// One-line tier breakdown, filter order left to right:
-    /// `shard=.. pivot=.. filtered=.. accept_pivot=.. accept_ub=..
-    /// verified=.. budget=.. total=.. pivot_distances=..`.
+    /// `shard=.. pivot=.. filtered=.. accept_pivot=.. branch=..
+    /// accept_ub=.. verified=.. budget=.. total=.. pivot_distances=..`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "shard={} pivot={} filtered={} accept_pivot={} accept_ub={} verified={} budget={} \
-             total={} pivot_distances={}",
+            "shard={} pivot={} filtered={} accept_pivot={} branch={} accept_ub={} verified={} \
+             budget={} total={} pivot_distances={}",
             self.pruned_shard,
             self.pruned_pivot,
             self.filtered,
             self.accepted_pivot,
+            self.pruned_branch,
             self.accepted_early,
             self.verified,
             self.budget_exceeded,
@@ -175,6 +230,10 @@ pub struct JoinStats {
     /// by a search bounded by that certificate). Always zero wherever
     /// [`JoinStats::pruned_pivot`] is.
     pub accepted_pivot: usize,
+    /// Pairs discarded by the branch bound (the exact search's root
+    /// bound, [`crate::lower_bound::branch_lower_bound`]) before their
+    /// GEDGW upper bound was computed.
+    pub pruned_branch: usize,
     /// Pairs accepted by the GEDGW feasible upper bound.
     pub accepted_early: usize,
     /// Pairs that required bounded exact verification (including pairs
@@ -197,6 +256,7 @@ impl JoinStats {
             + self.pruned_pivot
             + self.cache_hits
             + self.accepted_pivot
+            + self.pruned_branch
             + self.accepted_early
             + self.verified
             + self.budget_exceeded
@@ -208,6 +268,7 @@ impl JoinStats {
     /// counts as `verified`: the pair consumed a bounded exact search.)
     pub fn record(&mut self, outcome: &CandidateOutcome) {
         match outcome {
+            CandidateOutcome::PrunedByBranch => self.pruned_branch += 1,
             CandidateOutcome::AcceptedByPivot { .. } => self.accepted_pivot += 1,
             CandidateOutcome::AcceptedEarly { .. } => self.accepted_early += 1,
             CandidateOutcome::Verified { .. } | CandidateOutcome::Rejected => self.verified += 1,
@@ -219,18 +280,19 @@ impl JoinStats {
 impl fmt::Display for JoinStats {
     /// One-line tier breakdown, filter order left to right:
     /// `block=.. band=.. filtered=.. pivot=.. cache=.. accept_pivot=..
-    /// accept_ub=.. verified=.. budget=.. total=..`.
+    /// branch=.. accept_ub=.. verified=.. budget=.. total=..`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "block={} band={} filtered={} pivot={} cache={} accept_pivot={} accept_ub={} \
-             verified={} budget={} total={}",
+            "block={} band={} filtered={} pivot={} cache={} accept_pivot={} branch={} \
+             accept_ub={} verified={} budget={} total={}",
             self.pruned_block,
             self.pruned_band,
             self.filtered,
             self.pruned_pivot,
             self.cache_hits,
             self.accepted_pivot,
+            self.pruned_branch,
             self.accepted_early,
             self.verified,
             self.budget_exceeded,
@@ -256,11 +318,13 @@ pub enum BoundedSearch {
 }
 
 /// τ-bounded exact GED: returns `Some(ged)` if `GED(g1,g2) <= tau`, `None`
-/// otherwise. A* with the admissible heuristic, aborting any branch whose
-/// `f`-value exceeds `tau` — far cheaper than unbounded exact search for
-/// small thresholds. Candidate pairs are pre-filtered with *both*
-/// admissible lower bounds (label-set and degree-sequence), so a provably
-/// distant pair never starts a search at all.
+/// otherwise. A* under the anchored LSAP bound, which never overestimates
+/// the cost of completing a state (the [module docs](self) give the
+/// argument), aborting any branch whose `f`-value exceeds `tau` — far
+/// cheaper than unbounded exact search for small thresholds. Candidate
+/// pairs are pre-filtered with the label-set and degree-sequence bounds
+/// and then the root's LSAP bound, so a provably distant pair never
+/// expands a state at all.
 #[must_use]
 pub fn bounded_exact_ged(g1: &Graph, g2: &Graph, tau: usize) -> Option<usize> {
     match bounded_exact_ged_with_budget(g1, g2, tau, usize::MAX) {
@@ -271,10 +335,11 @@ pub fn bounded_exact_ged(g1: &Graph, g2: &Graph, tau: usize) -> Option<usize> {
 }
 
 /// [`bounded_exact_ged`] with a node-expansion budget: the search gives up
-/// with [`BoundedSearch::BudgetExhausted`] after popping `budget` states
-/// from the open list, so one pathological pair cannot blow up a
-/// store-level query. `budget = usize::MAX` is effectively unlimited and
-/// recovers [`bounded_exact_ged`] exactly.
+/// with [`BoundedSearch::BudgetExhausted`] after expanding `budget` states
+/// popped from the open list (a state popped only to have its bound
+/// raised and sent back is not expanded), so one pathological pair cannot
+/// blow up a store-level query. `budget = usize::MAX` is effectively
+/// unlimited and recovers [`bounded_exact_ged`] exactly.
 #[must_use]
 pub fn bounded_exact_ged_with_budget(
     g1: &Graph,
@@ -285,12 +350,26 @@ pub fn bounded_exact_ged_with_budget(
     bounded_exact_ged_with_budget_in(g1, g2, tau, budget, &mut GedWorkspace::new())
 }
 
-/// [`bounded_exact_ged_with_budget`] with the pre-filter bounds and the
-/// per-expansion mark/label scratch drawn from `ws`, and both graphs read
-/// through flat [`CsrView`]s rebuilt into the workspace. The state
-/// traversal (expansion order, heap tie-breaks, budget accounting) is
-/// identical to the allocating version, so results match for any
-/// (possibly dirty) workspace.
+/// One A\* state: its cost so far, where its mapping lies in the
+/// workspace's arena, and whether its open-list key is already its own
+/// anchored bound (or, at full depth, its exact cost) rather than its
+/// parent's.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct SearchState {
+    start: usize,
+    depth: usize,
+    g: usize,
+    refined: bool,
+}
+
+/// [`bounded_exact_ged_with_budget`] with every buffer drawn from `ws`:
+/// both graphs read through flat [`CsrView`]s rebuilt into the workspace,
+/// the pre-filter and bound scratch, the anchored bound's cost matrix and
+/// LSAP scratch, and the open list and state arena, so a warm call
+/// allocates only when a search outgrows every earlier one. The state
+/// traversal (expansion order, heap tie-breaks, budget accounting)
+/// depends on the pair alone, so results match for any (possibly dirty)
+/// workspace.
 #[must_use]
 pub fn bounded_exact_ged_with_budget_in(
     g1: &Graph,
@@ -301,6 +380,8 @@ pub fn bounded_exact_ged_with_budget_in(
 ) -> BoundedSearch {
     let (a, b, _) = ordered(g1, g2);
     let GedWorkspace {
+        ot,
+        m,
         csr1,
         csr2,
         used,
@@ -309,6 +390,11 @@ pub fn bounded_exact_ged_with_budget_in(
         rest2,
         deg1,
         deg2,
+        anchored,
+        open,
+        states,
+        arena,
+        child,
         ..
     } = ws;
     csr1.rebuild_from(a);
@@ -316,9 +402,11 @@ pub fn bounded_exact_ged_with_budget_in(
     let n1 = csr1.num_nodes();
     let n2 = csr2.num_nodes();
 
-    // Both admissible bounds: each can dominate the other, and a bound
-    // above τ proves GED > τ without expanding a single state. The label
-    // surplus is shared by both, so it is merged once.
+    // Cheap pre-filters first: a bound above τ proves GED > τ without
+    // an LSAP. The root's anchored bound dominates both, but a caller that
+    // has not filtered (an oracle's nested loop) rejects most pairs here:
+    // over all pairs of an AIDS-like sample at τ = 2 they made the loop
+    // 5× faster. The label surplus is shared by both, so it is merged once.
     rest1.clear();
     rest1.extend_from_slice(csr1.labels());
     rest1.sort_unstable();
@@ -327,7 +415,8 @@ pub fn bounded_exact_ged_with_budget_in(
     rest2.sort_unstable();
     let (o1, o2) = sorted_multiset_surplus(rest1, rest2);
     let node_term = o1.max(o2);
-    if node_term + csr1.num_edges().abs_diff(csr2.num_edges()) > tau {
+    let edge_gap = csr1.num_edges().abs_diff(csr2.num_edges());
+    if node_term + edge_gap > tau {
         return BoundedSearch::Exceeds;
     }
     let n = n1.max(n2);
@@ -340,76 +429,101 @@ pub fn bounded_exact_ged_with_budget_in(
     deg2.resize(n, 0);
     deg2.sort_unstable();
     let diff: usize = deg1.iter().zip(&*deg2).map(|(&x, &y)| x.abs_diff(y)).sum();
-    if node_term + diff.div_ceil(2) > tau {
+    let root = node_term + edge_gap.max(diff.div_ceil(2));
+    if root > tau {
         return BoundedSearch::Exceeds;
     }
 
-    #[derive(Clone)]
-    struct State {
-        mapping: Vec<u32>,
-        g: usize,
-    }
-    let mut heap: BinaryHeap<Reverse<(usize, usize, usize)>> = BinaryHeap::new();
-    let mut states = vec![State {
-        mapping: Vec::new(),
-        g: 0,
-    }];
-    heap.push(Reverse((0, n1, 0)));
+    open.clear();
+    states.clear();
+    arena.clear();
+    states.push(SearchState::default());
+    open.push(Reverse((root, n1, 0)));
 
     let mut expanded = 0usize;
-    while let Some(Reverse((f, _, idx))) = heap.pop() {
+    while let Some(Reverse((f, _, idx))) = open.pop() {
         if f > tau {
             return BoundedSearch::Exceeds; // smallest f exceeds τ => GED > τ
+        }
+        let SearchState {
+            start,
+            depth,
+            g,
+            refined,
+        } = states[idx];
+        child.clear();
+        child.extend_from_slice(&arena[start..start + depth]);
+        if !refined {
+            // A state enters the open list under its parent's bound and
+            // gets its own anchored bound only when it reaches the front,
+            // so children the search never reaches cost no LSAP. A raised
+            // bound sends it back to wait its turn.
+            states[idx].refined = true;
+            let bound = g + ceil_bound(anchored_lower_bound(
+                csr1,
+                csr2,
+                child,
+                anchored,
+                m,
+                &mut ot.lsap,
+            ));
+            if bound > f {
+                if bound <= tau {
+                    open.push(Reverse((bound, n1 - depth, idx)));
+                }
+                continue;
+            }
         }
         if expanded >= budget {
             return BoundedSearch::BudgetExhausted;
         }
         expanded += 1;
-        let state = states[idx].clone();
-        if state.mapping.len() == n1 {
-            let total = state.g + closing_cost(csr2, &state.mapping, matched);
+        if depth == n1 {
+            let total = g + closing_cost(csr2, child, matched);
             if total <= tau {
                 return BoundedSearch::Within(total);
             }
             continue;
         }
         reset(used, n2, false);
-        for &v in &state.mapping {
+        for &v in child.iter() {
             used[v as usize] = true;
         }
-        let u = state.mapping.len() as u32;
+        let u = depth as u32;
         for v in 0..n2 as u32 {
             if used[v as usize] {
                 continue;
             }
-            let mut delta = 0;
-            if csr1.label(u) != csr2.label(v) {
-                delta += 1;
-            }
-            for (w, &mw) in state.mapping.iter().enumerate() {
+            let mut delta = usize::from(csr1.label(u) != csr2.label(v));
+            for (w, &mw) in child.iter().enumerate() {
                 if csr1.has_edge(u, w as u32) != csr2.has_edge(v, mw) {
                     delta += 1;
                 }
             }
-            let mut mapping = state.mapping.clone();
-            mapping.push(v);
-            let g = state.g + delta;
-            let f = if mapping.len() == n1 {
-                g + closing_cost(csr2, &mapping, matched)
-            } else {
-                // `used` + v is exactly the mark set of the extended
-                // mapping; undone right after the bound.
-                used[v as usize] = true;
-                let bound = remainder_bound(csr1, csr2, &mapping, used, rest1, rest2);
-                used[v as usize] = false;
-                g + bound
-            };
-            if f > tau {
+            let g = g + delta;
+            if g > tau {
                 continue;
             }
-            let depth = mapping.len();
-            states.push(State { mapping, g });
-            heap.push(Reverse((f, n1 - depth, states.len() - 1)));
+            child.push(v);
+            // A complete mapping's cost is exact. Any other child waits
+            // under its parent's bound, which bounds every completion of
+            // the child too.
+            let (f, refined) = if depth + 1 == n1 {
+                (g + closing_cost(csr2, child, matched), true)
+            } else {
+                (g.max(f), false)
+            };
+            if f <= tau {
+                states.push(SearchState {
+                    start: arena.len(),
+                    depth: depth + 1,
+                    g,
+                    refined,
+                });
+                arena.extend_from_slice(child);
+                open.push(Reverse((f, n1 - depth - 1, states.len() - 1)));
+            }
+            child.pop();
         }
     }
     BoundedSearch::Exceeds
@@ -427,39 +541,6 @@ fn closing_cost(csr2: &CsrView, mapping: &[u32], matched: &mut Vec<bool>) -> usi
         }
     }
     cost
-}
-
-fn remainder_bound(
-    csr1: &CsrView,
-    csr2: &CsrView,
-    mapping: &[u32],
-    used: &[bool],
-    rest1: &mut Vec<ged_graph::Label>,
-    rest2: &mut Vec<ged_graph::Label>,
-) -> usize {
-    let depth = mapping.len();
-    rest1.clear();
-    rest1.extend_from_slice(&csr1.labels()[depth..]);
-    rest2.clear();
-    rest2.extend(
-        csr2.labels()
-            .iter()
-            .enumerate()
-            .filter(|&(v, _)| !used[v])
-            .map(|(_, &l)| l),
-    );
-    rest1.sort_unstable();
-    rest2.sort_unstable();
-    let (o1, o2) = sorted_multiset_surplus(rest1, rest2);
-    let e1 = csr1
-        .edges()
-        .filter(|&(x, y)| (x as usize) >= depth || (y as usize) >= depth)
-        .count();
-    let e2 = csr2
-        .edges()
-        .filter(|&(x, y)| !used[x as usize] || !used[y as usize])
-        .count();
-    o1.max(o2) + e1.abs_diff(e2)
 }
 
 /// Fast feasible upper bound: round a (cheap) GEDGW coupling to a matching
@@ -503,6 +584,10 @@ pub fn fast_upper_bound_in(g1: &Graph, g2: &Graph, ws: &mut GedWorkspace) -> usi
 /// GED.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CandidateOutcome {
+    /// The branch bound ([`crate::lower_bound::branch_lower_bound`],
+    /// the exact search's root bound) proved `GED > τ` before the GEDGW
+    /// upper bound was computed.
+    PrunedByBranch,
     /// The pivot-table upper bound proved membership (`ub_pivot ≤ τ`)
     /// before the GEDGW upper bound was even computed; the exact distance
     /// was then recovered by a search bounded by that pivot bound.
@@ -538,8 +623,11 @@ pub enum CandidateOutcome {
     },
 }
 
-/// Tiers 2 + 3 of the exact pipeline for one filter survivor: the prune
-/// tier computes the feasible [`fast_upper_bound`] and accepts when it is
+/// Tiers 2–4 of the exact pipeline for one filter survivor: the branch
+/// tier rejects when the ceiling of
+/// [`branch_lower_bound`](crate::lower_bound::branch_lower_bound)
+/// exceeds `tau` ([`CandidateOutcome::PrunedByBranch`]); the prune tier
+/// computes the feasible [`fast_upper_bound`] and accepts when it is
 /// `≤ tau` (recovering the exact distance with an `ub`-bounded search —
 /// strictly cheaper than a τ-bounded one, and never wasted because
 /// membership is already proven); otherwise the verify tier runs the
@@ -565,6 +653,9 @@ pub fn prune_or_verify_in(
     budget: usize,
     ws: &mut GedWorkspace,
 ) -> CandidateOutcome {
+    if tau != usize::MAX && ceil_bound(branch_lower_bound_in(query, cand, ws)) > tau {
+        return CandidateOutcome::PrunedByBranch;
+    }
     let ub = fast_upper_bound_in(query, cand, ws);
     if ub <= tau {
         // Membership is decided search-free; `GED ≤ ub` makes the
@@ -768,7 +859,7 @@ mod tests {
                         assert_eq!(ged, d, "matching outcomes must be exact");
                         assert!(d <= tau, "a match implies GED ≤ τ");
                     }
-                    CandidateOutcome::Rejected => {
+                    CandidateOutcome::PrunedByBranch | CandidateOutcome::Rejected => {
                         assert!(d > tau, "rejection implies GED > τ");
                     }
                     CandidateOutcome::BudgetExhausted { .. } => {
@@ -805,6 +896,7 @@ mod tests {
             pruned_shard: 7,
             pruned_pivot: 5,
             filtered: 3,
+            pruned_branch: 8,
             accepted_pivot: 6,
             accepted_early: 2,
             verified: 4,
@@ -813,7 +905,7 @@ mod tests {
         };
         assert_eq!(
             stats.total(),
-            28,
+            36,
             "every tier participates in total(), the overlay does not"
         );
         let line = stats.to_string();
@@ -823,10 +915,11 @@ mod tests {
             "pivot=5",
             "filtered=3",
             "accept_pivot=6",
+            "branch=8",
             "accept_ub=2",
             "verified=4",
             "budget=1",
-            "total=28",
+            "total=36",
             "pivot_distances=9",
         ] {
             assert!(line.contains(field), "{line} is missing {field}");

@@ -7,7 +7,8 @@
 //! back to back: the OT/Frank–Wolfe buffers of
 //! [`ged_ot::OtWorkspace`], the GEDGW problem matrices, a pair of
 //! [`ged_graph::CsrView`]s the search and cost-matrix readers iterate,
-//! the mark/label scratch of the A\* bounds, and the autodiff-tape buffers
+//! the mark/label scratch of the A\* bounds, its anchored LSAP bound and
+//! its open list and state arena, and the autodiff-tape buffers
 //! of GEDIOT's forward pass ([`crate::gediot::Gediot::predict_in`]).
 //!
 //! Batched drivers keep one workspace per worker thread
@@ -18,10 +19,14 @@
 //! always safe to reuse, and the results are bit-identical to the
 //! allocating entry points.
 
+use crate::lower_bound::AnchoredScratch;
+use crate::search::SearchState;
 use ged_graph::{CsrView, Label};
 use ged_linalg::Matrix;
 use ged_nn::TapePool;
 use ged_ot::OtWorkspace;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Reusable scratch for the GEDGW + exact-search hot path. See the
 /// [module docs](self).
@@ -46,6 +51,15 @@ pub struct GedWorkspace {
     pub(crate) rest2: Vec<Label>,
     pub(crate) deg1: Vec<usize>,
     pub(crate) deg2: Vec<usize>,
+    // The anchored LSAP bound's per-node counts (its matrix is `m`).
+    pub(crate) anchored: AnchoredScratch,
+    // A* search state: the open list, the states and their mappings
+    // (state `i` maps G1's first `depth` nodes to
+    // `arena[start..start + depth]`), and the child being scored.
+    pub(crate) open: BinaryHeap<Reverse<(usize, usize, usize)>>,
+    pub(crate) states: Vec<SearchState>,
+    pub(crate) arena: Vec<u32>,
+    pub(crate) child: Vec<u32>,
     // GEDIOT: the buffers of the last forward pass's tape.
     pub(crate) tape: TapePool,
 }

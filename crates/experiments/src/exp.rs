@@ -829,7 +829,8 @@ pub fn run_exact_search(cfg: &ExpConfig) -> String {
         .build()
         .expect("GEDGW is registered");
 
-    let mut out = String::from("== Exact range search: filter / prune / verify tiers ==\n");
+    let mut out =
+        String::from("== Exact range search: filter / branch / prune / verify tiers ==\n");
     let _ = writeln!(
         out,
         "store: {} AIDS-like graphs; query: member, {} nodes / {} edges; budget: 50k expansions",
@@ -839,8 +840,8 @@ pub fn run_exact_search(cfg: &ExpConfig) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>6} {:>8} {:>9} {:>15} {:>9} {:>7} {:>9}",
-        "tau", "matches", "filtered", "accepted-early", "verified", "budget", "ms"
+        "{:>6} {:>8} {:>9} {:>7} {:>15} {:>9} {:>7} {:>9}",
+        "tau", "matches", "filtered", "branch", "accepted-early", "verified", "budget", "ms"
     );
     for tau in [2.0, 4.0, 6.0, 8.0, f64::INFINITY] {
         let start = Instant::now();
@@ -855,9 +856,10 @@ pub fn run_exact_search(cfg: &ExpConfig) -> String {
         };
         let _ = writeln!(
             out,
-            "{label:>6} {:>8} {:>9} {:>15} {:>9} {:>7} {:>9.2}",
+            "{label:>6} {:>8} {:>9} {:>7} {:>15} {:>9} {:>7} {:>9.2}",
             result.matches.len(),
             result.stats.filtered,
+            result.stats.pruned_branch,
             result.stats.accepted_early,
             result.stats.verified,
             result.stats.budget_exceeded,

@@ -1,11 +1,13 @@
 //! Exact range search: retrieve every store graph whose **exact** GED to
 //! a query is ≤ τ — the paper's headline threshold workload (Section 2) —
-//! via the engine's three-tier filter–prune–verify plan:
+//! via the engine's filter–branch–prune–verify plan:
 //!
 //! 1. signature-fed label-set / degree-sequence lower bounds *discard*,
-//! 2. the feasible GEDGW best-matching-rounding upper bound *accepts*
+//! 2. the exact search's root LSAP bound (the branch bound) *discards*
+//!    before any upper bound is computed,
+//! 3. the feasible GEDGW best-matching-rounding upper bound *accepts*
 //!    without τ-bounded search,
-//! 3. survivors run the τ-bounded exact A* in parallel, each capped by
+//! 4. survivors run the τ-bounded exact A* in parallel, each capped by
 //!    the engine's verify budget.
 //!
 //! Also shows the τ = ∞ degradation to plain exact GED computation and
@@ -40,8 +42,8 @@ fn main() {
         .expect("GEDGW is registered");
 
     println!(
-        "{:>5} {:>8} {:>9} {:>15} {:>9} {:>7}",
-        "tau", "matches", "filtered", "accepted-early", "verified", "budget"
+        "{:>5} {:>8} {:>9} {:>7} {:>15} {:>9} {:>7}",
+        "tau", "matches", "filtered", "branch", "accepted-early", "verified", "budget"
     );
     for tau in [1.0, 2.0, 4.0, 6.0] {
         let result = engine
@@ -54,9 +56,10 @@ fn main() {
             .into_range_exact()
             .expect("RangeExact yields RangeExact");
         println!(
-            "{tau:>5} {:>8} {:>9} {:>15} {:>9} {:>7}",
+            "{tau:>5} {:>8} {:>9} {:>7} {:>15} {:>9} {:>7}",
             result.matches.len(),
             result.stats.filtered,
+            result.stats.pruned_branch,
             result.stats.accepted_early,
             result.stats.verified,
             result.stats.budget_exceeded,

@@ -11,12 +11,15 @@
 //!   LSAP oracle leaves its assignment, and conditional gradient its
 //!   objective history, in the workspace.
 //! * `Gedhot::predict_in` is the two members together.
-//! * `branch_lower_bound_in` allocates nothing.
+//! * `branch_lower_bound_in` allocates nothing, and neither does the
+//!   τ-bounded exact search (`bounded_exact_ged_with_budget_in`): its
+//!   anchored bound, open list and state arena live in the workspace.
 //!
 //! A `realloc` counts as an allocation: a buffer that grows is a miss.
 
 use ot_ged::core::gediot::GediotConfig;
 use ot_ged::core::lower_bound::branch_lower_bound_in;
+use ot_ged::core::search::bounded_exact_ged_with_budget_in;
 use ot_ged::core::GedWorkspace;
 use ot_ged::prelude::*;
 use rand::rngs::SmallRng;
@@ -148,6 +151,20 @@ fn warm_branch_bound_allocates_nothing() {
     });
     for (i, &n) in counts.iter().enumerate() {
         assert_eq!(n, 0, "pair {i}: a warm branch bound made {n} allocations");
+    }
+}
+
+#[test]
+fn warm_exact_search_allocates_nothing() {
+    let pairs = pool();
+    let mut ws = GedWorkspace::new();
+    let counts = warm_calls(&pairs, |g1, g2| {
+        for tau in [2, 4] {
+            let _ = bounded_exact_ged_with_budget_in(g1, g2, tau, usize::MAX, &mut ws);
+        }
+    });
+    for (i, &n) in counts.iter().enumerate() {
+        assert_eq!(n, 0, "pair {i}: a warm exact search made {n} allocations");
     }
 }
 

@@ -420,21 +420,28 @@ fn deadline_aborts_store_queries_mid_execution() {
     };
     let (server, mut client) = serve_in_process(&config);
     let mut rng = SmallRng::seed_from_u64(PROPERTY_SEED + 500);
-    for _ in 0..32 {
+    for _ in 0..128 {
         let n = rng.gen_range(8..10);
         server.insert_local(random_connected(n, 3, &[3.0, 2.0, 1.0], &mut rng));
     }
 
-    // Baseline: the full self-join, no deadline. τ = 3 keeps each
-    // τ-bounded search tractable while the 496-pair matrix still
+    // Baseline: the full self-join, no deadline. τ = 4 keeps each
+    // τ-bounded search tractable while the 8,128-pair matrix still
     // takes orders of magnitude longer than an aborted plan.
     let start = std::time::Instant::now();
     let resp = client.call(&Request::SelfJoin {
         id: "full".to_string(),
-        tau: 3.0,
+        tau: 4.0,
         deadline_ms: None,
     });
     let full = start.elapsed();
+    // The premise of the comparison below: a 1 ms deadline plus the
+    // verification block in flight when it expires is a small fraction
+    // of the whole join. If a faster plan breaks it, grow the join.
+    assert!(
+        full >= std::time::Duration::from_millis(50),
+        "the full join must be heavy enough to abort mid-plan (took {full:?})"
+    );
     assert!(
         matches!(resp.body, ResponseBody::SelfJoin { .. }),
         "baseline join must succeed, got {:?}",
@@ -447,7 +454,7 @@ fn deadline_aborts_store_queries_mid_execution() {
     let start = std::time::Instant::now();
     let resp = client.call(&Request::SelfJoin {
         id: "cut".to_string(),
-        tau: 3.0,
+        tau: 4.0,
         deadline_ms: Some(1),
     });
     let aborted = start.elapsed();
