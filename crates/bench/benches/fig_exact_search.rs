@@ -1,9 +1,9 @@
 //! Exact range-search throughput: a brute-force τ-bounded exact scan vs.
-//! the engine's three-tier filter–prune–verify plan at growing store
+//! the engine's three-tier filter–branch–verify plan at growing store
 //! sizes. The filter tier reads only precomputed signatures and the
-//! prune tier replaces τ-bounded searches with (much tighter) ub-bounded
-//! ones, so the plan's advantage widens with the store — this bench makes
-//! the `ExactSearchStats` savings visible as wall clock.
+//! branch tier discards with the search's own root bound before any
+//! expansion, so the plan's advantage widens with the store — this bench
+//! makes the `ExactSearchStats` savings visible as wall clock.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ged_core::engine::GedEngine;

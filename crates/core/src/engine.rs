@@ -73,17 +73,17 @@
 //!
 //! [`GedQuery::RangeExact`] is the τ-**exact** variant of `Range`: every
 //! stored graph whose *true* GED to the query is `≤ τ`, with exact
-//! distances, through the paper's filter–prune–verify plan (Section 2)
-//! with a branch tier between filter and prune ([`crate::search`]
-//! describes the tiers and the exact search's bound). No solver is
+//! distances, through the paper's filter–verify plan (Section 2) with a
+//! branch tier between filter and verify ([`crate::search`] describes
+//! the tiers and the exact search's bound). No solver is
 //! consulted: every tier is exact or admissible, so the answer is
 //! **provably** equal to running [`crate::search::bounded_exact_ged`]
 //! against every stored graph, whatever the method, thread count or
 //! candidate order. [`GedEngineBuilder::verify_budget`] caps the node
 //! expansions one verification may spend; candidates that exhaust it are
-//! reported per id in [`RangeExactResult::budget_exhausted`] with the
-//! membership evidence already proven
-//! ([`UndecidedCandidate::known_match_ub`]) instead of failing or
+//! reported per id in [`RangeExactResult::budget_exhausted`], with a
+//! pivot certificate's membership proof when one exists
+//! ([`UndecidedCandidate::known_match_ub`]), instead of failing or
 //! stalling the whole query. [`ExactSearchStats`] accounts every stored
 //! graph to exactly one tier. The joins (`SelfJoin`, `Join`) run the same
 //! tiers over candidate pairs (see [`crate::plan`]).
@@ -299,7 +299,7 @@ pub struct ExactNeighbor {
 pub struct UndecidedCandidate {
     /// Stable id of the candidate in the searched [`GraphStore`].
     pub id: GraphId,
-    /// `Some(ub)` when the prune tier had already proven membership
+    /// `Some(ub)` when a pivot certificate had already proven membership
     /// (`GED ≤ ub ≤ τ`) and only the exact-distance recovery ran out of
     /// budget — the candidate **is** a match, with `ub` its best known
     /// distance; `None` when the τ-bounded verification itself was cut
@@ -351,9 +351,9 @@ pub struct UndecidedPair {
     pub a: GraphId,
     /// Id of the pair's second graph (see [`JoinPair::b`]).
     pub b: GraphId,
-    /// `Some(ub)` when membership was already proven (`GED ≤ ub ≤ τ`)
-    /// and only the exact-distance recovery ran out of budget; `None`
-    /// when membership is genuinely unknown.
+    /// `Some(ub)` when a pivot certificate already proved membership
+    /// (`GED ≤ ub ≤ τ`) and only the exact-distance recovery ran out of
+    /// budget; `None` when membership is genuinely unknown.
     pub known_match_ub: Option<usize>,
 }
 
@@ -491,7 +491,7 @@ pub enum GedQuery<'a> {
     },
     /// Retrieve every stored graph whose **exact** GED to `query` is at
     /// most `tau`, with exact distances, via the three-tier
-    /// filter–prune–verify plan of the [module docs](self).
+    /// filter–branch–verify plan of the [module docs](self).
     RangeExact {
         /// The query graph.
         query: &'a Graph,
@@ -907,8 +907,11 @@ impl GedEngineBuilder {
     /// The cap counts the states the A\* expands (see
     /// [`crate::search::bounded_exact_ged_with_budget`]). Its anchored
     /// LSAP bound makes a search expand far fewer states than a weaker
-    /// bound would, so a given cap decides more candidates; a decided
-    /// answer is exact at any cap, so no decided answer depends on it.
+    /// bound would, so a given cap decides more candidates. Under a cap
+    /// the decided answers never change — each is exact at any cap —
+    /// but which candidates stay undecided can. An undecided candidate's
+    /// [`UndecidedCandidate::known_match_ub`] is `Some` only when a pivot
+    /// certificate proved its membership.
     #[must_use]
     pub fn verify_budget(mut self, budget: usize) -> Self {
         self.verify_budget = budget;
@@ -1908,9 +1911,9 @@ mod tests {
         // Regression: the vacuous (0, usize::MAX) bound of a pivot-less
         // engine must not count as a membership certificate when τ
         // saturates to usize::MAX — accepted_pivot stayed "certifying"
-        // the whole store and the exact-distance recovery ran bounded by
-        // usize::MAX instead of the tight GEDGW upper bound. The pivoted
-        // half lives in `tests/pivot_search.rs`.
+        // the whole store, crediting the pivot tier with every candidate
+        // the verify tier decides. The pivoted half lives in
+        // `tests/pivot_search.rs`.
         let engine = gedgw_engine();
         let ds = small_dataset(12, 64);
         let query = ds.graphs().next().unwrap().clone();
@@ -1919,7 +1922,7 @@ mod tests {
         assert_eq!(exact.stats.pruned_pivot, 0, "no pivot index, no tier");
         assert_eq!(exact.stats.accepted_pivot, 0, "no pivot index, no tier");
         assert_eq!(
-            exact.stats.accepted_pivot + exact.stats.accepted_early + exact.stats.verified,
+            exact.stats.accepted_pivot + exact.stats.verified,
             ds.len(),
             "τ = ∞ still resolves every candidate through the real tiers"
         );

@@ -13,9 +13,9 @@
 //!   matching framework with lower-bound pruning (Section 4.5, Algorithm 4).
 //! * [`lower_bound`] — the label-set and degree-sequence GED lower
 //!   bounds (Eq. 22), in per-pair and precomputed-signature forms.
-//! * [`search`] — the τ-exact filter–prune–verify threshold pipeline
-//!   (budgeted bounded A\*, feasible GEDGW upper bound) whose store-level
-//!   form is [`engine::GedQuery::RangeExact`].
+//! * [`search`] — the τ-exact filter–verify threshold pipeline (branch
+//!   bound, budgeted bounded A\*) whose store-level form is
+//!   [`engine::GedQuery::RangeExact`].
 //! * [`pairs`] — training/evaluation pair plumbing shared by the models.
 //! * [`solver`] — the [`solver::GedSolver`] trait every method implements,
 //!   the [`solver::SolverRegistry`] that maps [`method::MethodKind`]s to
@@ -71,9 +71,9 @@ pub use method::MethodKind;
 pub use pairs::{ordered, GedPair};
 pub use search::{
     bounded_exact_ged, bounded_exact_ged_with_budget, bounded_exact_ged_with_budget_in,
-    fast_upper_bound, fast_upper_bound_in, pivot_distance, pivot_distance_in, prune_or_verify,
-    prune_or_verify_in, prune_or_verify_with_pivot, prune_or_verify_with_pivot_in, BoundedSearch,
-    CandidateOutcome, ExactSearchStats, JoinStats,
+    pivot_distance, pivot_distance_in, prune_or_verify, prune_or_verify_in,
+    prune_or_verify_with_pivot, prune_or_verify_with_pivot_in, BoundedSearch, CandidateOutcome,
+    ExactSearchStats, JoinStats,
 };
 pub use solver::{
     BatchRunner, GedEstimate, GedSolver, GedgwSolver, GedhotSolver, GediotSolver, PathEstimate,

@@ -15,10 +15,10 @@
 //! apply them:
 //!
 //! ```text
-//!            ┌──────────┐   ┌────────────────────────────┐   ┌──────────────────┐   ┌────────┐   ┌────────┐
-//!  store ──▶ │  shard   │──▶│ label · degree · pivot_lb  │──▶│  pivot_ub_accept │──▶│ branch │──▶│ verify │
-//!            │ aggregate│   │  (commutative discards)    │   │  gedgw_ub_accept │   │        │   │        │
-//!            └──────────┘   └────────────────────────────┘   └──────────────────┘   └────────┘   └────────┘
+//!            ┌──────────┐   ┌────────────────────────────┐   ┌─────────────────┐   ┌────────┐   ┌────────┐
+//!  store ──▶ │  shard   │──▶│ label · degree · pivot_lb  │──▶│ pivot_ub_accept │──▶│ branch │──▶│ verify │
+//!            │ aggregate│   │  (commutative discards)    │   │                 │   │        │   │        │
+//!            └──────────┘   └────────────────────────────┘   └─────────────────┘   └────────┘   └────────┘
 //! ```
 //!
 //! The pivot tiers (`pivot_lb`, `pivot_ub_accept`) read the pivot block
@@ -29,13 +29,15 @@
 //! fails for the engine's target — gets the vacuous `[0, ∞)` interval, so
 //! those tiers never fire there.
 //!
-//! The branch tier runs only in `TopK` and `Range`, inside the shared
-//! verify step, and only for solvers that declare
+//! In `TopK` and `Range` the branch tier runs inside the shared verify
+//! step, and only for solvers that declare
 //! [`GedSolver::respects_branch_bound`]: it bounds GEDGW's *objective*
 //! over the whole Birkhoff polytope (see [`crate::lower_bound`]), so it
 //! rests on a property of the estimator, not only of GED. It compares
 //! against the threshold at the start of each verify block, so its
-//! counts do not depend on the thread count.
+//! counts do not depend on the thread count. In `RangeExact` and the
+//! joins it is the root of the exact search itself
+//! ([`crate::search::prune_or_verify_in`]), compared with τ directly.
 //!
 //! The three middle discard tiers are *commutative*: each compares an
 //! admissible lower bound against the threshold, so a candidate survives
@@ -190,8 +192,8 @@ enum CrossKind {
 /// survivor with pivot interval `[lb, ub]`. The certificate is `ub` when
 /// `ub ≤ τ`; it must be a *real* pivot bound, since the vacuous
 /// `usize::MAX` of a disabled pivot tier would otherwise "certify"
-/// everything whenever τ saturates to `usize::MAX`, replacing the tight
-/// GEDGW-ub recovery search with an effectively unbounded one. With
+/// everything whenever τ saturates to `usize::MAX`, crediting the pivot
+/// tier with every candidate the verify tier decides. With
 /// `collapse` (an unlimited verify budget), a certified tight interval
 /// (`lb == ub`) also pins the exact distance: the ub-bounded recovery
 /// search could only conclude `Within(ub)`, so it is skipped.
@@ -734,10 +736,10 @@ impl GedEngine {
         // globally ascending id order for the verify batch.
         survivors.sort_by_key(|s| s.id);
 
-        // Prune / verify tiers: per-candidate, embarrassingly parallel,
+        // Branch / verify tiers: per-candidate, embarrassingly parallel,
         // deterministic — so thread count never changes the answer and
         // input (id) order is preserved. A pivot-certified candidate
-        // skips the GEDGW bound and goes straight to the
+        // skips the branch tier and goes straight to the
         // (pivot-ub-bounded) exact-distance recovery. With a deadline
         // set the batch is chunked with a cooperative checkpoint between
         // blocks (chunking cannot change a per-candidate outcome).
@@ -765,7 +767,6 @@ impl GedEngine {
             stats.record(&outcome);
             match outcome {
                 crate::search::CandidateOutcome::AcceptedByPivot { ged }
-                | crate::search::CandidateOutcome::AcceptedEarly { ged }
                 | crate::search::CandidateOutcome::Verified { ged } => {
                     matches.push(ExactNeighbor { id: s.id, ged });
                 }
@@ -1093,7 +1094,7 @@ impl GedEngine {
         // Verify tier: representatives only, per-pair, embarrassingly
         // parallel and deterministic (canonical orientation), so thread
         // count never changes an answer. A pivot-certified pair skips
-        // the GEDGW bound and goes straight to the (ub-bounded)
+        // the branch tier and goes straight to the (ub-bounded)
         // exact-distance recovery; a collapsed pair skips the search
         // entirely.
         let rep_rows: Vec<&JoinSurvivor<'_>> = reps.iter().map(|&si| &survivors[si]).collect();
@@ -1125,9 +1126,7 @@ impl GedEngine {
                 stats.cache_hits += 1;
             }
             match *outcome {
-                CandidateOutcome::AcceptedByPivot { ged }
-                | CandidateOutcome::AcceptedEarly { ged }
-                | CandidateOutcome::Verified { ged } => {
+                CandidateOutcome::AcceptedByPivot { ged } | CandidateOutcome::Verified { ged } => {
                     pairs.push(JoinPair {
                         a: s.a,
                         b: s.b,

@@ -8,12 +8,10 @@
 //! 1. **filter** — cheap lower bounds (label-set, degree-sequence) discard
 //!    candidates whose bound already exceeds `τ`;
 //! 2. **branch** — the exact search's own root bound (one LSAP, below)
-//!    discards candidates whose bound exceeds `τ` before any upper bound
-//!    is computed;
-//! 3. **prune** — a fast feasible upper bound (best-matching rounding of a
-//!    GEDGW coupling) *accepts* candidates whose upper bound is `≤ τ`;
-//! 4. **verify** — the surviving candidates run a τ-bounded exact A\*
-//!    that aborts as soon as the optimum provably exceeds `τ`.
+//!    discards candidates whose bound exceeds `τ`;
+//! 3. **verify** — the surviving candidates run a τ-bounded exact A\*
+//!    from that already-bounded root, which aborts as soon as the optimum
+//!    provably exceeds `τ`.
 //!
 //! Setting `τ = ∞` degrades to exact GED computation, exactly as the paper
 //! notes for Nass / AStar-BMao; the engine's
@@ -22,14 +20,12 @@
 //!
 //! The tiers are exposed individually — [`label_set_lower_bound`] /
 //! [`degree_sequence_lower_bound`] (re-exported from
-//! [`crate::lower_bound`]), [`fast_upper_bound`], and
-//! [`bounded_exact_ged_with_budget`] — and composed per candidate by
+//! [`crate::lower_bound`]), [`crate::lower_bound::branch_lower_bound`]
+//! and [`bounded_exact_ged_with_budget`] — and composed per candidate by
 //! [`prune_or_verify`], which the store-level
 //! [`crate::engine::GedQuery::RangeExact`] plan runs after its
 //! signature-fed filter tier. Its [`CandidateOutcome`]s always carry
-//! exact distances: an upper-bound accept decides *membership* without
-//! τ-bounded search, then recovers the exact distance with a search
-//! bounded by the (tighter) feasible bound itself.
+//! exact distances, and the branch and verify tiers share one root LSAP.
 //!
 //! # The exact search and its bound
 //!
@@ -68,21 +64,28 @@
 //! `g + bound` exceeds `τ` has no completion within `τ`, so dropping it
 //! loses no answer.
 //!
-//! The LSAP bound dominates the label-multiset and edge-count bounds (its
-//! node part is at least the label surplus, its edge part at least the
-//! edge-count gap); those stay as free pre-filters. A child enters the
-//! open list under its parent's bound, which every completion of the
-//! child also respects, and gets its own LSAP bound only when it reaches
-//! the front; if that raises its key, it goes back. The search thus
-//! solves one LSAP per state it reaches, not per state it generates.
+//! The LSAP bound dominates the label-multiset, edge-count and
+//! degree-sequence bounds: its node part is at least the label surplus,
+//! and its edge part `Σ ½|r1(u) − r2(v)|` is at least the edge-count gap
+//! and at least half the sorted degree sequences' distance. So
+//! [`bounded_exact_ged`] keeps those as free pre-filters for callers that
+//! have not filtered, while [`prune_or_verify`], whose callers have, goes
+//! straight to the root LSAP. Both then start the A\* from a root keyed
+//! by its own bound, so they expand the same states in the same order.
+//!
+//! A child enters the open list under its parent's bound, which every
+//! completion of the child also respects, and gets its own LSAP bound
+//! only when it reaches the front; if that raises its key, it goes back.
+//! The search thus solves one LSAP per state it reaches, not per state it
+//! generates.
 //!
 //! [`label_set_lower_bound`]: crate::lower_bound::label_set_lower_bound
 //! [`degree_sequence_lower_bound`]: crate::lower_bound::degree_sequence_lower_bound
 
 use crate::gedgw::Gedgw;
 use crate::lower_bound::{
-    anchored_lower_bound, branch_lower_bound_in, ceil_bound, degree_sequence_lower_bound,
-    label_set_lower_bound, sorted_multiset_surplus,
+    anchored_lower_bound, ceil_bound, degree_sequence_lower_bound, label_set_lower_bound,
+    sorted_multiset_surplus,
 };
 use crate::pairs::ordered;
 use crate::workspace::{reset, GedWorkspace};
@@ -91,7 +94,7 @@ use ged_linalg::lsap_min_in;
 use std::cmp::Reverse;
 use std::fmt;
 
-/// Statistics of the τ-exact filter–prune–verify pipeline (how much work
+/// Statistics of the τ-exact filter–verify pipeline (how much work
 /// each stage saved). Every candidate lands in exactly one tier, so
 /// [`ExactSearchStats::total`] always equals the number of candidates
 /// examined (for a store-level query, the store size). The engine's
@@ -115,17 +118,15 @@ pub struct ExactSearchStats {
     pub filtered: usize,
     /// Candidates discarded by the branch bound (the exact search's root
     /// bound, [`crate::lower_bound::branch_lower_bound`]) before their
-    /// GEDGW upper bound was computed.
+    /// search expanded a state.
     pub pruned_branch: usize,
     /// Candidates whose membership their shard's pivot-block upper bound
-    /// (`d(q,p) + d(p,g) ≤ τ`) certified before the GEDGW upper bound ran
-    /// (the exact distance is then recovered by a search bounded by that
-    /// pivot bound). Always zero wherever
-    /// [`ExactSearchStats::pruned_pivot`] is.
+    /// (`d(q,p) + d(p,g) ≤ τ`) certified before the branch tier ran (the
+    /// exact distance is then recovered by a search bounded by that pivot
+    /// bound). Always zero wherever [`ExactSearchStats::pruned_pivot`] is.
     pub accepted_pivot: usize,
-    /// Candidates accepted by the GEDGW upper bound.
-    pub accepted_early: usize,
-    /// Candidates that required bounded exact verification.
+    /// Candidates that required bounded exact verification (including
+    /// those the verification rejected).
     pub verified: usize,
     /// Candidates whose bounded search exhausted its node-expansion
     /// budget before reaching a decision (see
@@ -151,7 +152,6 @@ impl ExactSearchStats {
             + self.filtered
             + self.pruned_branch
             + self.accepted_pivot
-            + self.accepted_early
             + self.verified
             + self.budget_exceeded
     }
@@ -164,7 +164,6 @@ impl ExactSearchStats {
         match outcome {
             CandidateOutcome::PrunedByBranch => self.pruned_branch += 1,
             CandidateOutcome::AcceptedByPivot { .. } => self.accepted_pivot += 1,
-            CandidateOutcome::AcceptedEarly { .. } => self.accepted_early += 1,
             CandidateOutcome::Verified { .. } | CandidateOutcome::Rejected => self.verified += 1,
             CandidateOutcome::BudgetExhausted { .. } => self.budget_exceeded += 1,
         }
@@ -174,18 +173,17 @@ impl ExactSearchStats {
 impl fmt::Display for ExactSearchStats {
     /// One-line tier breakdown, filter order left to right:
     /// `shard=.. pivot=.. filtered=.. accept_pivot=.. branch=..
-    /// accept_ub=.. verified=.. budget=.. total=.. pivot_distances=..`.
+    /// verified=.. budget=.. total=.. pivot_distances=..`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "shard={} pivot={} filtered={} accept_pivot={} branch={} accept_ub={} verified={} \
-             budget={} total={} pivot_distances={}",
+            "shard={} pivot={} filtered={} accept_pivot={} branch={} verified={} budget={} \
+             total={} pivot_distances={}",
             self.pruned_shard,
             self.pruned_pivot,
             self.filtered,
             self.accepted_pivot,
             self.pruned_branch,
-            self.accepted_early,
             self.verified,
             self.budget_exceeded,
             self.total(),
@@ -232,10 +230,8 @@ pub struct JoinStats {
     pub accepted_pivot: usize,
     /// Pairs discarded by the branch bound (the exact search's root
     /// bound, [`crate::lower_bound::branch_lower_bound`]) before their
-    /// GEDGW upper bound was computed.
+    /// search expanded a state.
     pub pruned_branch: usize,
-    /// Pairs accepted by the GEDGW feasible upper bound.
-    pub accepted_early: usize,
     /// Pairs that required bounded exact verification (including pairs
     /// the verification rejected).
     pub verified: usize,
@@ -257,7 +253,6 @@ impl JoinStats {
             + self.cache_hits
             + self.accepted_pivot
             + self.pruned_branch
-            + self.accepted_early
             + self.verified
             + self.budget_exceeded
     }
@@ -270,7 +265,6 @@ impl JoinStats {
         match outcome {
             CandidateOutcome::PrunedByBranch => self.pruned_branch += 1,
             CandidateOutcome::AcceptedByPivot { .. } => self.accepted_pivot += 1,
-            CandidateOutcome::AcceptedEarly { .. } => self.accepted_early += 1,
             CandidateOutcome::Verified { .. } | CandidateOutcome::Rejected => self.verified += 1,
             CandidateOutcome::BudgetExhausted { .. } => self.budget_exceeded += 1,
         }
@@ -280,12 +274,12 @@ impl JoinStats {
 impl fmt::Display for JoinStats {
     /// One-line tier breakdown, filter order left to right:
     /// `block=.. band=.. filtered=.. pivot=.. cache=.. accept_pivot=..
-    /// branch=.. accept_ub=.. verified=.. budget=.. total=..`.
+    /// branch=.. verified=.. budget=.. total=..`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "block={} band={} filtered={} pivot={} cache={} accept_pivot={} branch={} \
-             accept_ub={} verified={} budget={} total={}",
+             verified={} budget={} total={}",
             self.pruned_block,
             self.pruned_band,
             self.filtered,
@@ -293,7 +287,6 @@ impl fmt::Display for JoinStats {
             self.cache_hits,
             self.accepted_pivot,
             self.pruned_branch,
-            self.accepted_early,
             self.verified,
             self.budget_exceeded,
             self.total()
@@ -380,21 +373,12 @@ pub fn bounded_exact_ged_with_budget_in(
 ) -> BoundedSearch {
     let (a, b, _) = ordered(g1, g2);
     let GedWorkspace {
-        ot,
-        m,
         csr1,
         csr2,
-        used,
-        matched,
         rest1,
         rest2,
         deg1,
         deg2,
-        anchored,
-        open,
-        states,
-        arena,
-        child,
         ..
     } = ws;
     csr1.rebuild_from(a);
@@ -429,21 +413,50 @@ pub fn bounded_exact_ged_with_budget_in(
     deg2.resize(n, 0);
     deg2.sort_unstable();
     let diff: usize = deg1.iter().zip(&*deg2).map(|(&x, &y)| x.abs_diff(y)).sum();
-    let root = node_term + edge_gap.max(diff.div_ceil(2));
-    if root > tau {
+    if node_term + edge_gap.max(diff.div_ceil(2)) > tau {
         return BoundedSearch::Exceeds;
     }
+    search_from_root(tau, budget, ws).unwrap_or(BoundedSearch::Exceeds)
+}
 
+/// The A\* of [`bounded_exact_ged_with_budget_in`] over the pair in `ws`'s
+/// CSR views: `None` when the root's anchored bound (the branch bound)
+/// exceeds `tau`, otherwise the search from the root keyed by that bound.
+fn search_from_root(tau: usize, budget: usize, ws: &mut GedWorkspace) -> Option<BoundedSearch> {
+    let GedWorkspace {
+        ot,
+        m,
+        csr1,
+        csr2,
+        used,
+        matched,
+        anchored,
+        open,
+        states,
+        arena,
+        child,
+        ..
+    } = ws;
+    let branch = anchored_lower_bound(csr1, csr2, &[], anchored, m, &mut ot.lsap);
+    let root = ceil_bound(branch);
+    if root > tau {
+        return None;
+    }
+    let n1 = csr1.num_nodes();
+    let n2 = csr2.num_nodes();
     open.clear();
     states.clear();
     arena.clear();
-    states.push(SearchState::default());
+    states.push(SearchState {
+        refined: true,
+        ..SearchState::default()
+    });
     open.push(Reverse((root, n1, 0)));
 
     let mut expanded = 0usize;
     while let Some(Reverse((f, _, idx))) = open.pop() {
         if f > tau {
-            return BoundedSearch::Exceeds; // smallest f exceeds τ => GED > τ
+            return Some(BoundedSearch::Exceeds); // smallest f exceeds τ => GED > τ
         }
         let SearchState {
             start,
@@ -475,13 +488,13 @@ pub fn bounded_exact_ged_with_budget_in(
             }
         }
         if expanded >= budget {
-            return BoundedSearch::BudgetExhausted;
+            return Some(BoundedSearch::BudgetExhausted);
         }
         expanded += 1;
         if depth == n1 {
             let total = g + closing_cost(csr2, child, matched);
             if total <= tau {
-                return BoundedSearch::Within(total);
+                return Some(BoundedSearch::Within(total));
             }
             continue;
         }
@@ -526,7 +539,7 @@ pub fn bounded_exact_ged_with_budget_in(
             child.pop();
         }
     }
-    BoundedSearch::Exceeds
+    Some(BoundedSearch::Exceeds)
 }
 
 fn closing_cost(csr2: &CsrView, mapping: &[u32], matched: &mut Vec<bool>) -> usize {
@@ -543,62 +556,19 @@ fn closing_cost(csr2: &CsrView, mapping: &[u32], matched: &mut Vec<bool>) -> usi
     cost
 }
 
-/// Fast feasible upper bound: round a (cheap) GEDGW coupling to a matching
-/// and take the induced cost.
-#[must_use]
-pub fn fast_upper_bound(g1: &Graph, g2: &Graph) -> usize {
-    fast_upper_bound_in(g1, g2, &mut GedWorkspace::new())
-}
-
-/// [`fast_upper_bound`] with the GEDGW solve and the rounding LSAP drawn
-/// from `ws`. Bit-identical to the allocating version for any (possibly
-/// dirty) workspace.
-#[must_use]
-pub fn fast_upper_bound_in(g1: &Graph, g2: &Graph, ws: &mut GedWorkspace) -> usize {
-    let (a, b, _) = ordered(g1, g2);
-    let solve = Gedgw::new(a, b)
-        .with_options(crate::gedgw::GedgwOptions {
-            max_iter: 15,
-            tol: 1e-7,
-        })
-        .solve_in(ws);
-    let (rows, cols) = solve.coupling.shape();
-    ws.neg.resize_zeroed(rows, cols);
-    for (o, &x) in ws
-        .neg
-        .as_mut_slice()
-        .iter_mut()
-        .zip(solve.coupling.as_slice())
-    {
-        // Sign flip, bit-identical to the `scale(-1.0)` of the allocating
-        // path (IEEE-754 negation for every finite or zero value).
-        *o = -x;
-    }
-    let assignment = lsap_min_in(&ws.neg, &mut ws.ot.lsap);
-    let mapping = NodeMapping::new(assignment.row_to_col.iter().map(|&c| c as u32).collect());
-    mapping.induced_cost(a, b)
-}
-
 /// Outcome of one candidate in the store-level exact pipeline
 /// ([`prune_or_verify`]): matching outcomes always carry the **exact**
 /// GED.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CandidateOutcome {
     /// The branch bound ([`crate::lower_bound::branch_lower_bound`],
-    /// the exact search's root bound) proved `GED > τ` before the GEDGW
-    /// upper bound was computed.
+    /// the exact search's root bound) proved `GED > τ` before the search
+    /// expanded a state.
     PrunedByBranch,
     /// The pivot-table upper bound proved membership (`ub_pivot ≤ τ`)
-    /// before the GEDGW upper bound was even computed; the exact distance
-    /// was then recovered by a search bounded by that pivot bound.
+    /// before the branch tier ran; the exact distance was then recovered
+    /// by a search bounded by that pivot bound.
     AcceptedByPivot {
-        /// The exact GED (`≤ τ`).
-        ged: usize,
-    },
-    /// The feasible upper bound proved membership (`ub ≤ τ`) without any
-    /// τ-bounded search; the exact distance was then recovered by a
-    /// search bounded by the (tighter) upper bound itself.
-    AcceptedEarly {
         /// The exact GED (`≤ τ`).
         ged: usize,
     },
@@ -610,33 +580,35 @@ pub enum CandidateOutcome {
     /// τ-bounded exact verification concluded `GED > τ`.
     Rejected,
     /// The node-expansion budget ran out before the candidate could be
-    /// fully resolved. When the prune tier had already proven membership
-    /// (`ub ≤ τ`) and only the exact-distance recovery was cut short,
-    /// `accepted_ub` carries that feasible bound — the proof is
+    /// fully resolved. When a pivot certificate had already proven
+    /// membership (`ub ≤ τ`) and only the exact-distance recovery was
+    /// cut short, `accepted_ub` carries that bound — the proof is
     /// preserved, not discarded; `None` means membership is genuinely
     /// unknown.
     BudgetExhausted {
-        /// `Some(ub)` when `GED ≤ ub ≤ τ` is already proven (the
+        /// `Some(ub)` when a pivot certificate proved `GED ≤ ub ≤ τ` (the
         /// candidate *is* a match, only its exact distance is unknown);
         /// `None` when the τ-bounded verification itself ran out.
         accepted_ub: Option<usize>,
     },
 }
 
-/// Tiers 2–4 of the exact pipeline for one filter survivor: the branch
+/// Tiers 2–3 of the exact pipeline for one filter survivor: the branch
 /// tier rejects when the ceiling of
 /// [`branch_lower_bound`](crate::lower_bound::branch_lower_bound)
-/// exceeds `tau` ([`CandidateOutcome::PrunedByBranch`]); the prune tier
-/// computes the feasible [`fast_upper_bound`] and accepts when it is
-/// `≤ tau` (recovering the exact distance with an `ub`-bounded search —
-/// strictly cheaper than a τ-bounded one, and never wasted because
-/// membership is already proven); otherwise the verify tier runs the
-/// τ-bounded exact search. `budget` caps the node expansions of either
-/// search (`usize::MAX` = unlimited).
+/// exceeds `tau` ([`CandidateOutcome::PrunedByBranch`]); otherwise the
+/// verify tier runs the τ-bounded exact search from that root bound, so
+/// the root LSAP is solved once. `budget` caps the search's node
+/// expansions (`usize::MAX` = unlimited).
+///
+/// The outcome is [`bounded_exact_ged_with_budget`]'s verdict at the same
+/// `tau` and `budget`: `Within(d)` is `Verified { ged: d }`, `Exceeds`
+/// is `PrunedByBranch` or `Rejected`, and `BudgetExhausted` is
+/// `BudgetExhausted { accepted_ub: None }`.
 ///
 /// This is the per-candidate unit [`crate::engine::GedQuery::RangeExact`]
 /// parallelizes over a store; callers are expected to have already run
-/// the lower-bound filter tier (the searches re-check the bounds, so
+/// the lower-bound filter tier (the branch bound dominates it, so
 /// skipping the filter costs speed, never correctness).
 #[must_use]
 pub fn prune_or_verify(query: &Graph, cand: &Graph, tau: usize, budget: usize) -> CandidateOutcome {
@@ -653,37 +625,27 @@ pub fn prune_or_verify_in(
     budget: usize,
     ws: &mut GedWorkspace,
 ) -> CandidateOutcome {
-    if tau != usize::MAX && ceil_bound(branch_lower_bound_in(query, cand, ws)) > tau {
-        return CandidateOutcome::PrunedByBranch;
-    }
-    let ub = fast_upper_bound_in(query, cand, ws);
-    if ub <= tau {
-        // Membership is decided search-free; `GED ≤ ub` makes the
-        // ub-bounded recovery search guaranteed to succeed (modulo budget).
-        return match bounded_exact_ged_with_budget_in(query, cand, ub, budget, ws) {
-            BoundedSearch::Within(ged) => CandidateOutcome::AcceptedEarly { ged },
-            BoundedSearch::Exceeds => unreachable!("feasible bound: GED ≤ ub always holds"),
-            BoundedSearch::BudgetExhausted => CandidateOutcome::BudgetExhausted {
-                accepted_ub: Some(ub),
-            },
-        };
-    }
-    match bounded_exact_ged_with_budget_in(query, cand, tau, budget, ws) {
-        BoundedSearch::Within(ged) => CandidateOutcome::Verified { ged },
-        BoundedSearch::Exceeds => CandidateOutcome::Rejected,
-        BoundedSearch::BudgetExhausted => CandidateOutcome::BudgetExhausted { accepted_ub: None },
+    let (a, b, _) = ordered(query, cand);
+    ws.csr1.rebuild_from(a);
+    ws.csr2.rebuild_from(b);
+    match search_from_root(tau, budget, ws) {
+        None => CandidateOutcome::PrunedByBranch,
+        Some(BoundedSearch::Within(ged)) => CandidateOutcome::Verified { ged },
+        Some(BoundedSearch::Exceeds) => CandidateOutcome::Rejected,
+        Some(BoundedSearch::BudgetExhausted) => {
+            CandidateOutcome::BudgetExhausted { accepted_ub: None }
+        }
     }
 }
 
 /// [`prune_or_verify`] with a triangle-inequality head start: when the
 /// caller's pivot table already proved membership (`pivot_ub ≤ τ`,
-/// [`ged_graph::PivotIndex::bounds`]), the GEDGW upper bound is skipped
-/// entirely and the exact distance is recovered by a search bounded by
-/// `pivot_ub` ([`CandidateOutcome::AcceptedByPivot`]); a budget
-/// exhaustion during that recovery keeps the membership proof
-/// (`accepted_ub = Some(pivot_ub)`). `pivot_ub = None` (or a bound above
-/// τ, which the caller should not pass) falls back to [`prune_or_verify`]
-/// unchanged.
+/// [`ged_graph::PivotIndex::bounds`]), the branch tier is skipped and the
+/// exact distance is recovered by a search bounded by `pivot_ub`
+/// ([`CandidateOutcome::AcceptedByPivot`]); a budget exhaustion during
+/// that recovery keeps the membership proof (`accepted_ub =
+/// Some(pivot_ub)`). `pivot_ub = None` (or a bound above τ, which the
+/// caller should not pass) falls back to [`prune_or_verify`] unchanged.
 #[must_use]
 pub fn prune_or_verify_with_pivot(
     query: &Graph,
@@ -756,6 +718,31 @@ pub fn pivot_distance_in(
     }
 }
 
+/// [`pivot_distance_in`]'s feasible upper bound: round a (cheap) GEDGW
+/// coupling to a matching and take the induced cost.
+fn fast_upper_bound_in(g1: &Graph, g2: &Graph, ws: &mut GedWorkspace) -> usize {
+    let (a, b, _) = ordered(g1, g2);
+    let solve = Gedgw::new(a, b)
+        .with_options(crate::gedgw::GedgwOptions {
+            max_iter: 15,
+            tol: 1e-7,
+        })
+        .solve_in(ws);
+    let (rows, cols) = solve.coupling.shape();
+    ws.neg.resize_zeroed(rows, cols);
+    for (o, &x) in ws
+        .neg
+        .as_mut_slice()
+        .iter_mut()
+        .zip(solve.coupling.as_slice())
+    {
+        *o = -x;
+    }
+    let assignment = lsap_min_in(&ws.neg, &mut ws.ot.lsap);
+    let mapping = NodeMapping::new(assignment.row_to_col.iter().map(|&c| c as u32).collect());
+    mapping.induced_cost(a, b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -780,16 +767,6 @@ mod tests {
                 assert_eq!(bounded_exact_ged(&g1, &g2, d - 1), None);
             }
             assert_eq!(bounded_exact_ged(&g1, &g2, d + 3), Some(d));
-        }
-    }
-
-    #[test]
-    fn upper_bound_is_feasible() {
-        let mut rng = SmallRng::seed_from_u64(202);
-        for _ in 0..15 {
-            let g1 = generate::random_connected(5, 1, &[0.5, 0.5], &mut rng);
-            let g2 = generate::random_connected(6, 2, &[0.5, 0.5], &mut rng);
-            assert!(fast_upper_bound(&g1, &g2) >= exact(&g1, &g2));
         }
     }
 
@@ -854,8 +831,7 @@ mod tests {
                     CandidateOutcome::AcceptedByPivot { .. } => {
                         unreachable!("no pivot certificate was supplied")
                     }
-                    CandidateOutcome::AcceptedEarly { ged }
-                    | CandidateOutcome::Verified { ged } => {
+                    CandidateOutcome::Verified { ged } => {
                         assert_eq!(ged, d, "matching outcomes must be exact");
                         assert!(d <= tau, "a match implies GED ≤ τ");
                     }
@@ -871,22 +847,21 @@ mod tests {
     }
 
     #[test]
-    fn prune_or_verify_accepts_identical_graphs_early() {
+    fn prune_or_verify_verifies_identical_graphs() {
         let mut rng = SmallRng::seed_from_u64(207);
         let g = generate::random_connected(6, 1, &[0.5, 0.5], &mut rng);
-        // GED(g, g) = 0 and the rounded GEDGW bound of an identical pair
-        // is 0, so the prune tier fires with the exact distance.
+        // GED(g, g) = 0: the branch bound cannot prune it, and the search
+        // verifies the exact distance.
         assert_eq!(
             prune_or_verify(&g, &g, 3, usize::MAX),
-            CandidateOutcome::AcceptedEarly { ged: 0 }
+            CandidateOutcome::Verified { ged: 0 }
         );
         // A zero budget surfaces as BudgetExhausted — never a wrong
-        // answer — and the prune tier's membership proof survives it.
+        // answer — with no membership proof, as only a pivot certificate
+        // carries one.
         assert_eq!(
             prune_or_verify(&g, &g, 3, 0),
-            CandidateOutcome::BudgetExhausted {
-                accepted_ub: Some(0)
-            }
+            CandidateOutcome::BudgetExhausted { accepted_ub: None }
         );
     }
 
@@ -898,14 +873,13 @@ mod tests {
             filtered: 3,
             pruned_branch: 8,
             accepted_pivot: 6,
-            accepted_early: 2,
             verified: 4,
             budget_exceeded: 1,
             pivot_distances: 9,
         };
         assert_eq!(
             stats.total(),
-            36,
+            34,
             "every tier participates in total(), the overlay does not"
         );
         let line = stats.to_string();
@@ -916,10 +890,9 @@ mod tests {
             "filtered=3",
             "accept_pivot=6",
             "branch=8",
-            "accept_ub=2",
             "verified=4",
             "budget=1",
-            "total=36",
+            "total=34",
             "pivot_distances=9",
         ] {
             assert!(line.contains(field), "{line} is missing {field}");

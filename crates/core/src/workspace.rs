@@ -1,8 +1,8 @@
 //! The per-thread scratch state of the GED hot path.
 //!
 //! A [`GedWorkspace`] owns every reusable buffer one thread needs to run
-//! GEDGW solves ([`crate::gedgw::Gedgw::solve_in`]), feasible upper
-//! bounds ([`crate::search::fast_upper_bound_in`]), and τ-bounded exact
+//! GEDGW solves ([`crate::gedgw::Gedgw::solve_in`]), branch bounds
+//! ([`crate::lower_bound::branch_lower_bound_in`]), and τ-bounded exact
 //! verification ([`crate::search::bounded_exact_ged_with_budget_in`])
 //! back to back: the OT/Frank–Wolfe buffers of
 //! [`ged_ot::OtWorkspace`], the GEDGW problem matrices, a pair of

@@ -811,7 +811,7 @@ pub fn classic_value(pair: &GedPair) -> f64 {
 }
 
 /// Exact range search at store scale: the three-tier
-/// filter–prune–verify plan (`GedQuery::RangeExact`) over an AIDS-like
+/// filter–branch–verify plan (`GedQuery::RangeExact`) over an AIDS-like
 /// store, per-τ tier statistics and wall clock, including the τ = ∞
 /// degradation to full exact scans under a node-expansion budget.
 #[must_use]
@@ -829,8 +829,7 @@ pub fn run_exact_search(cfg: &ExpConfig) -> String {
         .build()
         .expect("GEDGW is registered");
 
-    let mut out =
-        String::from("== Exact range search: filter / branch / prune / verify tiers ==\n");
+    let mut out = String::from("== Exact range search: filter / branch / verify tiers ==\n");
     let _ = writeln!(
         out,
         "store: {} AIDS-like graphs; query: member, {} nodes / {} edges; budget: 50k expansions",
@@ -840,8 +839,8 @@ pub fn run_exact_search(cfg: &ExpConfig) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>6} {:>8} {:>9} {:>7} {:>15} {:>9} {:>7} {:>9}",
-        "tau", "matches", "filtered", "branch", "accepted-early", "verified", "budget", "ms"
+        "{:>6} {:>8} {:>9} {:>7} {:>9} {:>7} {:>9}",
+        "tau", "matches", "filtered", "branch", "verified", "budget", "ms"
     );
     for tau in [2.0, 4.0, 6.0, 8.0, f64::INFINITY] {
         let start = Instant::now();
@@ -856,11 +855,10 @@ pub fn run_exact_search(cfg: &ExpConfig) -> String {
         };
         let _ = writeln!(
             out,
-            "{label:>6} {:>8} {:>9} {:>7} {:>15} {:>9} {:>7} {:>9.2}",
+            "{label:>6} {:>8} {:>9} {:>7} {:>9} {:>7} {:>9.2}",
             result.matches.len(),
             result.stats.filtered,
             result.stats.pruned_branch,
-            result.stats.accepted_early,
             result.stats.verified,
             result.stats.budget_exceeded,
             ms

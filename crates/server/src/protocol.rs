@@ -362,8 +362,8 @@ pub struct WireExactNeighbor {
 pub struct WireUndecided {
     /// Stored-graph name.
     pub name: String,
-    /// `Some(ub)` when membership is proven with feasible bound `ub`;
-    /// `None` when membership is unknown.
+    /// `Some(ub)` when a pivot certificate proved membership with bound
+    /// `ub`; `None` when membership is unknown.
     pub known_match_ub: Option<u64>,
 }
 
@@ -390,8 +390,8 @@ pub struct WireJoinUndecided {
     pub a: String,
     /// Second graph of the pair.
     pub b: String,
-    /// `Some(ub)` when membership is proven with feasible bound `ub`;
-    /// `None` when membership is unknown.
+    /// `Some(ub)` when a pivot certificate proved membership with bound
+    /// `ub`; `None` when membership is unknown.
     pub known_match_ub: Option<u64>,
 }
 

@@ -8,7 +8,7 @@
 //! block tier (shard×shard / size-range gap, whole blocks by arithmetic)
 //!   → band tier (signature-sort order, contiguous size bands)
 //!     → signature lower bounds → pivot triangle bounds → dedup cache
-//!       → upper-bound accepts → τ-bounded exact verification
+//!       → branch bound → τ-bounded exact verification
 //! ```
 //!
 //! The pivot tier reads the pivot blocks of a sharded store synced by

@@ -11,7 +11,9 @@
 //!   and IMDB-like pairs of at most 8 nodes and hand-picked corner
 //!   cases, at τ ∈ {0, 1, 2, 3, 4, ∞}, in both argument orders, through a
 //!   workspace left dirty by every earlier call; capped budgets may only
-//!   give up, never answer wrongly;
+//!   give up, never answer wrongly, and the store plans' per-candidate
+//!   unit `prune_or_verify_in` reaches the search's verdict at every
+//!   threshold and budget;
 //! * the bound: at random partial mappings, `completion_lower_bound` is
 //!   at most the cost of the cheapest completion (admissible), equals it
 //!   once every node of the smaller graph is mapped (tight), and equals
@@ -19,7 +21,9 @@
 
 use ged_testkit::{aids_store, linux_store, rng};
 use ot_ged::core::lower_bound::{branch_lower_bound, completion_lower_bound};
-use ot_ged::core::search::bounded_exact_ged_with_budget_in;
+use ot_ged::core::search::{
+    bounded_exact_ged_with_budget_in, prune_or_verify_in, CandidateOutcome,
+};
 use ot_ged::core::GedWorkspace;
 use ot_ged::prelude::*;
 use rand::seq::SliceRandom;
@@ -236,6 +240,19 @@ fn capped_budgets_never_decide_wrongly() {
                         "budget {budget}, τ = {tau}, d = {d}: got {got:?} for {x:?} / {y:?}"
                     );
                     assert_eq!(got, bounded_exact_ged_with_budget(x, y, tau, budget));
+                    // The store plans' unit shares the search's root and
+                    // budget accounting, so it reaches the same verdict.
+                    let unit = match prune_or_verify_in(x, y, tau, budget, &mut dirty) {
+                        CandidateOutcome::Verified { ged } => BoundedSearch::Within(ged),
+                        CandidateOutcome::PrunedByBranch | CandidateOutcome::Rejected => {
+                            BoundedSearch::Exceeds
+                        }
+                        CandidateOutcome::BudgetExhausted { accepted_ub: None } => {
+                            BoundedSearch::BudgetExhausted
+                        }
+                        other => panic!("no pivot certificate was given, got {other:?}"),
+                    };
+                    assert_eq!(unit, got, "budget {budget}, τ = {tau}: {x:?} / {y:?}");
                 }
             }
         }

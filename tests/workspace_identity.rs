@@ -18,8 +18,8 @@ use ot_ged::core::gedgw::Gedgw;
 use ot_ged::core::gediot::ConvKind;
 use ot_ged::core::kbest::{kbest_edit_path, kbest_edit_path_in};
 use ot_ged::core::search::{
-    bounded_exact_ged_with_budget, bounded_exact_ged_with_budget_in, fast_upper_bound,
-    fast_upper_bound_in,
+    bounded_exact_ged_with_budget, bounded_exact_ged_with_budget_in, pivot_distance,
+    pivot_distance_in,
 };
 use ot_ged::core::GedWorkspace;
 use ot_ged::graph::CsrView;
@@ -203,9 +203,9 @@ fn core_workspace_paths_are_bit_identical() {
         assert_bits_eq(&got.coupling, &want.coupling, "GEDGW coupling");
 
         assert_eq!(
-            fast_upper_bound_in(&g1, &g2, &mut ws),
-            fast_upper_bound(&g1, &g2),
-            "case {case}: fast upper bound"
+            pivot_distance_in(&g1, &g2, 0, &mut ws),
+            pivot_distance(&g1, &g2, 0),
+            "case {case}: pivot distance interval"
         );
 
         let tau = rng.gen_range(0usize..=6);
