@@ -10,7 +10,8 @@
 //! before/after trajectory; regenerate them after any change to the
 //! kernels or plans. `--smoke` runs tiny sizes and writes under `target/`
 //! (CI uses it to keep the binary and schema green without touching the
-//! committed numbers).
+//! committed numbers); `--out-dir DIR` writes elsewhere. Any other
+//! argument prints the usage and exits 2 before a suite runs.
 
 use ged_baselines::astar::astar_beam;
 use ged_core::engine::GedEngine;
@@ -480,23 +481,42 @@ fn write_json(path: &Path, suite: &str, mode: &str, rev: &str, results: &[Measur
     eprintln!("wrote {}", path.display());
 }
 
+/// The command line `perf_baseline` accepts.
+const USAGE: &str = "usage: perf_baseline [--smoke] [--out-dir DIR]";
+
+/// Parsed arguments: `--smoke`, and the `--out-dir` override if given.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    smoke: bool,
+    out_dir: Option<PathBuf>,
+}
+
+/// Parses the arguments after the program name, naming the first one
+/// it cannot use.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => parsed.smoke = true,
+            "--out-dir" => {
+                parsed.out_dir = Some(args.next().ok_or("--out-dir needs a value")?.into())
+            }
+            _ => return Err(format!("unknown argument `{arg}`")),
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_dir: PathBuf = args
-        .iter()
-        .position(|a| a == "--out-dir")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(
-            || {
-                if smoke {
-                    PathBuf::from("target/perf_smoke")
-                } else {
-                    PathBuf::from(".")
-                }
-            },
-            PathBuf::from,
-        );
+    // A bad command line must stop before any suite runs: the default
+    // output directory holds the committed baselines.
+    let Args { smoke, out_dir } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("perf_baseline: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let out_dir =
+        out_dir.unwrap_or_else(|| PathBuf::from(if smoke { "target/perf_smoke" } else { "." }));
     std::fs::create_dir_all(&out_dir).expect("create output directory");
     let mode = if smoke { "smoke" } else { "quick" };
     let rev = git_rev();
@@ -519,4 +539,30 @@ fn main() {
         &rev,
         &search,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn arguments_parse_or_name_the_bad_one() {
+        assert_eq!(parse(&[]), Ok(Args::default()));
+        assert_eq!(
+            parse(&["--out-dir", "d", "--smoke"]),
+            Ok(Args {
+                smoke: true,
+                out_dir: Some(PathBuf::from("d")),
+            })
+        );
+        assert!(parse(&["--help"]).unwrap_err().contains("--help"));
+        assert!(parse(&["--smoke", "--bogus"])
+            .unwrap_err()
+            .contains("--bogus"));
+        assert!(parse(&["--out-dir"]).unwrap_err().contains("--out-dir"));
+    }
 }

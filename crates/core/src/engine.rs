@@ -170,7 +170,7 @@
 use crate::error::GedError;
 use crate::method::MethodKind;
 use crate::pairs::GedPair;
-use crate::search::{pivot_distance_in, ExactSearchStats, JoinStats};
+use crate::search::{pivot_distance_in, ExactSearchStats};
 use crate::solver::{
     BatchRunner, GedEstimate, GedSolver, PathEstimate, SolverRegistry, SolverScratch,
 };
@@ -359,7 +359,7 @@ pub struct UndecidedPair {
 
 /// The answer to a GED join ([`GedQuery::SelfJoin`] / [`GedQuery::Join`]):
 /// every pair within the threshold with its exact GED, the pairs the
-/// expansion budget could not resolve, and per-tier [`JoinStats`].
+/// expansion budget could not resolve, and per-tier [`ExactSearchStats`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JoinResult {
     /// Every candidate pair with exact GED ≤ τ, in ascending `(a, b)`
@@ -373,10 +373,10 @@ pub struct JoinResult {
     /// order — each with the membership evidence that survived. Empty
     /// when the budget is unlimited (the default).
     pub budget_exhausted: Vec<UndecidedPair>,
-    /// How the join plan spent its work; [`JoinStats::total`] always
-    /// equals the exact candidate pair count (`n·(n−1)/2` for a
+    /// How the join plan spent its work; [`ExactSearchStats::total`]
+    /// always equals the exact candidate pair count (`n·(n−1)/2` for a
     /// self-join, `n·m` for a cross-store join).
-    pub stats: JoinStats,
+    pub stats: ExactSearchStats,
 }
 
 /// A symmetric pairwise distance matrix over a store
@@ -1332,9 +1332,8 @@ impl GedEngine {
 
     /// The matrix kernel shared by the flat and sharded plans: upper
     /// triangle over `graphs` (already in ascending id order), mirrored.
-    /// With a deadline set, the prediction batch is chunked into blocks
-    /// with a cooperative [`Deadline::check`] between them (per-pair
-    /// predictions are independent, so chunking cannot change a value).
+    /// Per-pair predictions are independent, so they run in
+    /// [`Self::deadline_blocks`].
     pub(crate) fn matrix_of(
         &self,
         method: MethodKind,
@@ -1353,17 +1352,9 @@ impl GedEngine {
             let pair = GedPair::new(graphs[i].1.clone(), graphs[j].1.clone());
             self.predict_cached(method, solver, &pair, scratch)
         };
-        let geds = if deadline.is_set() {
-            let mut geds = Vec::with_capacity(index_pairs.len());
-            for block in index_pairs.chunks(self.verify_block_len()) {
-                deadline.check()?;
-                geds.extend(self.runner.map_init(block, SolverScratch::new, predict));
-            }
-            geds
-        } else {
-            self.runner
-                .map_init(&index_pairs, SolverScratch::new, predict)
-        };
+        let geds = self.deadline_blocks(&index_pairs, deadline, |block| {
+            self.runner.map_init(block, SolverScratch::new, predict)
+        })?;
         let mut matrix = DistanceMatrix::new(graphs.into_iter().map(|(id, _)| id).collect());
         for (&(i, j), ged) in index_pairs.iter().zip(geds) {
             matrix.data[i * n + j] = ged;
@@ -1372,10 +1363,26 @@ impl GedEngine {
         Ok(matrix)
     }
 
-    /// How many verifications one deadline-checked block holds: enough
-    /// to keep every worker busy between cooperative checkpoints.
-    pub(crate) fn verify_block_len(&self) -> usize {
-        crate::plan::VERIFY_BLOCK * self.runner.threads().max(1)
+    /// Maps `items` through `f`, which maps each item independently: in
+    /// one call without a deadline, else in blocks with a cooperative
+    /// [`Deadline::check`] before each. A block holds enough items to keep
+    /// every worker busy between checkpoints; blocking cannot change a
+    /// value.
+    pub(crate) fn deadline_blocks<T, R>(
+        &self,
+        items: &[T],
+        deadline: Deadline,
+        mut f: impl FnMut(&[T]) -> Vec<R>,
+    ) -> Result<Vec<R>, GedError> {
+        if !deadline.is_set() {
+            return Ok(f(items));
+        }
+        let mut out = Vec::with_capacity(items.len());
+        for block in items.chunks(crate::plan::VERIFY_BLOCK * self.runner.threads().max(1)) {
+            deadline.check()?;
+            out.extend(f(block));
+        }
+        Ok(out)
     }
 
     // -- pivot blocks -------------------------------------------------------

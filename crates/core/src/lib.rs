@@ -71,9 +71,8 @@ pub use method::MethodKind;
 pub use pairs::{ordered, GedPair};
 pub use search::{
     bounded_exact_ged, bounded_exact_ged_with_budget, bounded_exact_ged_with_budget_in,
-    pivot_distance, pivot_distance_in, prune_or_verify, prune_or_verify_in,
-    prune_or_verify_with_pivot, prune_or_verify_with_pivot_in, BoundedSearch, CandidateOutcome,
-    ExactSearchStats, JoinStats,
+    pivot_distance, pivot_distance_in, prune_or_verify_in, prune_or_verify_with_pivot_in,
+    BoundedSearch, CandidateOutcome, ExactSearchStats,
 };
 pub use solver::{
     BatchRunner, GedEstimate, GedSolver, GedgwSolver, GedhotSolver, GediotSolver, PathEstimate,

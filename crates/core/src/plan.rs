@@ -60,6 +60,18 @@
 //! an unlimited [`GedEngineBuilder::verify_budget`], where that
 //! conclusion is guaranteed.
 //!
+//! # One exact funnel
+//!
+//! Exact range and the two joins are one filter–verify pipeline whose
+//! candidates are `(query, graph)` or `(a, b)` pairs. Their filter
+//! survivors share one type, keyed by what each plan reports; one verify
+//! tail runs the per-candidate unit over them in deadline-checked
+//! blocks; and one [`ExactSearchStats`] accounts every candidate, the
+//! join's shard×shard block tier under `pruned_shard` like a range
+//! query's shard tier. Exact range verifies in the caller's orientation,
+//! query first; the joins verify in canonical orientation so that
+//! structurally identical pairs can share one verification.
+//!
 //! [`GedEngineBuilder::verify_budget`]: crate::engine::GedEngineBuilder::verify_budget
 
 use crate::engine::{
@@ -74,7 +86,7 @@ use crate::lower_bound::{
 use crate::method::MethodKind;
 use crate::pairs::{structural_cmp, GedPair};
 use crate::search::{
-    pivot_distance_in, prune_or_verify_with_pivot_in, CandidateOutcome, ExactSearchStats, JoinStats,
+    pivot_distance_in, prune_or_verify_with_pivot_in, CandidateOutcome, ExactSearchStats,
 };
 use crate::solver::{GedSolver, SolverScratch};
 use crate::workspace::GedWorkspace;
@@ -112,13 +124,51 @@ impl Candidate {
 /// [`SearchStats`] are reproducible everywhere.
 pub(crate) const VERIFY_BLOCK: usize = 16;
 
-/// An exact-range filter survivor: the id, the pivot-ub membership
-/// certificate (if any), and the collapsed exact distance when the pivot
-/// interval was already tight (see [`certify`]).
-struct ExactSurvivor {
-    id: GraphId,
+/// A filter survivor of an exact plan: the key its plan reports it
+/// under (the candidate id for `RangeExact`, the `(a, b)` id pair for a
+/// join), the verification orientation as graph refs, the pivot-ub
+/// membership certificate (if any), and the collapsed exact distance
+/// when the pivot interval was already tight (see [`ExactSurvivor::new`]).
+#[derive(Clone, Copy)]
+struct ExactSurvivor<'g, K> {
+    key: K,
+    qa: &'g Graph,
+    qb: &'g Graph,
     certificate: Option<usize>,
     collapsed_ged: Option<usize>,
+}
+
+/// A join survivor, keyed by its reported `(a, b)` pair (`a < b` for a
+/// self-join; left/right for a cross-store join) and oriented
+/// canonically (see [`canonical_refs`]).
+type JoinSurvivor<'g> = ExactSurvivor<'g, (GraphId, GraphId)>;
+
+impl<'g, K> ExactSurvivor<'g, K> {
+    /// The survivor `(qa, qb)` with pivot interval `[lb, ub]`. Its
+    /// certificate is `ub` when `ub ≤ τ`; it must be a *real* pivot
+    /// bound, since the vacuous `usize::MAX` of a disabled pivot tier
+    /// would otherwise "certify" everything whenever τ saturates to
+    /// `usize::MAX`, crediting the pivot tier with every candidate the
+    /// verify tier decides. Under an unlimited verify `budget`, a
+    /// certified tight interval (`lb == ub`) also pins the exact
+    /// distance: the ub-bounded recovery search could only conclude
+    /// `Within(ub)`, so it is skipped.
+    fn new(
+        key: K,
+        (qa, qb): (&'g Graph, &'g Graph),
+        (lb, ub): (usize, usize),
+        tau: usize,
+        budget: usize,
+    ) -> Self {
+        let certificate = (ub != usize::MAX && ub <= tau).then_some(ub);
+        ExactSurvivor {
+            key,
+            qa,
+            qb,
+            certificate,
+            collapsed_ged: certificate.filter(|&ub| budget == usize::MAX && ub == lb),
+        }
+    }
 }
 
 /// One unit of a join plan: a flat store, or one shard of a sharded
@@ -160,20 +210,6 @@ impl JoinUnit<'_> {
     }
 }
 
-/// A join-filter survivor: the reported id pair (`a < b` for a
-/// self-join; left/right for a cross-store join), the canonical
-/// verification orientation as graph refs, the pivot-ub membership
-/// certificate, and the collapsed exact distance when the pivot interval
-/// was already tight (see [`certify`]).
-struct JoinSurvivor<'s> {
-    a: GraphId,
-    b: GraphId,
-    qa: &'s Graph,
-    qb: &'s Graph,
-    certificate: Option<usize>,
-    collapsed_ged: Option<usize>,
-}
-
 /// Which kind of unit×unit block a cross-block filter call works.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum CrossKind {
@@ -186,21 +222,6 @@ enum CrossKind {
     /// A cross-store block: `(left id, right id)` pairs as-is; the right
     /// unit's pivot block is armed lazily, once per left row.
     TwoStores,
-}
-
-/// The membership certificate and collapsed distance of an exact-plan
-/// survivor with pivot interval `[lb, ub]`. The certificate is `ub` when
-/// `ub ≤ τ`; it must be a *real* pivot bound, since the vacuous
-/// `usize::MAX` of a disabled pivot tier would otherwise "certify"
-/// everything whenever τ saturates to `usize::MAX`, crediting the pivot
-/// tier with every candidate the verify tier decides. With
-/// `collapse` (an unlimited verify budget), a certified tight interval
-/// (`lb == ub`) also pins the exact distance: the ub-bounded recovery
-/// search could only conclude `Within(ub)`, so it is skipped.
-fn certify((lb, ub): (usize, usize), tau: usize, collapse: bool) -> (Option<usize>, Option<usize>) {
-    let certificate = (ub != usize::MAX && ub <= tau).then_some(ub);
-    let collapsed_ged = certificate.filter(|&ub| collapse && ub == lb);
-    (certificate, collapsed_ged)
 }
 
 /// The canonical verification orientation of a join pair — exactly
@@ -221,63 +242,6 @@ fn canonical_refs<'g>(ga: &'g Graph, gb: &'g Graph) -> (&'g Graph, &'g Graph) {
         (ga, gb)
     } else {
         (gb, ga)
-    }
-}
-
-/// Structural fingerprint of a canonically oriented pair (same scheme as
-/// the engine's prediction cache). Collisions are harmless: the dedup
-/// tier exact-compares graphs within each bucket.
-fn join_pair_fingerprint(qa: &Graph, qb: &Graph) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    qa.hash(&mut h);
-    qb.hash(&mut h);
-    h.finish()
-}
-
-/// Filters one unit's *diagonal* self-join block: all unordered
-/// same-unit pairs, streamed in band order. The pivot tier reads the
-/// shard's own table rows via [`ged_graph::PivotIndex::member_bounds`] —
-/// no per-row distance computations at all.
-fn filter_self_block<'s>(
-    unit: &JoinUnit<'s>,
-    tau: usize,
-    collapse: bool,
-    discards: &mut DiscardCounts,
-    stats: &mut JoinStats,
-    survivors: &mut Vec<JoinSurvivor<'s>>,
-) {
-    let entries = &unit.entries;
-    for (i, &(ia, ga, sa)) in entries.iter().enumerate() {
-        for (j, &(ib, gb, sb)) in entries.iter().enumerate().skip(i + 1) {
-            // Band tier: entries ascend by node count, so the first
-            // partner past the size-difference bound proves every later
-            // one is past it too — the rest of the row is discarded by
-            // arithmetic.
-            if sb.num_nodes() - sa.num_nodes() > tau {
-                stats.pruned_band += entries.len() - j;
-                break;
-            }
-            let pivot = unit
-                .pivot
-                .and_then(|shard| shard.pivot_index()?.member_bounds(ia, ib))
-                .unwrap_or((0, usize::MAX));
-            if discards.exact_discards(pivot.0, sa, sb, tau) {
-                continue;
-            }
-            let (certificate, collapsed_ged) = certify(pivot, tau, collapse);
-            // One store: ascending-id orientation is canonical.
-            let (a, b) = if ia <= ib { (ia, ib) } else { (ib, ia) };
-            let (qa, qb) = canonical_refs(ga, gb);
-            survivors.push(JoinSurvivor {
-                a,
-                b,
-                qa,
-                qb,
-                certificate,
-                collapsed_ged,
-            });
-        }
     }
 }
 
@@ -316,20 +280,11 @@ impl<'s> ShardUnit<'s> {
     }
 }
 
-/// Per-discard-tier fire counts of one query: the
-/// [`ExactSearchStats`] / [`JoinStats`] attribution.
-#[derive(Default, Clone, Copy)]
-struct DiscardCounts {
-    label: usize,
-    degree: usize,
-    pivot: usize,
-}
-
-impl DiscardCounts {
+impl ExactSearchStats {
     /// The exact plans' commutative discard tiers in their fixed order —
     /// pivot bound, label bound, degree bound — each computed only when
-    /// reached. Records the tier that discards the pair, if any, and
-    /// returns whether one did.
+    /// reached. Files a discarded pair under `pruned_pivot` or
+    /// `filtered` and returns whether a tier discarded it.
     fn exact_discards(
         &mut self,
         lb_pivot: usize,
@@ -338,11 +293,11 @@ impl DiscardCounts {
         tau: usize,
     ) -> bool {
         if lb_pivot > tau {
-            self.pivot += 1;
-        } else if label_set_lower_bound_sig(sa, sb) > tau {
-            self.label += 1;
-        } else if degree_sequence_lower_bound_sig(sa, sb) > tau {
-            self.degree += 1;
+            self.pruned_pivot += 1;
+        } else if label_set_lower_bound_sig(sa, sb) > tau
+            || degree_sequence_lower_bound_sig(sa, sb) > tau
+        {
+            self.filtered += 1;
         } else {
             return false;
         }
@@ -630,24 +585,11 @@ impl GedEngine {
                 }
                 survivors.push(c);
             }
-            // With a deadline set, the per-unit verify batch is chunked
-            // with a cooperative checkpoint between blocks (per-candidate
-            // verification is independent, so chunking cannot change a
-            // value).
-            let verified = if deadline.is_set() {
-                let mut out = Vec::with_capacity(survivors.len());
-                for chunk in survivors.chunks(self.verify_block_len()) {
-                    deadline.check()?;
-                    let verified =
-                        self.verify(method, solver, query, unit.store, chunk, tau, &mut stats);
-                    out.extend(verified);
-                }
-                out
-            } else {
-                self.verify(
-                    method, solver, query, unit.store, &survivors, tau, &mut stats,
-                )
-            };
+            // Per-candidate verification is independent, so the unit's
+            // batch runs in deadline-checked blocks.
+            let verified = self.deadline_blocks(&survivors, deadline, |block| {
+                self.verify(method, solver, query, unit.store, block, tau, &mut stats)
+            })?;
             neighbors.extend(verified.into_iter().filter(|n| n.ged <= tau));
         }
         neighbors.sort_by(|a, b| a.ged.total_cmp(&b.ged).then(a.id.cmp(&b.id)));
@@ -657,7 +599,8 @@ impl GedEngine {
     /// The unified exact range plan (flat = one-shard case). The
     /// commutative discards run pivot → label → degree; certificate
     /// recovery collapses on a tight pivot interval under an unlimited
-    /// verify budget (see [`certify`]).
+    /// verify budget (see [`ExactSurvivor::new`]). Survivors verify in the
+    /// caller's orientation, query first.
     pub(crate) fn plan_range_exact(
         &self,
         method: MethodKind,
@@ -666,11 +609,7 @@ impl GedEngine {
         tau: f64,
         deadline: Deadline,
     ) -> Result<RangeExactResult, GedError> {
-        if tau.is_nan() {
-            return Err(GedError::Config(
-                "exact range threshold must not be NaN".to_string(),
-            ));
-        }
+        let tau = exact_tau(tau, "exact range")?;
         // Exact search never consults the solver; validate the method
         // anyway so a `QueryOpts::method` override behaves uniformly.
         let _ = self.solver(method)?;
@@ -678,31 +617,17 @@ impl GedEngine {
         store.validate()?;
 
         let mut stats = ExactSearchStats::default();
-        if tau < 0.0 {
-            // Every lower bound (≥ 0) exceeds a negative τ: the filter
-            // tier discards the whole store.
+        let Some(tau) = tau else {
             stats.filtered = store.len();
             return Ok(RangeExactResult {
                 matches: Vec::new(),
                 budget_exhausted: Vec::new(),
                 stats,
             });
-        }
-        // GED is integral: GED ≤ τ ⟺ GED ≤ ⌊τ⌋. `+∞` (and any τ beyond
-        // usize) saturates to an effectively unbounded threshold — τ is
-        // only ever compared, never added, so no overflow.
-        let tau = if tau.is_infinite() {
-            usize::MAX
-        } else {
-            tau.floor() as usize
         };
-
-        let collapse = self.verify_budget == usize::MAX;
         let qsig = GraphSignature::of(query);
         let mut units = self.shard_units(&qsig, store);
-
-        let mut discards = DiscardCounts::default();
-        let mut survivors: Vec<ExactSurvivor> = Vec::new();
+        let mut survivors = Vec::new();
         let mut ws = GedWorkspace::new();
         for unit in &mut units {
             if self.shard_tier_prunes(
@@ -716,65 +641,30 @@ impl GedEngine {
                 stats.pruned_shard += unit.len();
                 continue;
             }
-            let unit = &*unit;
-            for (id, _, sig) in unit.store.entries() {
+            for (id, g, sig) in unit.store.entries() {
                 let pivot = unit.pivot_bounds_for(id);
-                if discards.exact_discards(pivot.0, &qsig, sig, tau) {
-                    continue;
+                if !stats.exact_discards(pivot.0, &qsig, sig, tau) {
+                    let pair = (query, g);
+                    survivors.push(ExactSurvivor::new(id, pair, pivot, tau, self.verify_budget));
                 }
-                let (certificate, collapsed_ged) = certify(pivot, tau, collapse);
-                survivors.push(ExactSurvivor {
-                    id,
-                    certificate,
-                    collapsed_ged,
-                });
             }
         }
-        stats.pruned_pivot = discards.pivot;
-        stats.filtered = discards.label + discards.degree;
         // Units were visited in bound order; restore the flat plan's
         // globally ascending id order for the verify batch.
-        survivors.sort_by_key(|s| s.id);
+        survivors.sort_by_key(|s| s.key);
 
-        // Branch / verify tiers: per-candidate, embarrassingly parallel,
-        // deterministic — so thread count never changes the answer and
-        // input (id) order is preserved. A pivot-certified candidate
-        // skips the branch tier and goes straight to the
-        // (pivot-ub-bounded) exact-distance recovery. With a deadline
-        // set the batch is chunked with a cooperative checkpoint between
-        // blocks (chunking cannot change a per-candidate outcome).
-        let run = |ws: &mut GedWorkspace, s: &ExactSurvivor| {
-            if let Some(ged) = s.collapsed_ged {
-                return CandidateOutcome::AcceptedByPivot { ged };
-            }
-            let cand = store.get(s.id).expect("survivor ids come from this store");
-            prune_or_verify_with_pivot_in(query, cand, tau, self.verify_budget, s.certificate, ws)
-        };
-        let outcomes = if deadline.is_set() {
-            let mut out = Vec::with_capacity(survivors.len());
-            for chunk in survivors.chunks(self.verify_block_len()) {
-                deadline.check()?;
-                out.extend(self.runner.map_init(chunk, GedWorkspace::new, run));
-            }
-            out
-        } else {
-            self.runner.map_init(&survivors, GedWorkspace::new, run)
-        };
-
+        let outcomes = self.verify_exact(&survivors, tau, deadline, &mut stats)?;
         let mut matches = Vec::new();
         let mut budget_exhausted = Vec::new();
         for (s, outcome) in survivors.iter().zip(outcomes) {
-            stats.record(&outcome);
             match outcome {
-                crate::search::CandidateOutcome::AcceptedByPivot { ged }
-                | crate::search::CandidateOutcome::Verified { ged } => {
-                    matches.push(ExactNeighbor { id: s.id, ged });
+                CandidateOutcome::AcceptedByPivot { ged } | CandidateOutcome::Verified { ged } => {
+                    matches.push(ExactNeighbor { id: s.key, ged });
                 }
-                crate::search::CandidateOutcome::PrunedByBranch
-                | crate::search::CandidateOutcome::Rejected => {}
-                crate::search::CandidateOutcome::BudgetExhausted { accepted_ub } => {
+                CandidateOutcome::PrunedByBranch | CandidateOutcome::Rejected => {}
+                CandidateOutcome::BudgetExhausted { accepted_ub } => {
                     budget_exhausted.push(UndecidedCandidate {
-                        id: s.id,
+                        id: s.key,
                         known_match_ub: accepted_ub,
                     });
                 }
@@ -790,6 +680,37 @@ impl GedEngine {
             budget_exhausted,
             stats,
         })
+    }
+
+    /// The branch and verify tiers every exact plan shares, over its
+    /// survivors in [`Self::deadline_blocks`]: a collapsed survivor is
+    /// answered from its tight pivot interval, and every other runs
+    /// [`prune_or_verify_with_pivot_in`] in the orientation its plan filed
+    /// it in (a certified one skips the branch tier for the
+    /// certificate-bounded distance recovery). Each outcome depends on its
+    /// survivor alone, so the thread count never changes one. Returns the
+    /// outcomes in survivor order, each already recorded in `stats`.
+    fn verify_exact<K: Sync>(
+        &self,
+        survivors: &[ExactSurvivor<'_, K>],
+        tau: usize,
+        deadline: Deadline,
+        stats: &mut ExactSearchStats,
+    ) -> Result<Vec<CandidateOutcome>, GedError> {
+        let budget = self.verify_budget;
+        let outcomes = self.deadline_blocks(survivors, deadline, |block| {
+            self.runner
+                .map_init(block, GedWorkspace::new, |ws, s| match s.collapsed_ged {
+                    Some(ged) => CandidateOutcome::AcceptedByPivot { ged },
+                    None => {
+                        prune_or_verify_with_pivot_in(s.qa, s.qb, tau, budget, s.certificate, ws)
+                    }
+                })
+        })?;
+        for outcome in &outcomes {
+            stats.record(outcome);
+        }
+        Ok(outcomes)
     }
 
     /// The unified matrix plan: validation plus the shared
@@ -846,23 +767,63 @@ impl GedEngine {
         }
     }
 
+    /// Filters one unit's *diagonal* self-join block: all unordered
+    /// same-unit pairs, streamed in band order. The pivot tier reads the
+    /// shard's own table rows via [`ged_graph::PivotIndex::member_bounds`] —
+    /// no per-row distance computations at all.
+    fn filter_self_block<'s>(
+        &self,
+        unit: &JoinUnit<'s>,
+        tau: usize,
+        stats: &mut ExactSearchStats,
+        survivors: &mut Vec<JoinSurvivor<'s>>,
+    ) {
+        let entries = &unit.entries;
+        for (i, &(ia, ga, sa)) in entries.iter().enumerate() {
+            for (j, &(ib, gb, sb)) in entries.iter().enumerate().skip(i + 1) {
+                // Band tier: entries ascend by node count, so the first
+                // partner past the size-difference bound proves every
+                // later one is past it too — the rest of the row is
+                // discarded by arithmetic.
+                if sb.num_nodes() - sa.num_nodes() > tau {
+                    stats.pruned_band += entries.len() - j;
+                    break;
+                }
+                let pivot = unit
+                    .pivot
+                    .and_then(|shard| shard.pivot_index()?.member_bounds(ia, ib))
+                    .unwrap_or((0, usize::MAX));
+                if stats.exact_discards(pivot.0, sa, sb, tau) {
+                    continue;
+                }
+                // One store: ascending-id orientation is canonical.
+                let key = if ia <= ib { (ia, ib) } else { (ib, ia) };
+                let pair = canonical_refs(ga, gb);
+                survivors.push(ExactSurvivor::new(
+                    key,
+                    pair,
+                    pivot,
+                    tau,
+                    self.verify_budget,
+                ));
+            }
+        }
+    }
+
     /// Filters one off-diagonal `left-unit × right-unit` block: for each
     /// left row, the band tier narrows the right entries to the one
     /// contiguous window within the size-difference bound
     /// (`partition_point` on the band order), then the window runs the
     /// exact discard tiers. `TwoStores` blocks arm the right unit's pivot
     /// block lazily — once per left row, and only if the row's window is
-    /// not empty.
-    #[allow(clippy::too_many_arguments)]
+    /// not empty — adding the computed distances to `pivot_distances`.
     fn filter_cross_block<'s>(
         &self,
         left: &JoinUnit<'s>,
         right: &JoinUnit<'s>,
         kind: CrossKind,
         tau: usize,
-        collapse: bool,
-        discards: &mut DiscardCounts,
-        stats: &mut JoinStats,
+        stats: &mut ExactSearchStats,
         survivors: &mut Vec<JoinSurvivor<'s>>,
     ) {
         let mut ws = GedWorkspace::new();
@@ -879,8 +840,11 @@ impl GedEngine {
             for &(ib, gb, sb) in &right.entries[lo..hi] {
                 let pivot = match (kind, right.pivot) {
                     (CrossKind::TwoStores, Some(shard)) => {
-                        let qd = qdists
-                            .get_or_insert_with(|| self.arm_pivot_block(shard, ga, sa, &mut ws).0);
+                        let qd = qdists.get_or_insert_with(|| {
+                            let (qd, computed) = self.arm_pivot_block(shard, ga, sa, &mut ws);
+                            stats.pivot_distances += computed;
+                            qd
+                        });
                         let ix = shard.pivot_index().expect("a synced block");
                         ix.bounds(qd, ib)
                             .expect("index is synced with its unit store")
@@ -889,23 +853,21 @@ impl GedEngine {
                     // vacuous (see [`CrossKind::SameStore`]).
                     _ => (0, usize::MAX),
                 };
-                if discards.exact_discards(pivot.0, sa, sb, tau) {
+                if stats.exact_discards(pivot.0, sa, sb, tau) {
                     continue;
                 }
-                let (certificate, collapsed_ged) = certify(pivot, tau, collapse);
-                let (a, b) = match kind {
+                let key = match kind {
                     CrossKind::SameStore if ib < ia => (ib, ia),
                     _ => (ia, ib),
                 };
-                let (qa, qb) = canonical_refs(ga, gb);
-                survivors.push(JoinSurvivor {
-                    a,
-                    b,
-                    qa,
-                    qb,
-                    certificate,
-                    collapsed_ged,
-                });
+                let pair = canonical_refs(ga, gb);
+                survivors.push(ExactSurvivor::new(
+                    key,
+                    pair,
+                    pivot,
+                    tau,
+                    self.verify_budget,
+                ));
             }
         }
     }
@@ -914,7 +876,7 @@ impl GedEngine {
     /// unordered pair of stored graphs with exact GED ≤ τ, through the
     /// block → band → commutative-discard → dedup → verify tier stack.
     /// τ semantics follow [`crate::engine::GedQuery::SelfJoin`];
-    /// [`JoinStats::total`] always closes to `n·(n−1)/2`.
+    /// [`ExactSearchStats::total`] always closes to `n·(n−1)/2`.
     pub(crate) fn plan_self_join(
         &self,
         method: MethodKind,
@@ -922,61 +884,34 @@ impl GedEngine {
         tau: f64,
         deadline: Deadline,
     ) -> Result<JoinResult, GedError> {
-        if tau.is_nan() {
-            return Err(GedError::Config(
-                "join threshold must not be NaN".to_string(),
-            ));
-        }
+        let tau = exact_tau(tau, "join")?;
         // Joins never consult the solver; validate the method anyway so
         // a `QueryOpts::method` override behaves uniformly.
         let _ = self.solver(method)?;
         store.validate()?;
         let n = store.len();
-        let total_pairs = n * (n - 1) / 2;
-        if tau < 0.0 {
-            return Ok(negative_tau_join(total_pairs));
-        }
-        let tau = saturate_tau(tau);
-        let collapse = self.verify_budget == usize::MAX;
-        let units = self.join_units(store, true);
-
-        let mut stats = JoinStats::default();
-        let mut discards = DiscardCounts::default();
-        let mut survivors: Vec<JoinSurvivor<'_>> = Vec::new();
-        for (i, unit) in units.iter().enumerate() {
-            deadline.check()?;
-            // A unit's diagonal block can never be block-pruned (its
-            // ranges overlap themselves, bound 0), so it goes straight
-            // to the band tier.
-            filter_self_block(
-                unit,
-                tau,
-                collapse,
-                &mut discards,
-                &mut stats,
-                &mut survivors,
-            );
-            for other in &units[i + 1..] {
+        self.run_join(tau, n * (n - 1) / 2, deadline, |tau, stats, survivors| {
+            let units = self.join_units(store, true);
+            for (i, unit) in units.iter().enumerate() {
                 deadline.check()?;
-                // Block tier: one aggregate comparison discards the
-                // whole shard×shard block of pairs.
-                if unit.block_bound(other) > tau {
-                    stats.pruned_block += unit.len() * other.len();
-                    continue;
+                // A unit's diagonal block can never be block-pruned (its
+                // ranges overlap themselves, bound 0), so it goes
+                // straight to the band tier.
+                self.filter_self_block(unit, tau, stats, survivors);
+                for other in &units[i + 1..] {
+                    deadline.check()?;
+                    // Block tier: one aggregate comparison discards the
+                    // whole shard×shard block of pairs.
+                    if unit.block_bound(other) > tau {
+                        stats.pruned_shard += unit.len() * other.len();
+                        continue;
+                    }
+                    let kind = CrossKind::SameStore;
+                    self.filter_cross_block(unit, other, kind, tau, stats, survivors);
                 }
-                self.filter_cross_block(
-                    unit,
-                    other,
-                    CrossKind::SameStore,
-                    tau,
-                    collapse,
-                    &mut discards,
-                    &mut stats,
-                    &mut survivors,
-                );
             }
-        }
-        self.verify_join(tau, deadline, survivors, stats, discards, total_pairs)
+            Ok(())
+        })
     }
 
     /// The unified cross-store join plan: every `(a, b)` pair with `a`
@@ -986,7 +921,7 @@ impl GedEngine {
     /// pivots (lazily, once per left row per unit). `join(s, s)` is the
     /// *ordered* product — all `n·m` pairs including the diagonal;
     /// symmetric duplicates resolve through the dedup tier as
-    /// `cache_hits`. [`JoinStats::total`] always closes to `n·m`.
+    /// `cache_hits`. [`ExactSearchStats::total`] always closes to `n·m`.
     pub(crate) fn plan_join<'s>(
         &self,
         method: MethodKind,
@@ -995,149 +930,99 @@ impl GedEngine {
         tau: f64,
         deadline: Deadline,
     ) -> Result<JoinResult, GedError> {
-        if tau.is_nan() {
-            return Err(GedError::Config(
-                "join threshold must not be NaN".to_string(),
-            ));
-        }
+        let tau = exact_tau(tau, "join")?;
         let _ = self.solver(method)?;
         left.validate()?;
         right.validate()?;
         let total_pairs = left.len() * right.len();
-        if tau < 0.0 {
-            return Ok(negative_tau_join(total_pairs));
-        }
-        let tau = saturate_tau(tau);
-        let collapse = self.verify_budget == usize::MAX;
-        // Only the right side serves the pivot tier (armed per left
-        // row), so left units are always built bare.
-        let left_units = self.join_units(left, false);
-        let right_units = self.join_units(right, true);
-
-        let mut stats = JoinStats::default();
-        let mut discards = DiscardCounts::default();
-        let mut survivors: Vec<JoinSurvivor<'s>> = Vec::new();
-        for lu in &left_units {
-            deadline.check()?;
-            for ru in &right_units {
-                if lu.block_bound(ru) > tau {
-                    stats.pruned_block += lu.len() * ru.len();
-                    continue;
+        self.run_join(tau, total_pairs, deadline, |tau, stats, survivors| {
+            // Only the right side serves the pivot tier (armed per left
+            // row), so left units are always built bare.
+            let right_units = self.join_units(right, true);
+            for lu in &self.join_units(left, false) {
+                deadline.check()?;
+                for ru in &right_units {
+                    if lu.block_bound(ru) > tau {
+                        stats.pruned_shard += lu.len() * ru.len();
+                        continue;
+                    }
+                    let kind = CrossKind::TwoStores;
+                    self.filter_cross_block(lu, ru, kind, tau, stats, survivors);
                 }
-                self.filter_cross_block(
-                    lu,
-                    ru,
-                    CrossKind::TwoStores,
-                    tau,
-                    collapse,
-                    &mut discards,
-                    &mut stats,
-                    &mut survivors,
-                );
             }
-        }
-        self.verify_join(tau, deadline, survivors, stats, discards, total_pairs)
+            Ok(())
+        })
     }
 
-    /// The shared verify tail of both join plans: survivors are put in
-    /// ascending `(a, b)` order, deduplicated so each structurally
+    /// The body both join plans share. A negative τ (`None`) files every
+    /// one of the `total_pairs` under `filtered`. Otherwise `filter` runs
+    /// the plan's block, band and discard tiers at τ; its survivors are
+    /// put in ascending `(a, b)` order, deduplicated so each structurally
     /// identical `(pair, certificate, collapsed)` class verifies once
-    /// (dupes land in the `cache_hits` tier), representatives run the
-    /// τ-bounded prune/verify tiers in parallel (chunked with
-    /// cooperative checkpoints under a deadline), and every survivor is
-    /// assembled from its class outcome.
-    fn verify_join(
+    /// (dupes land in the `cache_hits` tier), the representatives run
+    /// [`Self::verify_exact`], and every survivor is assembled from its
+    /// class outcome.
+    fn run_join<'s>(
         &self,
-        tau: usize,
-        deadline: Deadline,
-        mut survivors: Vec<JoinSurvivor<'_>>,
-        mut stats: JoinStats,
-        discards: DiscardCounts,
+        tau: Option<usize>,
         total_pairs: usize,
+        deadline: Deadline,
+        filter: impl FnOnce(
+            usize,
+            &mut ExactSearchStats,
+            &mut Vec<JoinSurvivor<'s>>,
+        ) -> Result<(), GedError>,
     ) -> Result<JoinResult, GedError> {
-        stats.filtered += discards.label + discards.degree;
-        stats.pruned_pivot += discards.pivot;
+        let mut stats = ExactSearchStats::default();
+        let Some(tau) = tau else {
+            stats.filtered = total_pairs;
+            return Ok(JoinResult {
+                pairs: Vec::new(),
+                budget_exhausted: Vec::new(),
+                stats,
+            });
+        };
+        let mut survivors = Vec::new();
+        filter(tau, &mut stats, &mut survivors)?;
         // Blocks were visited in unit order; report pairs in ascending
         // (a, b) id order (the brute-force nested-loop order).
-        survivors.sort_by_key(|s| (s.a, s.b));
+        survivors.sort_by_key(|s| s.key);
 
         // Dedup tier: two survivors whose canonical graphs are
         // structurally identical — and whose certificate and collapsed
         // distance agree, so the verify input is bit-identical — share
-        // one deterministic outcome. Keyed by fingerprint with exact
-        // graph comparison inside each bucket, so a hash collision can
-        // never share a wrong outcome. The first occurrence (smallest
-        // (a, b)) is the representative.
-        let mut reps: Vec<usize> = Vec::new();
+        // one deterministic outcome. The class key holds the graphs
+        // themselves, so a hash collision can never share a wrong
+        // outcome. The first occurrence (smallest (a, b)) is the
+        // representative.
+        let mut reps: Vec<JoinSurvivor<'s>> = Vec::new();
         let mut rep_of: Vec<usize> = Vec::with_capacity(survivors.len());
-        let mut classes: HashMap<(u64, Option<usize>, Option<usize>), Vec<usize>> = HashMap::new();
-        for (si, s) in survivors.iter().enumerate() {
-            let key = (
-                join_pair_fingerprint(s.qa, s.qb),
-                s.certificate,
-                s.collapsed_ged,
-            );
-            let bucket = classes.entry(key).or_default();
-            match bucket.iter().copied().find(|&ri| {
-                let r = &survivors[reps[ri]];
-                r.qa == s.qa && r.qb == s.qb
-            }) {
-                Some(ri) => rep_of.push(ri),
-                None => {
-                    bucket.push(reps.len());
-                    rep_of.push(reps.len());
-                    reps.push(si);
-                }
+        let mut classes = HashMap::new();
+        for s in &survivors {
+            let next = reps.len();
+            let class = (s.qa, s.qb, s.certificate, s.collapsed_ged);
+            let ri = *classes.entry(class).or_insert(next);
+            if ri == next {
+                reps.push(*s);
             }
+            rep_of.push(ri);
         }
+        stats.cache_hits += survivors.len() - reps.len();
 
-        // Verify tier: representatives only, per-pair, embarrassingly
-        // parallel and deterministic (canonical orientation), so thread
-        // count never changes an answer. A pivot-certified pair skips
-        // the branch tier and goes straight to the (ub-bounded)
-        // exact-distance recovery; a collapsed pair skips the search
-        // entirely.
-        let rep_rows: Vec<&JoinSurvivor<'_>> = reps.iter().map(|&si| &survivors[si]).collect();
-        let run = |ws: &mut GedWorkspace, s: &&JoinSurvivor<'_>| {
-            if let Some(ged) = s.collapsed_ged {
-                return CandidateOutcome::AcceptedByPivot { ged };
-            }
-            prune_or_verify_with_pivot_in(s.qa, s.qb, tau, self.verify_budget, s.certificate, ws)
-        };
-        let outcomes = if deadline.is_set() {
-            let mut out = Vec::with_capacity(rep_rows.len());
-            for chunk in rep_rows.chunks(self.verify_block_len()) {
-                deadline.check()?;
-                out.extend(self.runner.map_init(chunk, GedWorkspace::new, run));
-            }
-            out
-        } else {
-            self.runner.map_init(&rep_rows, GedWorkspace::new, run)
-        };
-
+        let outcomes = self.verify_exact(&reps, tau, deadline, &mut stats)?;
         let mut pairs = Vec::new();
         let mut budget_exhausted = Vec::new();
-        for (si, s) in survivors.iter().enumerate() {
-            let ri = rep_of[si];
-            let outcome = &outcomes[ri];
-            if reps[ri] == si {
-                stats.record(outcome);
-            } else {
-                stats.cache_hits += 1;
-            }
-            match *outcome {
+        for (s, &ri) in survivors.iter().zip(&rep_of) {
+            let (a, b) = s.key;
+            match outcomes[ri] {
                 CandidateOutcome::AcceptedByPivot { ged } | CandidateOutcome::Verified { ged } => {
-                    pairs.push(JoinPair {
-                        a: s.a,
-                        b: s.b,
-                        ged,
-                    });
+                    pairs.push(JoinPair { a, b, ged });
                 }
                 CandidateOutcome::PrunedByBranch | CandidateOutcome::Rejected => {}
                 CandidateOutcome::BudgetExhausted { accepted_ub } => {
                     budget_exhausted.push(UndecidedPair {
-                        a: s.a,
-                        b: s.b,
+                        a,
+                        b,
                         known_match_ub: accepted_ub,
                     });
                 }
@@ -1224,26 +1109,18 @@ impl GedEngine {
     }
 }
 
-/// GED is integral: `GED ≤ τ ⟺ GED ≤ ⌊τ⌋`. `+∞` (and any τ beyond
-/// `usize`) saturates to an effectively unbounded threshold — τ is only
-/// ever compared, never added, so no overflow.
-fn saturate_tau(tau: f64) -> usize {
-    if tau.is_infinite() {
-        usize::MAX
-    } else {
-        tau.floor() as usize
+/// The exact plans' integral threshold. NaN is a [`GedError::Config`]
+/// naming `plan`. A negative τ is `None`: every lower bound (≥ 0)
+/// exceeds it, so the plan files all its candidates under
+/// [`ExactSearchStats::filtered`] and matches nothing. Any other τ
+/// saturates: GED is integral, so `GED ≤ τ ⟺ GED ≤ ⌊τ⌋`, and `+∞` (or
+/// any τ beyond `usize`) casts to `usize::MAX`, an effectively unbounded
+/// threshold — τ is only ever compared, never added, so no overflow.
+fn exact_tau(tau: f64, plan: &str) -> Result<Option<usize>, GedError> {
+    if tau.is_nan() {
+        return Err(GedError::Config(format!(
+            "{plan} threshold must not be NaN"
+        )));
     }
-}
-
-/// The join answer for a negative τ: every lower bound (≥ 0) exceeds
-/// it, so the signature tier accounts every pair and nothing matches.
-fn negative_tau_join(total_pairs: usize) -> JoinResult {
-    JoinResult {
-        pairs: Vec::new(),
-        budget_exhausted: Vec::new(),
-        stats: JoinStats {
-            filtered: total_pairs,
-            ..JoinStats::default()
-        },
-    }
+    Ok((tau >= 0.0).then(|| tau.floor() as usize))
 }

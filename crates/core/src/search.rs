@@ -22,9 +22,9 @@
 //! [`degree_sequence_lower_bound`] (re-exported from
 //! [`crate::lower_bound`]), [`crate::lower_bound::branch_lower_bound`]
 //! and [`bounded_exact_ged_with_budget`] — and composed per candidate by
-//! [`prune_or_verify`], which the store-level
-//! [`crate::engine::GedQuery::RangeExact`] plan runs after its
-//! signature-fed filter tier. Its [`CandidateOutcome`]s always carry
+//! [`prune_or_verify_in`], which the store-level
+//! [`crate::engine::GedQuery::RangeExact`] and join plans run after their
+//! signature-fed filter tiers. Its [`CandidateOutcome`]s always carry
 //! exact distances, and the branch and verify tiers share one root LSAP.
 //!
 //! # The exact search and its bound
@@ -69,7 +69,7 @@
 //! and its edge part `Σ ½|r1(u) − r2(v)|` is at least the edge-count gap
 //! and at least half the sorted degree sequences' distance. So
 //! [`bounded_exact_ged`] keeps those as free pre-filters for callers that
-//! have not filtered, while [`prune_or_verify`], whose callers have, goes
+//! have not filtered, while [`prune_or_verify_in`], whose callers have, goes
 //! straight to the root LSAP. Both then start the A\* from a root keyed
 //! by its own bound, so they expand the same states in the same order.
 //!
@@ -94,19 +94,31 @@ use ged_linalg::lsap_min_in;
 use std::cmp::Reverse;
 use std::fmt;
 
-/// Statistics of the τ-exact filter–verify pipeline (how much work
-/// each stage saved). Every candidate lands in exactly one tier, so
-/// [`ExactSearchStats::total`] always equals the number of candidates
-/// examined (for a store-level query, the store size). The engine's
+/// Statistics of one τ-exact filter–verify plan —
+/// [`crate::engine::GedQuery::RangeExact`], or a join
+/// ([`crate::engine::GedQuery::SelfJoin`] / [`crate::engine::GedQuery::Join`])
+/// whose candidates are pairs: which tier settled each candidate. Every
+/// candidate lands in exactly one tier, so [`ExactSearchStats::total`]
+/// always equals the number examined — the store size for an exact range
+/// query, `n·(n−1)/2` for a self-join over `n` graphs, `n·m` for a
+/// cross-store join — whatever the tiers decided. The engine's
 /// approximate store search reports the analogous
 /// [`crate::engine::SearchStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExactSearchStats {
-    /// Candidates discarded wholesale at the shard tier: their entire
-    /// shard's aggregate lower bound already exceeded `τ`, so no
-    /// per-graph metadata was touched. Always zero for flat-store plans
-    /// (see [`ged_graph::shard::ShardedStore`]).
+    /// Candidates discarded wholesale at the shard tier: the aggregate
+    /// lower bound of their unit already exceeded `τ`, so no per-graph
+    /// metadata was touched. A range query's unit is one shard against
+    /// the query (always zero for flat stores, see
+    /// [`ged_graph::shard::ShardedStore`]); a join's is a unit×unit block
+    /// of pairs (shard×shard, or flat-store size ranges).
     pub pruned_shard: usize,
+    /// Join pairs discarded wholesale at the band tier: candidates are
+    /// generated in signature-sort (node-count) order, so once one pair's
+    /// size difference exceeds `τ` the whole remaining contiguous band of
+    /// larger partners is discarded by arithmetic. Always zero for
+    /// [`crate::engine::GedQuery::RangeExact`].
+    pub pruned_band: usize,
     /// Candidates discarded by the lower bound of their shard's pivot
     /// block (`|d(q,p) − d(p,g)| > τ` for some pivot `p`) before the
     /// signature bounds were even consulted. Always zero for flat stores
@@ -114,8 +126,16 @@ pub struct ExactSearchStats {
     /// [`crate::engine::GedEngine::sync_sharded_pivots`] has not synced
     /// at the engine's target.
     pub pruned_pivot: usize,
-    /// Candidates discarded by the signature lower bounds.
+    /// Candidates discarded by the signature lower bounds (label
+    /// multiset, degree sequence). A negative `τ` accounts every
+    /// candidate here (nothing can match).
     pub filtered: usize,
+    /// Join pairs answered from an already-verified structurally
+    /// identical pair: symmetric/duplicate pairs canonicalize to the same
+    /// representative (same orientation the prediction cache keys on),
+    /// which is verified once and its outcome shared. Always zero for
+    /// [`crate::engine::GedQuery::RangeExact`].
+    pub cache_hits: usize,
     /// Candidates discarded by the branch bound (the exact search's root
     /// bound, [`crate::lower_bound::branch_lower_bound`]) before their
     /// search expanded a state.
@@ -130,26 +150,29 @@ pub struct ExactSearchStats {
     pub verified: usize,
     /// Candidates whose bounded search exhausted its node-expansion
     /// budget before reaching a decision (see
-    /// [`crate::engine::GedEngineBuilder::verify_budget`]). Always zero
-    /// when the budget is unlimited.
+    /// [`crate::engine::GedEngineBuilder::verify_budget`]); each is also
+    /// listed in its result's `budget_exhausted`, never silently dropped.
+    /// Always zero when the budget is unlimited.
     pub budget_exceeded: usize,
     /// Query-to-pivot distances the oracle computed to arm the shards'
-    /// pivot blocks: a block's pivot count per armed shard, 0 for a shard
-    /// whose table row a stored query reused, and 0 for shards the shard
-    /// tier skipped before arming them. An overlay count of work, **not**
-    /// an accounting tier (outside [`ExactSearchStats::total`]).
+    /// pivot blocks: a block's pivot count per armed shard (per left row
+    /// of a cross-store join), 0 for a shard whose table row a stored
+    /// query reused, and 0 for shards the shard tier skipped before
+    /// arming them. An overlay count of work, **not** an accounting tier
+    /// (outside [`ExactSearchStats::total`]).
     pub pivot_distances: usize,
 }
 
 impl ExactSearchStats {
     /// Total candidates accounted for — the per-tier counts always close
-    /// to the number of candidates examined, whether or not the pivot
-    /// tiers fired.
+    /// to the number of candidates examined, whichever tiers fired.
     #[must_use]
     pub fn total(&self) -> usize {
         self.pruned_shard
+            + self.pruned_band
             + self.pruned_pivot
             + self.filtered
+            + self.cache_hits
             + self.pruned_branch
             + self.accepted_pivot
             + self.verified
@@ -157,8 +180,8 @@ impl ExactSearchStats {
     }
 
     /// Accounts one prune/verify-phase [`CandidateOutcome`] to its tier —
-    /// the single outcome→tier mapping every store-level exact plan uses,
-    /// so accounting cannot drift between plans. (`Rejected` still counts
+    /// the single outcome→tier mapping every exact plan uses, so
+    /// accounting cannot drift between plans. (`Rejected` still counts
     /// as `verified`: the candidate consumed a bounded exact search.)
     pub fn record(&mut self, outcome: &CandidateOutcome) {
         match outcome {
@@ -172,124 +195,24 @@ impl ExactSearchStats {
 
 impl fmt::Display for ExactSearchStats {
     /// One-line tier breakdown, filter order left to right:
-    /// `shard=.. pivot=.. filtered=.. accept_pivot=.. branch=..
-    /// verified=.. budget=.. total=.. pivot_distances=..`.
+    /// `shard=.. band=.. pivot=.. filtered=.. cache=.. accept_pivot=..
+    /// branch=.. verified=.. budget=.. total=.. pivot_distances=..`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "shard={} pivot={} filtered={} accept_pivot={} branch={} verified={} budget={} \
-             total={} pivot_distances={}",
+            "shard={} band={} pivot={} filtered={} cache={} accept_pivot={} branch={} \
+             verified={} budget={} total={} pivot_distances={}",
             self.pruned_shard,
+            self.pruned_band,
             self.pruned_pivot,
             self.filtered,
+            self.cache_hits,
             self.accepted_pivot,
             self.pruned_branch,
             self.verified,
             self.budget_exceeded,
             self.total(),
             self.pivot_distances
-        )
-    }
-}
-
-/// Statistics of one GED join ([`crate::engine::GedQuery::SelfJoin`] /
-/// [`crate::engine::GedQuery::Join`]): which tier settled each candidate
-/// pair. Every pair of the join's candidate matrix lands in exactly one
-/// tier, so [`JoinStats::total`] always equals the exact pair count —
-/// `n·(n−1)/2` for a self-join over `n` graphs, `n·m` for a cross-store
-/// join — whatever the tiers decided.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct JoinStats {
-    /// Pairs discarded wholesale at the block tier: the aggregate bound
-    /// between their two units (shard×shard, or flat-store size ranges)
-    /// already exceeded `τ`, so the block's pairs were counted off
-    /// without touching any per-graph metadata.
-    pub pruned_block: usize,
-    /// Pairs discarded wholesale at the band tier: candidates are
-    /// generated in signature-sort (node-count) order, so once one
-    /// pair's size difference exceeds `τ` the whole remaining
-    /// contiguous band of larger partners is discarded by arithmetic.
-    pub pruned_band: usize,
-    /// Pairs discarded one-by-one by the signature lower bounds
-    /// (label multiset, degree sequence). Negative-`τ` joins account
-    /// every pair here (nothing can match).
-    pub filtered: usize,
-    /// Pairs discarded by the triangle lower bound of a synced shard's
-    /// pivot block (same-shard pairs, and cross-store pairs against a
-    /// sharded right store). Always zero for flat stores.
-    pub pruned_pivot: usize,
-    /// Pairs answered from an already-verified structurally identical
-    /// pair: symmetric/duplicate pairs canonicalize to the same
-    /// representative (same orientation the prediction cache keys on),
-    /// which is verified once and its outcome shared.
-    pub cache_hits: usize,
-    /// Pairs whose membership a shard's pivot-block upper bound certified
-    /// before exact verification (the exact distance is then recovered
-    /// by a search bounded by that certificate). Always zero wherever
-    /// [`JoinStats::pruned_pivot`] is.
-    pub accepted_pivot: usize,
-    /// Pairs discarded by the branch bound (the exact search's root
-    /// bound, [`crate::lower_bound::branch_lower_bound`]) before their
-    /// search expanded a state.
-    pub pruned_branch: usize,
-    /// Pairs that required bounded exact verification (including pairs
-    /// the verification rejected).
-    pub verified: usize,
-    /// Pairs whose bounded search exhausted its node-expansion budget
-    /// undecided (surfaced in the join result, not silently dropped).
-    /// Always zero when the budget is unlimited.
-    pub budget_exceeded: usize,
-}
-
-impl JoinStats {
-    /// Total pairs accounted for — always the join's exact candidate
-    /// pair count (`n·(n−1)/2` resp. `n·m`), whichever tiers fired.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.pruned_block
-            + self.pruned_band
-            + self.filtered
-            + self.pruned_pivot
-            + self.cache_hits
-            + self.accepted_pivot
-            + self.pruned_branch
-            + self.verified
-            + self.budget_exceeded
-    }
-
-    /// Accounts one verify-phase [`CandidateOutcome`] to its tier — the
-    /// same outcome→tier mapping as [`ExactSearchStats::record`], so
-    /// join and per-query accounting cannot drift. (`Rejected` still
-    /// counts as `verified`: the pair consumed a bounded exact search.)
-    pub fn record(&mut self, outcome: &CandidateOutcome) {
-        match outcome {
-            CandidateOutcome::PrunedByBranch => self.pruned_branch += 1,
-            CandidateOutcome::AcceptedByPivot { .. } => self.accepted_pivot += 1,
-            CandidateOutcome::Verified { .. } | CandidateOutcome::Rejected => self.verified += 1,
-            CandidateOutcome::BudgetExhausted { .. } => self.budget_exceeded += 1,
-        }
-    }
-}
-
-impl fmt::Display for JoinStats {
-    /// One-line tier breakdown, filter order left to right:
-    /// `block=.. band=.. filtered=.. pivot=.. cache=.. accept_pivot=..
-    /// branch=.. verified=.. budget=.. total=..`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "block={} band={} filtered={} pivot={} cache={} accept_pivot={} branch={} \
-             verified={} budget={} total={}",
-            self.pruned_block,
-            self.pruned_band,
-            self.filtered,
-            self.pruned_pivot,
-            self.cache_hits,
-            self.accepted_pivot,
-            self.pruned_branch,
-            self.verified,
-            self.budget_exceeded,
-            self.total()
         )
     }
 }
@@ -557,7 +480,7 @@ fn closing_cost(csr2: &CsrView, mapping: &[u32], matched: &mut Vec<bool>) -> usi
 }
 
 /// Outcome of one candidate in the store-level exact pipeline
-/// ([`prune_or_verify`]): matching outcomes always carry the **exact**
+/// ([`prune_or_verify_in`]): matching outcomes always carry the **exact**
 /// GED.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CandidateOutcome {
@@ -599,24 +522,18 @@ pub enum CandidateOutcome {
 /// exceeds `tau` ([`CandidateOutcome::PrunedByBranch`]); otherwise the
 /// verify tier runs the τ-bounded exact search from that root bound, so
 /// the root LSAP is solved once. `budget` caps the search's node
-/// expansions (`usize::MAX` = unlimited).
+/// expansions (`usize::MAX` = unlimited); every buffer comes from `ws`.
 ///
 /// The outcome is [`bounded_exact_ged_with_budget`]'s verdict at the same
 /// `tau` and `budget`: `Within(d)` is `Verified { ged: d }`, `Exceeds`
 /// is `PrunedByBranch` or `Rejected`, and `BudgetExhausted` is
 /// `BudgetExhausted { accepted_ub: None }`.
 ///
-/// This is the per-candidate unit [`crate::engine::GedQuery::RangeExact`]
-/// parallelizes over a store; callers are expected to have already run
-/// the lower-bound filter tier (the branch bound dominates it, so
+/// This is the per-candidate unit the engine's exact plans
+/// ([`crate::engine::GedQuery::RangeExact`] and the joins) parallelize,
+/// one workspace per worker thread; callers are expected to have already
+/// run the lower-bound filter tier (the branch bound dominates it, so
 /// skipping the filter costs speed, never correctness).
-#[must_use]
-pub fn prune_or_verify(query: &Graph, cand: &Graph, tau: usize, budget: usize) -> CandidateOutcome {
-    prune_or_verify_in(query, cand, tau, budget, &mut GedWorkspace::new())
-}
-
-/// [`prune_or_verify`] with both tiers running out of `ws` — the unit the
-/// engine's store-level exact plan hands each worker thread.
 #[must_use]
 pub fn prune_or_verify_in(
     query: &Graph,
@@ -638,27 +555,14 @@ pub fn prune_or_verify_in(
     }
 }
 
-/// [`prune_or_verify`] with a triangle-inequality head start: when the
+/// [`prune_or_verify_in`] with a triangle-inequality head start: when the
 /// caller's pivot table already proved membership (`pivot_ub ≤ τ`,
 /// [`ged_graph::PivotIndex::bounds`]), the branch tier is skipped and the
 /// exact distance is recovered by a search bounded by `pivot_ub`
 /// ([`CandidateOutcome::AcceptedByPivot`]); a budget exhaustion during
 /// that recovery keeps the membership proof (`accepted_ub =
 /// Some(pivot_ub)`). `pivot_ub = None` (or a bound above τ, which the
-/// caller should not pass) falls back to [`prune_or_verify`] unchanged.
-#[must_use]
-pub fn prune_or_verify_with_pivot(
-    query: &Graph,
-    cand: &Graph,
-    tau: usize,
-    budget: usize,
-    pivot_ub: Option<usize>,
-) -> CandidateOutcome {
-    prune_or_verify_with_pivot_in(query, cand, tau, budget, pivot_ub, &mut GedWorkspace::new())
-}
-
-/// [`prune_or_verify_with_pivot`] running out of `ws` (see
-/// [`prune_or_verify_in`]).
+/// caller should not pass) falls back to [`prune_or_verify_in`] unchanged.
 #[must_use]
 pub fn prune_or_verify_with_pivot_in(
     query: &Graph,
@@ -820,6 +724,7 @@ mod tests {
     #[test]
     fn prune_or_verify_outcomes_carry_exact_distances() {
         let mut rng = SmallRng::seed_from_u64(206);
+        let mut ws = GedWorkspace::new();
         for _ in 0..20 {
             let g1 =
                 generate::random_connected(rng.gen_range(4..=6), 1, &[0.5, 0.3, 0.2], &mut rng);
@@ -827,7 +732,7 @@ mod tests {
                 generate::random_connected(rng.gen_range(4..=6), 1, &[0.5, 0.3, 0.2], &mut rng);
             let d = exact(&g1, &g2);
             for tau in [d.saturating_sub(1), d, d + 2] {
-                match prune_or_verify(&g1, &g2, tau, usize::MAX) {
+                match prune_or_verify_in(&g1, &g2, tau, usize::MAX, &mut ws) {
                     CandidateOutcome::AcceptedByPivot { .. } => {
                         unreachable!("no pivot certificate was supplied")
                     }
@@ -850,17 +755,18 @@ mod tests {
     fn prune_or_verify_verifies_identical_graphs() {
         let mut rng = SmallRng::seed_from_u64(207);
         let g = generate::random_connected(6, 1, &[0.5, 0.5], &mut rng);
+        let mut ws = GedWorkspace::new();
         // GED(g, g) = 0: the branch bound cannot prune it, and the search
         // verifies the exact distance.
         assert_eq!(
-            prune_or_verify(&g, &g, 3, usize::MAX),
+            prune_or_verify_in(&g, &g, 3, usize::MAX, &mut ws),
             CandidateOutcome::Verified { ged: 0 }
         );
         // A zero budget surfaces as BudgetExhausted — never a wrong
         // answer — with no membership proof, as only a pivot certificate
         // carries one.
         assert_eq!(
-            prune_or_verify(&g, &g, 3, 0),
+            prune_or_verify_in(&g, &g, 3, 0, &mut ws),
             CandidateOutcome::BudgetExhausted { accepted_ub: None }
         );
     }
@@ -869,8 +775,10 @@ mod tests {
     fn stats_total_closes() {
         let stats = ExactSearchStats {
             pruned_shard: 7,
+            pruned_band: 2,
             pruned_pivot: 5,
             filtered: 3,
+            cache_hits: 10,
             pruned_branch: 8,
             accepted_pivot: 6,
             verified: 4,
@@ -879,20 +787,22 @@ mod tests {
         };
         assert_eq!(
             stats.total(),
-            34,
+            46,
             "every tier participates in total(), the overlay does not"
         );
         let line = stats.to_string();
         assert!(!line.contains('\n'), "one-line breakdown");
         for field in [
             "shard=7",
+            "band=2",
             "pivot=5",
             "filtered=3",
+            "cache=10",
             "accept_pivot=6",
             "branch=8",
             "verified=4",
             "budget=1",
-            "total=34",
+            "total=46",
             "pivot_distances=9",
         ] {
             assert!(line.contains(field), "{line} is missing {field}");
@@ -930,6 +840,7 @@ mod tests {
     #[test]
     fn pivot_accept_recovers_the_exact_distance() {
         let mut rng = SmallRng::seed_from_u64(209);
+        let mut ws = GedWorkspace::new();
         for _ in 0..15 {
             let g1 =
                 generate::random_connected(rng.gen_range(4..=6), 1, &[0.5, 0.3, 0.2], &mut rng);
@@ -938,21 +849,21 @@ mod tests {
             let d = exact(&g1, &g2);
             let tau = d + 2;
             // A (sound) pivot certificate: any ub with d ≤ ub ≤ τ.
-            match prune_or_verify_with_pivot(&g1, &g2, tau, usize::MAX, Some(d + 1)) {
+            match prune_or_verify_with_pivot_in(&g1, &g2, tau, usize::MAX, Some(d + 1), &mut ws) {
                 CandidateOutcome::AcceptedByPivot { ged } => {
                     assert_eq!(ged, d, "the recovery search must return the optimum");
                 }
                 other => panic!("a within-τ pivot ub must accept, got {other:?}"),
             }
             // Without a certificate the regular tiers decide, identically
-            // to prune_or_verify.
+            // to prune_or_verify_in.
             assert_eq!(
-                prune_or_verify_with_pivot(&g1, &g2, tau, usize::MAX, None),
-                prune_or_verify(&g1, &g2, tau, usize::MAX)
+                prune_or_verify_with_pivot_in(&g1, &g2, tau, usize::MAX, None, &mut ws),
+                prune_or_verify_in(&g1, &g2, tau, usize::MAX, &mut ws)
             );
             // A zero budget surfaces the preserved membership proof.
             assert_eq!(
-                prune_or_verify_with_pivot(&g1, &g2, tau, 0, Some(d + 1)),
+                prune_or_verify_with_pivot_in(&g1, &g2, tau, 0, Some(d + 1), &mut ws),
                 CandidateOutcome::BudgetExhausted {
                     accepted_ub: Some(d + 1)
                 }

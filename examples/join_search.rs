@@ -19,7 +19,7 @@
 //! Every tier is exact or admissible, so this example asserts the
 //! contract end-to-end: answers bit-identical to the brute-force nested
 //! loop, strictly fewer verifications than the nested loop performs,
-//! `JoinStats` accounting that closes to the exact pair count, and a
+//! `ExactSearchStats` accounting that closes to the exact pair count, and a
 //! sharded plan that prunes whole blocks while staying bit-identical to
 //! the flat plan.
 //!
@@ -109,7 +109,7 @@ fn main() {
         assert_eq!((twin[&f.a], twin[&f.b], f.ged), (s.a, s.b, s.ged));
     }
     assert_eq!(shrd.stats.total(), wide_pairs);
-    assert!(shrd.stats.pruned_block > 0, "whole blocks must drop");
+    assert!(shrd.stats.pruned_shard > 0, "whole blocks must drop");
     println!(
         "\nsharded self-join: {} graphs in {} shards, τ = {tau} → {} pairs",
         sharded.len(),

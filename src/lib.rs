@@ -69,7 +69,7 @@ pub mod prelude {
     pub use ged_core::method::MethodKind;
     pub use ged_core::search::{
         bounded_exact_ged, bounded_exact_ged_with_budget, pivot_distance, BoundedSearch,
-        ExactSearchStats, JoinStats,
+        ExactSearchStats,
     };
     pub use ged_core::solver::{
         BatchRunner, GedEstimate, GedSolver, GedgwSolver, PathEstimate, SolverRegistry,

@@ -20,7 +20,10 @@
 //!   answer — not an error;
 //! * `join(s, s)` covers all `n·m` ordered pairs including the
 //!   diagonal, and symmetric duplicates verify once (`cache_hits`);
-//! * [`JoinStats::total`] closes to the exact candidate pair count
+//! * `range_exact(q, s, τ)` answers exactly the one-row `join({q}, s, τ)`
+//!   over flat, sharded and pivot-synced stores, for stored and foreign
+//!   queries;
+//! * [`ExactSearchStats::total`] closes to the exact candidate pair count
 //!   under every configuration, including a strangled verify budget —
 //!   where matches stay exact and sound (a subset of the oracle) and
 //!   the remainder surfaces in `budget_exhausted`;
@@ -177,6 +180,52 @@ fn cross_join_matches_nested_loop_oracle() {
                     total,
                     &format!("{ctx}/sharded/pivots={pivots}"),
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn range_exact_equals_a_one_row_join() {
+    // `RangeExact` and the joins share one verify tail: a range query is
+    // the join of a one-graph store holding the query. Each plan keeps
+    // its own verification orientation, which at an unlimited budget
+    // cannot move an exact answer.
+    let store = aids_store(16, 9091).into_store();
+    let n = store.len();
+    let foreign = aids_store(2, 9092).into_store();
+    let queries: Vec<(&str, &Graph)> = store
+        .graphs()
+        .take(2)
+        .map(|g| ("stored", g))
+        .chain(foreign.graphs().map(|g| ("foreign", g)))
+        .collect();
+    let plain = engine(2, 0);
+    let pivoted = engine(2, 3);
+    let (sharded, _) = sharded_copy(&store, 4);
+    let (mut synced, _) = sharded_copy(&store, 4);
+    pivoted.sync_sharded_pivots(&mut synced);
+    assert!(synced.pivots_ready(3), "shards synced");
+    let stores: [(&str, &GedEngine, StoreRef<'_>); 3] = [
+        ("flat", &plain, (&store).into()),
+        ("sharded", &plain, (&sharded).into()),
+        ("sharded/pivots=3", &pivoted, (&synced).into()),
+    ];
+    for (kind, e, s) in stores {
+        for (qi, &(origin, q)) in queries.iter().enumerate() {
+            let row = GraphStore::from_graphs([q.clone()]);
+            for tau in [0.0, 1.0, 2.0, 3.0, f64::INFINITY] {
+                let ctx = format!("{kind}/{origin} q{qi}/tau={tau}");
+                let range = e.range_exact(q, s, tau).expect("valid range query");
+                let join = e.join(&row, s, tau).expect("valid join");
+                let want: Vec<(GraphId, usize)> =
+                    range.matches.iter().map(|m| (m.id, m.ged)).collect();
+                let got: Vec<(GraphId, usize)> = join.pairs.iter().map(|p| (p.b, p.ged)).collect();
+                assert_eq!(got, want, "{ctx}: matches");
+                assert!(range.budget_exhausted.is_empty(), "{ctx}: range decided");
+                assert!(join.budget_exhausted.is_empty(), "{ctx}: join decided");
+                assert_eq!(range.stats.total(), n, "{ctx}: {}", range.stats);
+                assert_eq!(join.stats.total(), n, "{ctx}: {}", join.stats);
             }
         }
     }
