@@ -227,6 +227,31 @@ fn kernels_suite(smoke: bool) -> Vec<Measurement> {
         },
     ));
 
+    // GEDIOT's node-embedding MLP product `(n × D) · (D × 2D)` for the
+    // small config over 29 labels (D = 29 + 32 + 16 + 8 = 85) at n = 8,
+    // with half of the left factor zero as after a ReLU: the shape that
+    // takes most of a GEDIOT prediction.
+    let (rows, d) = if smoke { (2, 12) } else { (8, 85) };
+    let mut rng = SmallRng::seed_from_u64(13_000);
+    let relu = Matrix::from_fn(rows, d, |_, _| {
+        if rng.gen_bool(0.5) {
+            0.0
+        } else {
+            rng.gen_range(0.0..2.0)
+        }
+    });
+    let weights = rand_matrix(d, 2 * d, 13_001);
+    let mut product = Matrix::default();
+    out.push(measure(
+        "matmul_embed_mlp",
+        format!("n={rows},k={d},m={},a_zero=0.5", 2 * d),
+        2_000,
+        || {
+            black_box(&relu).matmul_into(black_box(&weights), &mut product);
+            black_box(&product);
+        },
+    ));
+
     // GEDIOT: one training epoch of the small config over supervised
     // AIDS-like pairs (every pair's tape on one pool), then the trained
     // network's forward pass per pair through one workspace, as

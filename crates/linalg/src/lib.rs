@@ -1,8 +1,10 @@
 //! Dense linear algebra and linear assignment for `ot-ged`.
 //!
 //! The matrices in this project are small (a few hundred rows at most) and
-//! dense, so [`Matrix`] is a plain row-major `f64` buffer with cache-friendly
-//! `ikj`-order multiplication — no BLAS, no unsafe.
+//! dense, so [`Matrix`] is a plain row-major `f64` buffer, and its product
+//! is a register-tiled kernel with the bits of the `ikj` loop — no BLAS.
+//! The one `unsafe` block calls the kernel's AVX2 or AVX-512F copy once
+//! run-time detection has found that feature.
 //!
 //! The [`lsap`] module provides two independent linear-sum-assignment
 //! solvers — a Jonker–Volgenant-style shortest-augmenting-path solver (the

@@ -6,8 +6,23 @@ use std::ops::{Index, IndexMut};
 /// Dense row-major matrix of `f64`.
 ///
 /// Sized for this project's regime (graphs with tens to a few hundred
-/// nodes): simple contiguous storage, `ikj` multiplication order, and a rich
+/// nodes): simple contiguous storage, a register-tiled product, and a rich
 /// set of element-wise helpers used by the OT kernels and the autodiff tape.
+///
+/// [`Matrix::matmul_into`] (and so [`Matrix::matmul`]) compacts each row of
+/// the left factor, 64 entries at a time, into its nonzero `(k, a_ik)`
+/// pairs on the stack, then runs tiles of output columns whose accumulators
+/// stay in registers while the pairs stream past. Each output element still
+/// starts at `+0.0` and adds `a_ik · b_kj` for every nonzero `a_ik` in
+/// ascending `k`, exactly as the textbook `ikj` loop that skips zero
+/// `a_ik`: same operations, same order, no FMA contraction, so the result
+/// bits are the loop's (up to the sign and payload of a NaN result, which
+/// Rust leaves unspecified). The kernel is compiled three times: for
+/// baseline x86-64 with 8-wide tiles, for AVX2 with 32-wide ones and for
+/// AVX-512F with 64-wide ones. Each call runs the widest copy that
+/// `is_x86_feature_detected!` finds the host supports (other architectures
+/// run the baseline copy). A unit test compares every copy the host can run
+/// with the loop, bit for bit.
 #[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
@@ -223,19 +238,15 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         out.resize_zeroed(self.rows, other.cols);
-        // ikj order: stream over other's rows, accumulate into out's row.
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            for (k, &aik) in arow.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = other.row(k);
-                let orow = out.row_mut(i);
-                for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                    *o += aik * b;
-                }
-            }
+        if self.cols == 0 || other.cols == 0 {
+            return;
+        }
+        let (a, b, m) = (&self.data, &other.data, other.cols);
+        if !Simd::WIDEST_FIRST
+            .into_iter()
+            .any(|simd| simd.run(a, b, m, &mut out.data))
+        {
+            matmul_kernel::<8>(a, b, m, &mut out.data);
         }
     }
 
@@ -556,6 +567,133 @@ impl Matrix {
     }
 }
 
+/// Entries of a row of `A` that [`matmul_kernel`] compacts per pass: their
+/// nonzeros fit one stack chunk, so the kernel never allocates.
+const CHUNK: usize = 64;
+
+/// The body of [`Matrix::matmul_into`]: `out += a · b` for a zeroed `out`,
+/// where `b` is `k × m` and `a` is `out.len() / m × k`, all row-major with
+/// `k, m > 0`. `MAX_TILE` (8, 32 or 64) is the widest column tile.
+///
+/// Each row of `a` is taken [`CHUNK`] entries at a time, and the entries
+/// with `a_ik != 0.0` (NaN stays, ±0.0 goes, as in the `ikj` loop's skip)
+/// are compacted into a stack chunk. Every tile of output columns then
+/// loads its accumulators from `out`, adds `a_ik · b_kj` for each kept `k`
+/// in ascending order and stores them back; the columns left over take
+/// narrower tiles, down to one wide. Each output element therefore goes
+/// through the `ikj` loop's exact sequence of roundings, whatever the tile
+/// width (Rust never contracts `a * b + c` into an FMA).
+#[inline(always)]
+fn matmul_kernel<const MAX_TILE: usize>(a: &[f64], b: &[f64], m: usize, out: &mut [f64]) {
+    let k = b.len() / m;
+    let mut chunk = [(0usize, 0.0f64); CHUNK];
+    for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(m)) {
+        for (start, segment) in (0..k).step_by(CHUNK).zip(arow.chunks(CHUNK)) {
+            // Branch-free: every entry is written, and a zero is then
+            // overwritten by the next one.
+            let mut len = 0;
+            for (kk, &x) in (start..).zip(segment) {
+                chunk[len] = (kk, x);
+                len += usize::from(x != 0.0);
+            }
+            let nz = &chunk[..len];
+            let mut j = 0;
+            if MAX_TILE >= 64 {
+                j = tiles::<64>(nz, b, m, j, orow);
+            }
+            if MAX_TILE >= 32 {
+                j = tiles::<32>(nz, b, m, j, orow);
+                j = tiles::<16>(nz, b, m, j, orow);
+            }
+            j = tiles::<8>(nz, b, m, j, orow);
+            j = tiles::<4>(nz, b, m, j, orow);
+            tiles::<1>(nz, b, m, j, orow);
+        }
+    }
+}
+
+/// Output columns from `j` on of one row, in tiles of `W` while `W` fit;
+/// returns the first column left. Each tile's accumulators start from
+/// `orow`, take `a_ik · b_kj` for each compacted `(k, a_ik)` in order, and
+/// are stored back. `W` is a constant, so they live in registers.
+#[inline(always)]
+fn tiles<const W: usize>(
+    nz: &[(usize, f64)],
+    b: &[f64],
+    m: usize,
+    mut j: usize,
+    orow: &mut [f64],
+) -> usize {
+    while j + W <= m {
+        let out: &mut [f64; W] = (&mut orow[j..j + W]).try_into().expect("W columns");
+        let mut acc = *out;
+        for &(k, x) in nz {
+            let brow: &[f64; W] = b[k * m + j..k * m + j + W].try_into().expect("W columns");
+            for (s, &y) in acc.iter_mut().zip(brow) {
+                *s += x * y;
+            }
+        }
+        *out = acc;
+        j += W;
+    }
+    j
+}
+
+/// The SIMD builds of [`matmul_kernel`], each with eight vector registers
+/// of accumulators per tile. A host with neither runs the baseline build,
+/// whose 8-wide tiles need four of baseline x86-64's sixteen `xmm`
+/// registers, so its accumulators never spill.
+#[derive(Clone, Copy, Debug)]
+enum Simd {
+    /// AVX-512F: 64-wide tiles in `zmm` registers.
+    Avx512,
+    /// AVX2: 32-wide tiles in `ymm` registers.
+    Avx2,
+}
+
+impl Simd {
+    /// The order [`Matrix::matmul_into`] tries them in.
+    const WIDEST_FIRST: [Simd; 2] = [Simd::Avx512, Simd::Avx2];
+
+    /// Runs this build of the kernel if the host supports its target
+    /// feature, and returns whether it did.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    fn run(self, a: &[f64], b: &[f64], m: usize, out: &mut [f64]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            type Kernel = unsafe fn(&[f64], &[f64], usize, &mut [f64]);
+            let (supported, kernel): (bool, Kernel) = match self {
+                Simd::Avx512 => (
+                    std::is_x86_feature_detected!("avx512f"),
+                    matmul_kernel_avx512,
+                ),
+                Simd::Avx2 => (std::is_x86_feature_detected!("avx2"), matmul_kernel_avx2),
+            };
+            if supported {
+                // SAFETY: `supported` is the run-time detection of the one
+                // target feature that `kernel` is compiled with.
+                unsafe { kernel(a, b, m, out) };
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// [`matmul_kernel`] with 64-wide tiles, compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn matmul_kernel_avx512(a: &[f64], b: &[f64], m: usize, out: &mut [f64]) {
+    matmul_kernel::<64>(a, b, m, out);
+}
+
+/// [`matmul_kernel`] with 32-wide tiles, compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn matmul_kernel_avx2(a: &[f64], b: &[f64], m: usize, out: &mut [f64]) {
+    matmul_kernel::<32>(a, b, m, out);
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
     fn index(&self, (r, c): (usize, usize)) -> &f64 {
@@ -577,6 +715,8 @@ impl IndexMut<(usize, usize)> for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn approx(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-12
@@ -659,6 +799,102 @@ mod tests {
         let c = a.hcat(&b);
         assert_eq!(c.shape(), (2, 3));
         assert_eq!(c.as_slice(), &[1.0, 3.0, 4.0, 2.0, 5.0, 6.0]);
+    }
+
+    /// The textbook `ikj` loop, the tiled kernel's reference: skip
+    /// `a_ik == 0.0`, add `a_ik · b_kj` into the zeroed output row in
+    /// ascending `k`.
+    fn matmul_ikj(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for (k, &aik) in a.row(i).iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
+                }
+                for (o, &y) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                    *o += aik * y;
+                }
+            }
+        }
+        out
+    }
+
+    /// The bits of every element, with each NaN as the one canonical NaN:
+    /// Rust leaves the sign and payload of a NaN result unspecified (when
+    /// both addends are NaN, x86 keeps whichever the register allocator
+    /// put first), so neither the loop nor the kernel defines them.
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice()
+            .iter()
+            .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    /// Every copy of the kernel this host can run equals the `ikj` loop
+    /// bit for bit: the baseline build at its 8-wide and (for the tile
+    /// logic) 64-wide tiles, the AVX2 and AVX-512 builds when the host
+    /// supports them, and `matmul_into` itself writing into one output
+    /// reused, dirty, across shapes. Rows of up to 300 entries cross the
+    /// 64-entry chunk, and both operands mix signed zeros, NaN, infinities
+    /// and subnormals (and products that underflow to subnormals) into
+    /// random values.
+    #[test]
+    fn tiled_kernels_are_bit_identical_to_the_ikj_loop() {
+        type Kernel = fn(&[f64], &[f64], usize, &mut [f64]) -> bool;
+        let kernels: [(&str, Kernel); 4] = [
+            ("baseline", |a, b, m, out| {
+                matmul_kernel::<8>(a, b, m, out);
+                true
+            }),
+            ("baseline, 64-wide tiles", |a, b, m, out| {
+                matmul_kernel::<64>(a, b, m, out);
+                true
+            }),
+            ("avx2", |a, b, m, out| Simd::Avx2.run(a, b, m, out)),
+            ("avx512", |a, b, m, out| Simd::Avx512.run(a, b, m, out)),
+        ];
+        let special = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            5e-324,
+            -f64::MIN_POSITIVE / 3.0,
+        ];
+        let mut rng = SmallRng::seed_from_u64(28);
+        let entry = |rng: &mut SmallRng| match rng.gen_range(0..20) {
+            0..=7 => [0.0, -0.0][rng.gen_range(0..2)],
+            8 => special[rng.gen_range(0..special.len())],
+            9 => rng.gen_range(-1.0..1.0) * 1e-160,
+            _ => rng.gen_range(-2.0..2.0),
+        };
+        let mut out = Matrix::filled(3, 7, f64::NAN);
+        let mut dirty = Matrix::filled(5, 11, f64::NAN);
+        for trial in 0..1_500 {
+            let n = rng.gen_range(0..=12);
+            let k = rng.gen_range(0..=300);
+            let m = match rng.gen_range(0..6) {
+                0 => 85,
+                1 => 170,
+                _ => rng.gen_range(1..=40),
+            };
+            let a = Matrix::from_fn(n, k, |_, _| entry(&mut rng));
+            let b = Matrix::from_fn(k, m, |_, _| entry(&mut rng));
+            let want = bits(&matmul_ikj(&a, &b));
+            a.matmul_into(&b, &mut dirty);
+            assert_eq!(dirty.shape(), (n, m));
+            assert_eq!(bits(&dirty), want, "trial {trial}: matmul_into {n}x{k}x{m}");
+            if k == 0 {
+                continue;
+            }
+            for (name, kernel) in kernels {
+                out.resize_zeroed(n, m);
+                if kernel(&a.data, &b.data, m, &mut out.data) {
+                    assert_eq!(bits(&out), want, "trial {trial}: {name} {n}x{k}x{m}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -94,9 +94,9 @@ fn pool() -> Vec<(Graph, Graph)> {
         .collect()
 }
 
-fn model() -> Gediot {
+fn model(config: GediotConfig) -> Gediot {
     let mut rng = SmallRng::seed_from_u64(0xA110D);
-    Gediot::new(GediotConfig::small(29), &mut rng)
+    Gediot::new(config, &mut rng)
 }
 
 /// Runs `call` over the pool once to warm up, then returns each call's
@@ -111,19 +111,27 @@ fn warm_calls(pairs: &[(Graph, Graph)], mut call: impl FnMut(&Graph, &Graph)) ->
         .collect()
 }
 
+/// Both the small and the paper's full-width configuration: the latter's
+/// node-embedding MLP (concat width 253, hidden width 506) multiplies rows
+/// several times longer than the matrix kernel's 64-entry stack chunk.
 #[test]
 fn warm_gediot_predict_in_allocates_only_the_coupling() {
     let pairs = pool();
-    let model = model();
-    let mut ws = GedWorkspace::new();
-    let counts = warm_calls(&pairs, |g1, g2| {
-        let _ = model.predict_in(g1, g2, &mut ws);
-    });
-    for (i, &n) in counts.iter().enumerate() {
-        assert!(
-            n <= GEDIOT_MAX,
-            "pair {i}: a warm Gediot::predict_in made {n} allocations (at most {GEDIOT_MAX})"
-        );
+    for (name, config) in [
+        ("small", GediotConfig::small(29)),
+        ("paper", GediotConfig::paper(29)),
+    ] {
+        let model = model(config);
+        let mut ws = GedWorkspace::new();
+        let counts = warm_calls(&pairs, |g1, g2| {
+            let _ = model.predict_in(g1, g2, &mut ws);
+        });
+        for (i, &n) in counts.iter().enumerate() {
+            assert!(
+                n <= GEDIOT_MAX,
+                "{name}, pair {i}: a warm Gediot::predict_in made {n} allocations (at most {GEDIOT_MAX})"
+            );
+        }
     }
 }
 
@@ -171,7 +179,7 @@ fn warm_exact_search_allocates_nothing() {
 #[test]
 fn warm_gedhot_predict_in_allocates_only_what_its_members_do() {
     let pairs = pool();
-    let model = model();
+    let model = model(GediotConfig::small(29));
     let ens = Gedhot::new(&model);
     let mut ws = GedWorkspace::new();
     let counts = warm_calls(&pairs, |g1, g2| {
@@ -191,7 +199,7 @@ fn warm_gedhot_predict_in_allocates_only_what_its_members_do() {
 #[test]
 fn a_cold_gediot_predict_allocates_its_tape() {
     let pairs = pool();
-    let model = model();
+    let model = model(GediotConfig::small(29));
     let (g1, g2) = &pairs[0];
     let (cold, _) = allocations(|| model.predict(g1, g2));
     assert!(cold > 100, "a cold predict made only {cold} allocations");
